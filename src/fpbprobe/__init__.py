@@ -14,6 +14,7 @@ from .discrimination import (
     build_povm,
     error_lower_bound,
     outcome_probs,
+    outcome_probs_grid,
     xi_to_phi,
 )
 from .entropy import (
@@ -42,6 +43,7 @@ from .probe import (
     probe_geometry,
     probe_input,
     theta_from_error_rate,
+    theta_grid,
 )
 from .simulator import (
     SessionConfig,

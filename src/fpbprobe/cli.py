@@ -28,10 +28,10 @@ import numpy as np
 
 from .discrimination import (
     DiscriminationConfig,
-    born_probs,
     build_povm,
     error_lower_bound,
     outcome_probs,
+    outcome_probs_grid,
 )
 from .entropy import (
     Order,
@@ -127,27 +127,6 @@ def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _measure_rows(p_e: float, xi: float, measures, orders) -> list[tuple[str, str, float]]:
-    """(measure, order token, value) rows for one grid point."""
-    q = outcome_probs(DiscriminationConfig.from_error_rate(p_e, xi))
-    joint = joint_from_outcome_probs(q)
-    rows: list[tuple[str, str, float]] = []
-    for measure in measures:
-        if measure == "std":
-            rows.append(("std", "1", mutual_information(joint)))
-        elif measure == "v1_inf":
-            rows.append(("v1_inf", "inf", alpha_mutual_information(joint, Order.min_entropy(), 1)))
-        elif measure == "cond_prob":
-            rem = 1.0 - q.q_inconclusive
-            value = q.q_success / rem if rem > 0.0 else 0.5
-            rows.append(("cond_prob", "", value))
-        else:
-            variant = {"v1": 1, "v2": 2, "v4": 4}[measure]
-            for order in orders:
-                rows.append((measure, str(order), alpha_mutual_information(joint, order, variant)))
-    return rows
-
-
 def cmd_curves(args, config: dict[str, str]) -> int:
     p_min = _resolve(args.p_e_min, config, "p_e_min", DEFAULT_PE_MIN, float)
     p_max = _resolve(args.p_e_max, config, "p_e_max", DEFAULT_PE_MAX, float)
@@ -157,40 +136,51 @@ def cmd_curves(args, config: dict[str, str]) -> int:
     measures = _resolve(args.measure, config, "measure", list(DEFAULT_MEASURES), str, is_list=True)
     out_path = args.out if args.out is not None else config.get("out")
 
-    if not (0.0 <= p_min and p_max <= MAX_ERROR_RATE):
-        raise ValueError(f"P_E range [{p_min}, {p_max}] outside [0, 1/3]")
     for m in measures:
         if m not in MEASURES:
             raise ValueError(f"unknown measure {m!r}; choose from {MEASURES}")
     orders = [Order.parse(tok) for tok in order_tokens]
     if any(o.is_infinite for o in orders) and any(m in ("v2", "v4") for m in measures):
         raise ValueError("measures v2 and v4 are undefined at infinite order; drop 'inf' or the measure")
+    if not xis:
+        raise ValueError("at least one xi is needed")
     grid = _grid(p_min, p_max, steps)
+
+    # Every column over the whole (P_E, xi) grid first; bad grid input
+    # fails here, before the output is opened.
+    q, _ = outcome_probs_grid(grid[:, None], np.asarray(xis, dtype=float))
+    joint = joint_from_outcome_probs(q)
+    labels, columns = [], []
+    for measure in measures:
+        if measure == "std":
+            labels.append("std,1")
+            columns.append(mutual_information(joint))
+        elif measure == "v1_inf":
+            labels.append("v1_inf,inf")
+            columns.append(alpha_mutual_information(joint, Order.min_entropy(), 1))
+        elif measure == "cond_prob":
+            rem = 1.0 - q.q_inconclusive
+            labels.append("cond_prob,")
+            columns.append(np.divide(q.q_success, rem, out=np.full_like(rem, 0.5), where=rem > 0.0))
+        else:
+            variant = {"v1": 1, "v2": 2, "v4": 4}[measure]
+            for order in orders:
+                labels.append(f"{measure},{order}")
+                columns.append(alpha_mutual_information(joint, order, variant))
+    if not columns:
+        raise ValueError("no rows selected: give a measure, and an order for v1, v2 and v4")
+    values = np.stack(columns, axis=-1)
+    xi_strs = [_fmt(xi) for xi in xis]
 
     with _open_out(out_path) as fh:
         fh.write("p_e,xi,measure,order,value\n")
-        for p_e in grid:
-            for xi in xis:
-                for measure, order_tok, value in _measure_rows(float(p_e), float(xi), measures, orders):
-                    fh.write(f"{_fmt(p_e)},{_fmt(xi)},{measure},{order_tok},{_fmt(value)}\n")
+        for p_str, at_p in zip(map(_fmt, grid.tolist()), values):
+            fh.write("".join(
+                f"{p_str},{xi_str},{label},{v:.17g}\n"
+                for xi_str, at_point in zip(xi_strs, at_p.tolist())
+                for label, v in zip(labels, at_point)
+            ))
     return EXIT_OK
-
-
-def _bounds_columns(eta: float) -> dict[str, float]:
-    md = majorization_data(zeta_closed_form(eta))
-    gamma = 0.5 * math.acos(min(max(eta, 0.0), 1.0))
-    povm = build_povm(DiscriminationConfig(theta=gamma, phi=0.0))
-    rho_star = 0.5 * np.eye(2, dtype=complex)
-    probs = born_probs(povm, rho_star)
-    return {
-        "mu_bound": mu_bound(eta),
-        "coles_piani": coles_piani_bound(eta),
-        "maj_shannon": 0.5 * shannon_entropy(md.omega),
-        "maj_alpha2_a": majorization_bound_tensor(md, 2.0),
-        "maj_alpha2_b": majorization_bound_direct_sum(md, 2.0),
-        "rho_star_H": shannon_entropy(probs),
-        "rho_star_R2": renyi_entropy(probs, 2.0),
-    }
 
 
 def cmd_bounds(args, config: dict[str, str]) -> int:
@@ -207,33 +197,36 @@ def cmd_bounds(args, config: dict[str, str]) -> int:
     xi = _resolve(args.xi, config, "xi", 1.0, float)
     out_path = args.out if args.out is not None else config.get("out")
 
+    # As in cmd_curves: every column first, then the output is opened.
     grid = _grid(lo, hi, steps)
+    eta, pe_columns = grid, []
+    if sweep_pe:
+        q, eta = outcome_probs_grid(grid, xi)
+        pe_columns = [closed_form_i_std(q), mutual_info_upper_bound(q, eta)]
+    md = majorization_data(zeta_closed_form(eta))
+    # Outcome distribution of the maximally mixed state I/2 under the
+    # phi = 0 measurement at this eta.
+    half = 0.5 / (1.0 + eta)
+    rho_star = np.stack([half, half, eta / (1.0 + eta)], axis=-1)
+    columns = [
+        mu_bound(eta),
+        coles_piani_bound(eta),
+        0.5 * shannon_entropy(md.omega),
+        majorization_bound_tensor(md, 2.0),
+        majorization_bound_direct_sum(md, 2.0),
+        shannon_entropy(rho_star),
+        renyi_entropy(rho_star, 2.0),
+    ] + pe_columns
+    values = np.stack(columns, axis=-1).tolist()
+    blank = "" if sweep_pe else ",,"
+
     header = "x,mu_bound,coles_piani,maj_shannon,maj_alpha2_a,maj_alpha2_b,rho_star_H,rho_star_R2,i_std,i_upper"
     with _open_out(out_path) as fh:
         fh.write(header + "\n")
-        for x in grid:
-            if sweep_pe:
-                cfg = DiscriminationConfig.from_error_rate(float(x), xi)
-                eta = cfg.eta
-                q = outcome_probs(cfg)
-                i_std = _fmt(closed_form_i_std(q))
-                i_upper = _fmt(mutual_info_upper_bound(q, eta))
-            else:
-                eta = float(x)
-                i_std = ""
-                i_upper = ""
-            cols = _bounds_columns(eta)
-            fh.write(
-                ",".join(
-                    [_fmt(x)]
-                    + [_fmt(cols[k]) for k in (
-                        "mu_bound", "coles_piani", "maj_shannon",
-                        "maj_alpha2_a", "maj_alpha2_b", "rho_star_H", "rho_star_R2",
-                    )]
-                    + [i_std, i_upper]
-                )
-                + "\n"
-            )
+        fh.write("".join(
+            ",".join([_fmt(x)] + [_fmt(v) for v in row]) + blank + "\n"
+            for x, row in zip(grid.tolist(), values)
+        ))
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .probe import ProbeConfig, theta_from_error_rate
+from .probe import MAX_ERROR_RATE, ProbeConfig, theta_from_error_rate, theta_grid
 
 QUARTER_PI = 0.25 * math.pi
 PHI_SLACK = 1e-12
@@ -60,8 +60,7 @@ class DiscriminationConfig:
 
     @property
     def eta(self) -> float:
-        # The phi slack can push gamma epsilon past pi/4; clamp cos(2 gamma).
-        return max(math.cos(2.0 * self.gamma), 0.0)
+        return float(_eta(self.gamma))
 
 
 @dataclass(frozen=True)
@@ -90,19 +89,39 @@ class Povm:
 
 @dataclass(frozen=True)
 class OutcomeProbs:
-    """Average success / error / inconclusive probabilities."""
+    """Average success / error / inconclusive probabilities.
 
-    q_success: float
-    q_error: float
-    q_inconclusive: float
+    The fields are floats for one measurement, or broadcastable arrays
+    holding one triple per grid point.
+    """
+
+    q_success: float | np.ndarray
+    q_error: float | np.ndarray
+    q_inconclusive: float | np.ndarray
 
     def __post_init__(self):
-        vals = (self.q_success, self.q_error, self.q_inconclusive)
-        for v in vals:
-            if not (math.isfinite(v) and -1e-12 <= v <= 1.0 + 1e-12):
-                raise ValueError(f"probability {v} outside [0, 1]")
-        if abs(sum(vals) - 1.0) > 1e-12:
-            raise ValueError(f"outcome probabilities sum to {sum(vals)}, not 1")
+        q = np.array(np.broadcast_arrays(self.q_success, self.q_error, self.q_inconclusive), dtype=float)
+        bad = ~(np.isfinite(q) & (q >= -1e-12) & (q <= 1.0 + 1e-12))
+        if bad.any():
+            raise ValueError(f"probability {q[bad][0]} outside [0, 1]")
+        total = q.sum(axis=0)
+        off = np.abs(total - 1.0) > 1e-12
+        if off.any():
+            raise ValueError(f"outcome probabilities sum to {total[off][0]}, not 1")
+
+
+def _eta(gamma):
+    # The phi slack can push gamma epsilon past pi/4; clamp cos(2 gamma).
+    return np.maximum(np.cos(2.0 * gamma), 0.0)
+
+
+def _outcome_triple(theta, phi, eta) -> tuple:
+    denom = 1.0 + eta
+    return (
+        np.sin(2.0 * theta + phi) ** 2 / denom,
+        np.sin(phi) ** 2 / denom,
+        2.0 * eta * np.cos(theta) ** 2 / denom,
+    )
 
 
 def xi_to_phi(xi: float, theta: float) -> float:
@@ -136,13 +155,26 @@ def build_povm(cfg: DiscriminationConfig) -> Povm:
 
 def outcome_probs(cfg: DiscriminationConfig) -> OutcomeProbs:
     """Equal-prior averages (Q_S, Q_E, Q_?) for one configuration."""
-    th, ph, eta = cfg.theta, cfg.phi, cfg.eta
-    denom = 1.0 + eta
-    return OutcomeProbs(
-        q_success=math.sin(2.0 * th + ph) ** 2 / denom,
-        q_error=math.sin(ph) ** 2 / denom,
-        q_inconclusive=2.0 * eta * math.cos(th) ** 2 / denom,
-    )
+    return OutcomeProbs(*(float(v) for v in _outcome_triple(cfg.theta, cfg.phi, cfg.eta)))
+
+
+def outcome_probs_grid(error_rate, xi) -> tuple[OutcomeProbs, np.ndarray]:
+    """Outcome triples and eta over broadcastable P_E and xi arrays.
+
+    Point for point the same as outcome_probs and .eta of
+    DiscriminationConfig.from_error_rate(error_rate, xi).  Both arrays are
+    checked once, before anything is computed: P_E in [0, 1/3], xi in
+    [0, 1], all finite.
+    """
+    p, x = np.broadcast_arrays(np.asarray(error_rate, dtype=float), np.asarray(xi, dtype=float))
+    for name, v, hi, label in (("error_rate", p, MAX_ERROR_RATE, "1/3"), ("xi", x, 1.0, "1")):
+        bad = ~(np.isfinite(v) & (v >= 0.0) & (v <= hi))
+        if bad.any():
+            raise ValueError(f"{name} {v[bad][0]} outside [0, {label}]")
+    theta = theta_grid(p)
+    phi = x * (QUARTER_PI - theta)
+    eta = _eta(theta + phi)
+    return OutcomeProbs(*_outcome_triple(theta, phi, eta)), eta
 
 
 def error_lower_bound(theta: float, q_inconclusive: float) -> float:

@@ -5,6 +5,9 @@ variants (1, 2, 4); each induces an alpha-mutual-information measure
 R_alpha(X) - R_alpha(X|Y).  The joint table of interest is the 2x3
 distribution over (Bob's error-free sifted bit b', Eve's outcome e') built
 from the discrimination triple (Q_S, Q_E, Q_?).
+
+Every measure reduces over the last axes: a stack of tables or vectors along
+leading axes gives an array, a single one a Python float.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .discrimination import OutcomeProbs
 
 SHANNON_WINDOW = 1e-9
 DIST_TOL = 1e-10
+_TINY = np.finfo(float).smallest_subnormal
 
 B_GIVEN_E = "b_given_e"
 E_GIVEN_B = "e_given_b"
@@ -75,23 +79,34 @@ class Order:
         return f"{self.value:g}"
 
 
+def _checked(x, ndim: int, what: str) -> np.ndarray:
+    """x as floats: probability vectors (ndim 1) or tables (ndim 2) on its last axes.
+
+    Leading axes index a stack; every member must be finite, nonnegative
+    within 1e-12 and sum to 1 within DIST_TOL.
+    """
+    p = np.asarray(x, dtype=float)
+    if p.ndim < ndim or p.size == 0:
+        raise ValueError(f"{what} must be a nonempty array with at least {ndim} dimension(s)")
+    if not np.isfinite(p).all():
+        raise ValueError(f"{what} must be finite")
+    if p.min() < -1e-12:
+        raise ValueError(f"negative entry {p.min()} in {what}")
+    sums = p.sum(axis=-1) if ndim == 1 else p.sum(axis=(-2, -1))
+    off = abs(sums - 1.0) > DIST_TOL
+    if off.any():
+        raise ValueError(f"{what} sum to {np.ravel(sums)[np.ravel(off)][0]}, not 1")
+    return np.maximum(p, 0.0)
+
+
 @dataclass(frozen=True)
 class Distribution:
-    """Probability vector: nonnegative entries summing to 1 within 1e-10."""
+    """Probability vector along the last axis; leading axes form a stack."""
 
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("probs must be a nonempty 1-D array")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("probabilities must be finite")
-        if p.min() < -1e-12:
-            raise ValueError(f"negative probability {p.min()}")
-        if abs(p.sum() - 1.0) > DIST_TOL:
-            raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-        object.__setattr__(self, "probs", np.clip(p, 0.0, None))
+        object.__setattr__(self, "probs", _checked(self.probs, 1, "probabilities"))
 
 
 @dataclass(frozen=True)
@@ -100,103 +115,127 @@ class JointDistribution:
 
     The canonical table is 2x3 with e' in (0, 1, ?), but any 2-D shape is
     accepted so transposes and generic tables work in the same machinery.
+    Leading axes, if any, form a stack of tables that is checked once.
     """
 
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
-        if t.ndim != 2 or t.size == 0:
-            raise ValueError("table must be a nonempty 2-D array")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("joint probabilities must be finite")
-        if t.min() < -1e-12:
-            raise ValueError(f"negative joint probability {t.min()}")
-        if abs(t.sum() - 1.0) > DIST_TOL:
-            raise ValueError(f"joint probabilities sum to {t.sum()}, not 1")
-        object.__setattr__(self, "table", np.clip(t, 0.0, None))
+        object.__setattr__(self, "table", _checked(self.table, 2, "joint probabilities"))
 
     def marginal_b(self) -> np.ndarray:
-        return self.table.sum(axis=1)
+        return self.table.sum(axis=-1)
 
     def marginal_e(self) -> np.ndarray:
-        return self.table.sum(axis=0)
+        return self.table.sum(axis=-2)
 
     def transposed(self) -> "JointDistribution":
-        return JointDistribution(self.table.T)
+        return JointDistribution(np.swapaxes(self.table, -1, -2))
+
+
+def _float_or_array(x):
+    """A Python float for a 0-d result, the array otherwise."""
+    return float(x) if getattr(x, "ndim", 0) == 0 else x
 
 
 def _probs(d) -> np.ndarray:
-    if isinstance(d, Distribution):
-        return d.probs
-    return Distribution(np.asarray(d, dtype=float)).probs
+    return d.probs if isinstance(d, Distribution) else Distribution(d).probs
 
 
 def _table(j) -> np.ndarray:
-    if isinstance(j, JointDistribution):
-        return j.table
-    return JointDistribution(np.asarray(j, dtype=float)).table
+    return j.table if isinstance(j, JointDistribution) else JointDistribution(j).table
 
 
 def _oriented(j, direction: str) -> np.ndarray:
-    """Table with the conditioned variable along axis 0."""
+    """Table with the conditioned variable along axis -2."""
+    if direction not in _DIRECTIONS:
+        raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
     t = _table(j)
-    if direction == B_GIVEN_E:
-        return t
-    if direction == E_GIVEN_B:
-        return t.T
-    raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
+    return t if direction == B_GIVEN_E else np.swapaxes(t, -1, -2)
 
 
-def _neg_plog2p(p: np.ndarray) -> float:
-    sup = p[p > 0.0]
-    return float(-(sup * np.log2(sup)).sum() + 0.0)  # +0.0 avoids -0.0
+def _xlog2x(p: np.ndarray) -> np.ndarray:
+    """p log2 p elementwise for p >= 0, with 0 log 0 = 0.
+
+    log2 of the smallest subnormal is finite (-1074), so p = 0 gives 0.
+    """
+    return p * np.log2(np.maximum(p, _TINY))
 
 
-def shannon_entropy(d) -> float:
-    """-sum p log2 p with 0 log 0 = 0."""
-    return _neg_plog2p(_probs(d))
+def _shannon(p: np.ndarray) -> np.ndarray:
+    return -_xlog2x(p).sum(axis=-1) + 0.0  # +0.0 avoids -0.0
 
 
-def _renyi_of_array(p: np.ndarray, order: Order) -> float:
+def _renyi(p: np.ndarray, order: Order) -> np.ndarray:
+    """Renyi entropy over the last axis of nonzero probability vectors."""
     if order.is_shannon:
-        return _neg_plog2p(p)
+        return _shannon(p)
+    m = p.max(axis=-1)
     if order.is_infinite:
-        return float(-np.log2(p.max()) + 0.0)
+        return -np.log2(m) + 0.0
     a = order.value
-    sup = p[p > 0.0]
-    m = sup.max()
     # Factor out the peak so p**a never underflows the whole sum.
-    s = float(((sup / m) ** a).sum())
-    return (a * math.log2(m) + math.log2(s)) / (1.0 - a) + 0.0
+    s = ((p / m[..., None]) ** a).sum(axis=-1)
+    return (a * np.log2(m) + np.log2(s)) / (1.0 - a) + 0.0
 
 
-def renyi_entropy(d, a) -> float:
+def _columns(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column weights, per-column conditionals along the last axis, empty-column mask.
+
+    An empty column gets a point mass as its conditional: every entropy of
+    it is 0, and its weight is 0 anyway.
+    """
+    py = t.sum(axis=-2)
+    empty = py <= 0.0
+    cond = np.swapaxes(t / np.where(empty, 1.0, py)[..., None, :], -1, -2)
+    cond[..., 0] += empty
+    return py, cond, empty
+
+
+def _conditional(t: np.ndarray, o: Order, variant: int) -> np.ndarray:
+    """Conditional entropy of axis -2 given axis -1, stacked over leading axes."""
+    if variant not in _VARIANTS:
+        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+    if variant == 1 or o.is_shannon:
+        py, cond, _ = _columns(t)
+        return (py * _renyi(cond, o)).sum(axis=-1)
+    if o.is_infinite:
+        raise ValueError(f"variant {variant} is undefined at infinite order")
+    if variant == 2:
+        return _renyi(t.reshape(t.shape[:-2] + (-1,)), o) - _renyi(t.sum(axis=-2), o)
+    # Variant 4: factor out the largest conditional so the inner powers
+    # cannot underflow collectively.
+    alpha = o.value
+    py, cond, empty = _columns(t)
+    peak = np.where(empty[..., None], 0.0, cond).max(axis=(-2, -1))
+    inner = (py * ((cond / peak[..., None, None]) ** alpha).sum(axis=-1)).sum(axis=-1)
+    return (alpha * np.log2(peak) + np.log2(inner)) / (1.0 - alpha)
+
+
+def shannon_entropy(d) -> float | np.ndarray:
+    """-sum p log2 p with 0 log 0 = 0, over the last axis."""
+    return _float_or_array(_shannon(_probs(d)))
+
+
+def renyi_entropy(d, a) -> float | np.ndarray:
     """Renyi entropy of the given order; Shannon at 1, min-entropy at inf."""
-    return _renyi_of_array(_probs(d), Order.coerce(a))
+    return _float_or_array(_renyi(_probs(d), Order.coerce(a)))
 
 
-def binary_entropy(p: float) -> float:
-    """h(p) in bits, zero at both endpoints."""
-    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
+def binary_entropy(p) -> float | np.ndarray:
+    """h(p) in bits, zero at both endpoints; p may be an array."""
+    x = np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(x) & (x >= 0.0) & (x <= 1.0)):
         raise ValueError(f"p {p} outside [0, 1]")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    return _float_or_array(_shannon(np.stack([x, 1.0 - x], axis=-1)))
 
 
-def conditional_std(j, direction: str = B_GIVEN_E) -> float:
+def conditional_std(j, direction: str = B_GIVEN_E) -> float | np.ndarray:
     """Standard conditional entropy H(X|Y), conditioning on columns."""
-    t = _oriented(j, direction)
-    py = t.sum(axis=0)
-    total = 0.0
-    for y in range(t.shape[1]):
-        if py[y] > 0.0:
-            total += py[y] * _neg_plog2p(t[:, y] / py[y])
-    return total
+    return _float_or_array(_conditional(_oriented(j, direction), Order.shannon(), 1))
 
 
-def conditional_renyi(j, a, variant: int, direction: str = B_GIVEN_E) -> float:
+def conditional_renyi(j, a, variant: int, direction: str = B_GIVEN_E) -> float | np.ndarray:
     """Conditional Renyi entropy, one of the three variants.
 
     Variant 1 averages per-column Renyi entropies and also supports the
@@ -204,109 +243,74 @@ def conditional_renyi(j, a, variant: int, direction: str = B_GIVEN_E) -> float:
     chain rule by construction.  Variant 4 moves the column average
     inside the logarithm.  Variants 2 and 4 are undefined at infinite
     order; every variant reduces to the standard conditional entropy at
-    order one.
+    order one.  A stack of tables gives an array of values.
     """
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    o = Order.coerce(a)
-    if o.is_shannon:
-        return conditional_std(j, direction)
-    t = _oriented(j, direction)
-    py = t.sum(axis=0)
-
-    if variant == 1:
-        total = 0.0
-        for y in range(t.shape[1]):
-            if py[y] > 0.0:
-                total += py[y] * _renyi_of_array(t[:, y] / py[y], o)
-        return total
-
-    if o.is_infinite:
-        raise ValueError(f"variant {variant} is undefined at infinite order")
-    alpha = o.value
-
-    if variant == 2:
-        return _renyi_of_array(t.ravel(), o) - _renyi_of_array(py, o)
-
-    # Variant 4: factor out the largest conditional so the inner powers
-    # cannot underflow collectively.
-    peak = 0.0
-    for y in range(t.shape[1]):
-        if py[y] > 0.0:
-            peak = max(peak, float(t[:, y].max() / py[y]))
-    inner = 0.0
-    for y in range(t.shape[1]):
-        if py[y] > 0.0:
-            cond = t[:, y] / py[y]
-            cond = cond[cond > 0.0]
-            inner += py[y] * float(((cond / peak) ** alpha).sum())
-    return (alpha * math.log2(peak) + math.log2(inner)) / (1.0 - alpha)
+    return _float_or_array(_conditional(_oriented(j, direction), Order.coerce(a), variant))
 
 
-def mutual_information(j) -> float:
+def _mutual_information(t: np.ndarray) -> np.ndarray:
+    """H(X) + H(Y) - H(X,Y) over the last two axes, with one log2 pass."""
+    m, n = t.shape[-2:]
+    parts = np.concatenate([t.sum(axis=-1), t.sum(axis=-2), t.reshape(t.shape[:-2] + (m * n,))], axis=-1)
+    h = -np.add.reduceat(_xlog2x(parts), [0, m, m + n], axis=-1) + 0.0
+    return h[..., 0] + h[..., 1] - h[..., 2]
+
+
+def mutual_information(j) -> float | np.ndarray:
     """H(X) + H(Y) - H(X,Y)."""
-    t = _table(j)
-    return (
-        _neg_plog2p(t.sum(axis=1))
-        + _neg_plog2p(t.sum(axis=0))
-        - _neg_plog2p(t.ravel())
-    )
+    return _float_or_array(_mutual_information(_table(j)))
 
 
-def alpha_mutual_information(j, a, variant: int, direction: str = B_GIVEN_E) -> float:
+def alpha_mutual_information(j, a, variant: int, direction: str = B_GIVEN_E) -> float | np.ndarray:
     """R_a(X) - R_a^(variant)(X|Y) with X the conditioned variable."""
     o = Order.coerce(a)
+    t = _oriented(j, direction)
     if o.is_shannon:
-        return mutual_information(j)
-    px = _oriented(j, direction).sum(axis=1)
-    return _renyi_of_array(px, o) - conditional_renyi(j, o, variant, direction)
+        return _float_or_array(_mutual_information(t))
+    return _float_or_array(_renyi(t.sum(axis=-1), o) - _conditional(t, o, variant))
 
 
 def joint_from_outcome_probs(q: OutcomeProbs) -> JointDistribution:
-    """2x3 joint over (b', e') for a uniform bit and outcome triple q."""
-    qs, qe, qq = q.q_success, q.q_error, q.q_inconclusive
-    return JointDistribution(0.5 * np.array([[qs, qe, qq], [qe, qs, qq]]))
+    """2x3 joint over (b', e') for a uniform bit and outcome triple q.
+
+    Array fields in q give a stack of tables, one per grid point.
+    """
+    qs, qe, qq = np.broadcast_arrays(q.q_success, q.q_error, q.q_inconclusive)
+    rows = (np.stack([qs, qe, qq], axis=-1), np.stack([qe, qs, qq], axis=-1))
+    return JointDistribution(0.5 * np.stack(rows, axis=-2))
 
 
-def _split_log2_power_sum(a: float, x: float, y: float) -> float:
-    """log2(x**a + y**a) without underflow, for x, y >= 0, max > 0."""
-    hi, lo = (x, y) if x >= y else (y, x)
-    tail = (lo / hi) ** a if lo > 0.0 else 0.0
-    return a * math.log2(hi) + math.log2(1.0 + tail)
-
-
-def closed_form_i1(a, q: OutcomeProbs) -> float:
+def closed_form_i1(a, q: OutcomeProbs) -> float | np.ndarray:
     """Variant-1 alpha-mutual information of the (b', e') table, closed form.
 
     Accepts finite orders other than 1 and the infinite order (which uses
     the analytic large-alpha limit).  The Shannon order is rejected; use
-    closed_form_i_std.  A fully inconclusive measurement returns 0.
+    closed_form_i_std.  A fully inconclusive measurement gives 0.
     """
     o = Order.coerce(a)
-    qs, qe, qq = q.q_success, q.q_error, q.q_inconclusive
-    rem = 1.0 - qq
-    if rem <= 0.0:
-        return 0.0
     if o.is_shannon:
         raise ValueError("order 1 has no variant-specific closed form; use closed_form_i_std")
-    if o.is_infinite:
-        return rem - rem * math.log2(rem) + rem * math.log2(max(qs, qe))
-    alpha = o.value
-    log_pow = _split_log2_power_sum(alpha, qs, qe)
-    return rem * (
-        1.0 - log_pow / (1.0 - alpha) + alpha * math.log2(rem) / (1.0 - alpha)
-    )
-
-
-def closed_form_i_std(q: OutcomeProbs) -> float:
-    """Standard mutual information of the (b', e') table, closed form."""
-    qs, qe, qq = q.q_success, q.q_error, q.q_inconclusive
+    qs, qe, qq = (np.asarray(v, dtype=float) for v in (q.q_success, q.q_error, q.q_inconclusive))
     rem = 1.0 - qq
+    hi, lo = np.maximum(qs, qe), np.minimum(qs, qe)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if o.is_infinite:
+            value = rem - rem * np.log2(rem) + rem * np.log2(hi)
+        else:
+            alpha = o.value
+            # log2(qs**a + qe**a) without underflow.
+            tail = np.where(lo > 0.0, (lo / hi) ** alpha, 0.0)
+            log_pow = alpha * np.log2(hi) + np.log2(1.0 + tail)
+            value = rem * (1.0 - log_pow / (1.0 - alpha) + alpha * np.log2(rem) / (1.0 - alpha))
+    return _float_or_array(np.where(rem > 0.0, value, 0.0))
 
-    def xlog2(v: float) -> float:
-        return v * math.log2(v) if v > 0.0 else 0.0
 
-    return rem - xlog2(rem) + xlog2(qs) + xlog2(qe)
+def closed_form_i_std(q: OutcomeProbs) -> float | np.ndarray:
+    """Standard mutual information of the (b', e') table, closed form."""
+    qs, qe, qq = (np.asarray(v, dtype=float) for v in (q.q_success, q.q_error, q.q_inconclusive))
+    rem = 1.0 - qq
+    x_rem, x_s, x_e = (_xlog2x(np.maximum(v, 0.0)) for v in (rem, qs, qe))
+    return _float_or_array(rem - x_rem + x_s + x_e)
 
 
 def shor_preskill_rate(delta: float) -> float:

@@ -66,14 +66,20 @@ def probe_input(cfg: ProbeConfig) -> np.ndarray:
 
 
 def theta_from_error_rate(cfg: ProbeConfig) -> float:
-    """Half-angle between the normalized probe outputs, in [0, pi/4].
+    """Half-angle between the normalized probe outputs, in [0, pi/4]."""
+    return float(theta_grid(cfg.error_rate))
+
+
+def theta_grid(p):
+    """theta_from_error_rate for a float or an ndarray of error rates.
 
     cos(2 theta) = (1 - 3 p) / (1 - p) and
     sin(2 theta) = sqrt(4 p (1 - 2 p)) / (1 - p); atan2 of the two
-    numerators avoids branch trouble at both endpoints.
+    numerators avoids branch trouble at both endpoints.  The range
+    [0, 1/3] is not checked here; callers validate it once for the whole
+    array.
     """
-    p = cfg.error_rate
-    return 0.5 * math.atan2(math.sqrt(4.0 * p * (1.0 - 2.0 * p)), 1.0 - 3.0 * p)
+    return 0.5 * np.arctan2(np.sqrt(4.0 * p * (1.0 - 2.0 * p)), 1.0 - 3.0 * p)
 
 
 def probe_geometry(cfg: ProbeConfig) -> ProbeGeometry:

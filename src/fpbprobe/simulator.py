@@ -41,6 +41,10 @@ class SessionConfig:
     seed: int
 
     def __post_init__(self):
+        # bool is an int subclass: True would pass as 1 round, xi = 1.0 or seed 1.
+        for name in ("rounds", "error_rate", "xi", "seed"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, not a bool")
         if not (isinstance(self.rounds, int) and self.rounds >= 1):
             raise ValueError(f"rounds must be a positive integer, got {self.rounds!r}")
         if not (

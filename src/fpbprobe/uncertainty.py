@@ -18,7 +18,14 @@ import numpy as np
 
 from . import linalg
 from .discrimination import OutcomeProbs
-from .entropy import Distribution, Order, binary_entropy, renyi_entropy, shannon_entropy
+from .entropy import (
+    Distribution,
+    Order,
+    _float_or_array,
+    binary_entropy,
+    renyi_entropy,
+    shannon_entropy,
+)
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_GRID = 720
@@ -45,10 +52,11 @@ class MajorizationData:
 
     omega = (zeta_1, zeta_2 - zeta_1, ..., 1 - zeta_{d-1}) feeds the
     direct-sum bounds; omega_prime is built the same way from
-    xi_k = (1 + zeta_k)^2 / 4 and feeds the tensor-product bounds.
+    xi_k = (1 + zeta_k)^2 / 4 and feeds the tensor-product bounds.  For a
+    stack of sequences zeta is an (..., d) array and the vectors stack too.
     """
 
-    zeta: tuple[float, ...]
+    zeta: tuple[float, ...] | np.ndarray
     omega: Distribution
     omega_prime: Distribution
 
@@ -158,53 +166,76 @@ def optimize_s_max(
     return best_val, (best[0] % TWO_PI, best[1] % TWO_PI)
 
 
-def mu_factor(eta: float) -> float:
+def _eta_array(eta) -> np.ndarray:
+    e = np.asarray(eta, dtype=float)
+    bad = ~(np.isfinite(e) & (e >= 0.0) & (e <= 1.0))
+    if bad.any():
+        raise ValueError(f"eta {e[bad][0]} outside [0, 1]")
+    return e
+
+
+def _mu(e: np.ndarray) -> np.ndarray:
+    # Every branch is evaluated; the ones outside their range may divide by 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            e <= 0.2,
+            (1.0 + e) / (1.0 - e),
+            np.sqrt(np.where(e <= 0.5, (2.0 - e) / (1.0 - e), (2.0 - e) / e)),
+        )
+
+
+def _zeta2(e: np.ndarray) -> np.ndarray:
+    return np.where(
+        e <= 0.2,
+        np.sqrt(1.0 + 2.0 * e - 3.0 * e * e) / (1.0 + e),
+        np.where(e <= 0.5, np.sqrt((2.0 - 2.0 * e) / (2.0 - e)), 1.0 / np.sqrt(2.0 - e)),
+    )
+
+
+def _zeta(e: np.ndarray) -> np.ndarray:
+    return np.stack([1.0 / _mu(e), _zeta2(e), np.ones_like(e)], axis=-1)
+
+
+def mu_factor(eta) -> float | np.ndarray:
     """Closed-form reciprocal of the optimized peak overlap.
 
     Three branches with knots at eta = 0.2 and eta = 0.5; adjacent
-    branches agree at the knots.
+    branches agree at the knots.  Like every closed form in eta below,
+    it accepts an array of eta values and returns an array.
     """
-    if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
-        raise ValueError(f"eta {eta} outside [0, 1]")
-    if eta <= 0.2:
-        return (1.0 + eta) / (1.0 - eta)
-    if eta <= 0.5:
-        return math.sqrt((2.0 - eta) / (1.0 - eta))
-    return math.sqrt((2.0 - eta) / eta)
+    return _float_or_array(_mu(_eta_array(eta)))
 
 
-def mu_bound(eta: float) -> float:
+def mu_bound(eta) -> float | np.ndarray:
     """Lower bound 2 log2 mu_factor(eta) on conjugate-order entropy sums."""
-    return 2.0 * math.log2(mu_factor(eta))
+    return _float_or_array(2.0 * np.log2(_mu(_eta_array(eta))))
 
 
-def coles_piani_bound(eta: float) -> float:
+def coles_piani_bound(eta) -> float | np.ndarray:
     """Improved Shannon-entropy lower bound for the POVM.
 
     log2 mu_factor(eta) plus a correction active only below eta = 0.2;
     the correction vanishes in the eta -> 0 limit and is taken as 0 at
     the knot itself.
     """
-    base = math.log2(mu_factor(eta))
-    if 0.0 < eta < 0.2:
-        base += (eta / (2.0 * (1.0 + eta))) * math.log2((1.0 - eta) / (4.0 * eta))
-    return base
+    e = _eta_array(eta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        correction = (e / (2.0 * (1.0 + e))) * np.log2((1.0 - e) / (4.0 * e))
+    return _float_or_array(np.log2(_mu(e)) + np.where((e > 0.0) & (e < 0.2), correction, 0.0))
 
 
-def zeta2_closed_form(eta: float) -> float:
+def zeta2_closed_form(eta) -> float | np.ndarray:
     """Closed form for the class-2 submatrix-norm coefficient."""
-    if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
-        raise ValueError(f"eta {eta} outside [0, 1]")
-    if eta <= 0.2:
-        return math.sqrt(1.0 + 2.0 * eta - 3.0 * eta * eta) / (1.0 + eta)
-    if eta <= 0.5:
-        return math.sqrt((2.0 - 2.0 * eta) / (2.0 - eta))
-    return 1.0 / math.sqrt(2.0 - eta)
+    return _float_or_array(_zeta2(_eta_array(eta)))
 
 
-def zeta_closed_form(eta: float) -> tuple[float, float, float]:
-    """(zeta_1, zeta_2, zeta_3) of the phase-optimized overlap matrix."""
-    return (1.0 / mu_factor(eta), zeta2_closed_form(eta), 1.0)
+def zeta_closed_form(eta) -> tuple[float, float, float] | np.ndarray:
+    """(zeta_1, zeta_2, zeta_3) of the phase-optimized overlap matrix.
+
+    An array of eta values gives an (..., 3) array.
+    """
+    z = _zeta(_eta_array(eta))
+    return tuple(z.tolist()) if z.ndim == 1 else z
 
 
 def zeta_coefficients(w, tol: float = 1e-8) -> np.ndarray:
@@ -238,34 +269,38 @@ def zeta_coefficients(w, tol: float = 1e-8) -> np.ndarray:
 
 
 def majorization_data(zeta) -> MajorizationData:
-    """Probability vectors omega and omega_prime from a zeta sequence."""
+    """Probability vectors omega and omega_prime from a zeta sequence.
+
+    A stack of sequences along the last axis gives stacked vectors.
+    """
     z = np.asarray(zeta, dtype=float)
-    if z.ndim != 1 or z.size < 1:
-        raise ValueError("zeta must be a nonempty 1-D sequence")
+    if z.ndim < 1 or z.size < 1:
+        raise ValueError("zeta must be a nonempty sequence")
     if not np.all(np.isfinite(z)):
         raise ValueError("zeta entries must be finite")
-    if np.any(np.diff(z) < -1e-9):
+    if np.any(np.diff(z, axis=-1) < -1e-9):
         raise ValueError("zeta must be nondecreasing")
-    if abs(z[-1] - 1.0) > 1e-8:
-        raise ValueError(f"last zeta must be 1, got {z[-1]}")
-    z = np.minimum(np.maximum.accumulate(z), 1.0)
-    z[-1] = 1.0
-    omega = np.diff(z, prepend=0.0)
+    last = np.abs(z[..., -1] - 1.0)
+    if np.any(last > 1e-8):
+        raise ValueError(f"last zeta must be 1, got {z[..., -1][last > 1e-8][0]}")
+    z = np.minimum(np.maximum.accumulate(z, axis=-1), 1.0)
+    z[..., -1] = 1.0
+    omega = np.diff(z, axis=-1, prepend=0.0)
     xi = ((1.0 + z) ** 2) / 4.0
-    omega_prime = np.diff(xi, prepend=0.0)
+    omega_prime = np.diff(xi, axis=-1, prepend=0.0)
     return MajorizationData(
-        zeta=tuple(float(v) for v in z),
+        zeta=tuple(z.tolist()) if z.ndim == 1 else z,
         omega=Distribution(omega),
         omega_prime=Distribution(omega_prime),
     )
 
 
-def majorization_bound_tensor(md: MajorizationData, a) -> float:
+def majorization_bound_tensor(md: MajorizationData, a) -> float | np.ndarray:
     """Tensor-product bound: half the Renyi entropy of omega_prime."""
     return 0.5 * renyi_entropy(md.omega_prime, a)
 
 
-def majorization_bound_direct_sum(md: MajorizationData, a) -> float:
+def majorization_bound_direct_sum(md: MajorizationData, a) -> float | np.ndarray:
     """Direct-sum bound on the POVM Renyi entropy.
 
     Half the entropy of omega for orders <= 1; for finite orders above 1
@@ -274,16 +309,17 @@ def majorization_bound_direct_sum(md: MajorizationData, a) -> float:
     the prefactor vanishes), so the infinite order returns 0.
     """
     o = Order.coerce(a)
+    p = md.omega.probs
     if o.is_infinite:
-        return 0.0
+        return _float_or_array(np.zeros(p.shape[:-1]))
     if o.is_shannon or o.value < 1.0:
         return 0.5 * renyi_entropy(md.omega, o)
     alpha = o.value
-    powers = float((md.omega.probs[md.omega.probs > 0.0] ** alpha).sum())
-    return math.log2(0.5 + 0.5 * powers) / (1.0 - alpha)
+    powers = (p ** alpha).sum(axis=-1)
+    return _float_or_array(np.log2(0.5 + 0.5 * powers) / (1.0 - alpha))
 
 
-def majorization_entropy_bound(md: MajorizationData, a) -> float:
+def majorization_entropy_bound(md: MajorizationData, a) -> float | np.ndarray:
     """Best applicable majorization bound at the given order.
 
     Orders <= 1 use half the entropy of omega.  Orders > 1 compare the
@@ -294,21 +330,23 @@ def majorization_entropy_bound(md: MajorizationData, a) -> float:
     o = Order.coerce(a)
     if o.is_shannon or (not o.is_infinite and o.value < 1.0):
         return 0.5 * renyi_entropy(md.omega, o)
-    return max(
+    return _float_or_array(np.maximum(
         majorization_bound_tensor(md, o),
         majorization_bound_direct_sum(md, o),
-    )
+    ))
 
 
-def mutual_info_upper_bound(q: OutcomeProbs, eta: float) -> float:
+def mutual_info_upper_bound(q: OutcomeProbs, eta) -> float | np.ndarray:
     """Upper bound on the standard mutual information of the (b', e') pair.
 
     H(E') minus the strongest Shannon-entropy lower bound for the POVM,
     where H(E') = 1 - Q_? + h(Q_?).  Valid whenever q and eta come from
-    one discrimination configuration.
+    one discrimination configuration; array fields and an eta array of
+    the same shape give an array.
     """
-    qq = q.q_inconclusive
-    h_e = 1.0 - qq + binary_entropy(min(max(qq, 0.0), 1.0))
-    md = majorization_data(zeta_closed_form(eta))
-    floor = max(coles_piani_bound(eta), 0.5 * shannon_entropy(md.omega))
-    return h_e - floor
+    qq = np.asarray(q.q_inconclusive, dtype=float)
+    h_e = 1.0 - qq + binary_entropy(np.clip(qq, 0.0, 1.0))
+    e = _eta_array(eta)
+    md = majorization_data(_zeta(e))
+    floor = np.maximum(coles_piani_bound(e), 0.5 * shannon_entropy(md.omega))
+    return _float_or_array(h_e - floor)

@@ -84,6 +84,21 @@ class TestCurves:
         assert code == 2
         assert out == ""  # nothing written before the validation error
 
+    @pytest.mark.parametrize("argv", [
+        ["curves", "--xi", "0.5", "--xi", "1.5", "--steps", "3"],
+        ["bounds", "--variable", "p-e", "--max", "0.5"],
+        ["bounds", "--variable", "eta", "--max", "1.5"],
+    ])
+    def test_bad_grid_point_writes_nothing(self, argv, tmp_path, capsys):
+        code, out = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        path = tmp_path / "out.csv"
+        code, out = run_cli(argv + ["--out", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert not path.exists()
+
     def test_unwritable_path_gives_io_exit(self, capsys):
         code, _ = run_cli(self.ARGS + ["--out", "/nonexistent-dir/x.csv"], capsys)
         assert code == 3
