@@ -30,7 +30,7 @@ from fpbprobe import (
     zeta_coefficients,
 )
 
-print("=== grid + descent optimization certifies the closed forms ===")
+print("=== 1-D phase-difference scan + descent certifies the closed forms ===")
 print(f"{'eta':>5} {'s* (search)':>12} {'1/f (closed)':>13} {'zeta2':>9} {'c2 (closed)':>12}")
 for eta in (0.0, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0):
     val, (phi, phip) = optimize_s_max(eta)

@@ -21,8 +21,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from contextlib import contextmanager
+import tempfile
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -79,14 +81,33 @@ def _fmt(v: float) -> str:
 
 @contextmanager
 def _open_out(path):
+    """Stdout, or a file at `path` that appears only once it is complete.
+
+    The text goes to a temporary file beside the target, which replaces
+    the target on success and is removed on any error, so a failed write
+    leaves a pre-existing target untouched.  Targets that exist but are
+    not regular files (devices, pipes) are written in place.
+    """
     if path in (None, "-"):
         yield sys.stdout
         return
-    fh = open(path, "w", newline="")
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", newline="") as fh:
+            yield fh
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=f".{os.path.basename(target)}.")
     try:
-        yield fh
-    finally:
-        fh.close()
+        with os.fdopen(fd, "w", newline="") as fh:
+            mask = os.umask(0)
+            os.umask(mask)
+            os.chmod(tmp, 0o666 & ~mask)  # the mode a plain open() would give
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _load_config_file(path: str) -> dict[str, str]:

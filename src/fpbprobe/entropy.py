@@ -192,10 +192,14 @@ def _columns(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return py, cond, empty
 
 
-def _conditional(t: np.ndarray, o: Order, variant: int) -> np.ndarray:
-    """Conditional entropy of axis -2 given axis -1, stacked over leading axes."""
+def _check_variant(variant: int) -> None:
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+
+
+def _conditional(t: np.ndarray, o: Order, variant: int) -> np.ndarray:
+    """Conditional entropy of axis -2 given axis -1, stacked over leading axes."""
+    _check_variant(variant)
     if variant == 1 or o.is_shannon:
         py, cond, _ = _columns(t)
         return (py * _renyi(cond, o)).sum(axis=-1)
@@ -264,6 +268,7 @@ def mutual_information(j) -> float | np.ndarray:
 def alpha_mutual_information(j, a, variant: int, direction: str = B_GIVEN_E) -> float | np.ndarray:
     """R_a(X) - R_a^(variant)(X|Y) with X the conditioned variable."""
     o = Order.coerce(a)
+    _check_variant(variant)
     t = _oriented(j, direction)
     if o.is_shannon:
         return _float_or_array(_mutual_information(t))

@@ -1,10 +1,10 @@
-"""Small complex linear algebra on fixed dimensions 1 to 4.
+"""Matrix validation and small Hermitian / singular-value helpers.
 
-Everything operates on plain numpy arrays: kets are 1-D complex vectors,
-operators are 2-D complex matrices.  Dimensions are capped at four (two
-qubits), which keeps every eigenvalue problem small enough for closed-form
-characteristic polynomials; that keeps results deterministic and avoids
-iterative decompositions for quantities that are analytic and O(1).
+Everything operates on plain numpy arrays: operators are 2-D complex
+matrices with both dimensions capped at four (two qubits).  The 2x2
+eigenvalue problem, which every qubit state and POVM element check hits,
+keeps its closed form because it beats a LAPACK call at this size; every
+other size goes to numpy's ``eigvalsh`` and ``svd``.
 """
 
 from __future__ import annotations
@@ -15,20 +15,6 @@ import numpy as np
 
 MAX_DIM = 4
 DEFAULT_TOL = 1e-10
-
-_TWO_PI_THIRDS = 2.0 * math.pi / 3.0
-
-
-def as_vector(a) -> np.ndarray:
-    """Validate and return a 1-D complex vector of length 1..4."""
-    v = np.asarray(a, dtype=complex)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not 1 <= v.size <= MAX_DIM:
-        raise ValueError(f"vector length {v.size} outside 1..{MAX_DIM}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
-    return v
 
 
 def as_matrix(m) -> np.ndarray:
@@ -43,22 +29,6 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def inner_product(a, b) -> complex:
-    """Inner product, conjugate-linear in the first argument."""
-    va, vb = as_vector(a), as_vector(b)
-    if va.size != vb.size:
-        raise ValueError(f"dimension mismatch: {va.size} vs {vb.size}")
-    return complex(np.vdot(va, vb))
-
-
-def _det3(m: np.ndarray) -> complex:
-    return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
-
-
 def _eig2(h: np.ndarray) -> np.ndarray:
     a, d = h[0, 0].real, h[1, 1].real
     mid = 0.5 * (a + d)
@@ -66,35 +36,10 @@ def _eig2(h: np.ndarray) -> np.ndarray:
     return np.array([mid + rad, mid - rad])
 
 
-def _eig3(h: np.ndarray) -> np.ndarray:
-    # Trigonometric solution of the cubic characteristic polynomial.
-    q = (h[0, 0].real + h[1, 1].real + h[2, 2].real) / 3.0
-    off = abs(h[0, 1]) ** 2 + abs(h[0, 2]) ** 2 + abs(h[1, 2]) ** 2
-    p2 = (
-        (h[0, 0].real - q) ** 2
-        + (h[1, 1].real - q) ** 2
-        + (h[2, 2].real - q) ** 2
-        + 2.0 * off
-    )
-    if p2 <= 0.0:
-        return np.array([q, q, q])
-    p = math.sqrt(p2 / 6.0)
-    b = (h - q * np.eye(3)) / p
-    r = 0.5 * _det3(b).real
-    r = min(1.0, max(-1.0, r))
-    phi = math.acos(r) / 3.0
-    e1 = q + 2.0 * p * math.cos(phi)
-    e3 = q + 2.0 * p * math.cos(phi + _TWO_PI_THIRDS)
-    e2 = 3.0 * q - e1 - e3
-    return np.array([e1, e2, e3])
-
-
 def hermitian_eigenvalues(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted descending.
 
-    Closed-form for sizes 1 to 3.  Size 4 never arises in the probe
-    analysis (only two-qubit kets are 4-dimensional); it is delegated to
-    LAPACK for contract completeness.
+    Closed form for 2x2; other sizes are delegated to LAPACK.
     """
     a = as_matrix(m)
     n, nc = a.shape
@@ -103,40 +48,14 @@ def hermitian_eigenvalues(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     if np.abs(a - a.conj().T).max() > tol:
         raise ValueError("matrix is not Hermitian within tolerance")
     h = 0.5 * (a + a.conj().T)
-    if n == 1:
-        return np.array([h[0, 0].real])
     if n == 2:
         return _eig2(h)
-    if n == 3:
-        return _eig3(h)
-    return np.sort(np.linalg.eigvalsh(h))[::-1]
-
-
-def singular_values(m) -> np.ndarray:
-    """Singular values, sorted descending, length min(rows, cols).
-
-    Square roots of the eigenvalues of the smaller Gram matrix; the
-    leading element is the spectral norm.
-    """
-    a = as_matrix(m)
-    r, c = a.shape
-    gram = a @ a.conj().T if r <= c else a.conj().T @ a
-    gram = 0.5 * (gram + gram.conj().T)
-    n = gram.shape[0]
-    if n == 1:
-        ev = np.array([gram[0, 0].real])
-    elif n == 2:
-        ev = _eig2(gram)
-    elif n == 3:
-        ev = _eig3(gram)
-    else:
-        ev = np.sort(np.linalg.eigvalsh(gram))[::-1]
-    return np.sqrt(np.clip(ev, 0.0, None))
+    return np.linalg.eigvalsh(h)[::-1]
 
 
 def spectral_norm(m) -> float:
     """Largest singular value."""
-    return float(singular_values(m)[0])
+    return float(np.linalg.svd(as_matrix(m), compute_uv=False)[0])
 
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
@@ -146,13 +65,3 @@ def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
         raise ValueError("unitarity requires a square matrix")
     resid = a.conj().T @ a - np.eye(a.shape[0])
     return bool(np.abs(resid).max() <= tol)
-
-
-def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the Hermitian matrix m has all eigenvalues >= -tol."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("positivity requires a square matrix")
-    if np.abs(a - a.conj().T).max() > tol:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return bool(hermitian_eigenvalues(a, tol=tol)[-1] >= -tol)

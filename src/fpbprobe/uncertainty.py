@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -61,6 +62,27 @@ class MajorizationData:
     omega_prime: Distribution
 
 
+def _bases(gamma: float, phases) -> np.ndarray:
+    """Extension bases at angle gamma over an array of phases, shape (..., 3, 3).
+
+    Rows are (w_plus, w_minus, w_inconclusive); the phase enters only the
+    third column, so a shift of both phases leaves every overlap modulus
+    unchanged.
+    """
+    eta = max(math.cos(2.0 * gamma), 0.0)
+    root = math.sqrt(1.0 + eta)
+    e = np.exp(1j * np.asarray(phases, dtype=float))
+    sg, cg = math.sin(gamma) / root, math.cos(gamma) / root
+    b = np.zeros(e.shape + (3, 3), dtype=complex)
+    b[..., :2, 0] = sg
+    b[..., 0, 1] = cg
+    b[..., 1, 1] = -cg
+    b[..., 2, 0] = math.sqrt(2.0 * eta) / root
+    b[..., :2, 2] = (math.sqrt(eta) / root) * e[..., None]
+    b[..., 2, 2] = (-math.sqrt(1.0 - eta) / root) * e
+    return b
+
+
 def naimark_basis(gamma: float, phase: float = 0.0) -> NaimarkExtension:
     """Extension basis for the POVM at angle gamma, ancilla phase `phase`.
 
@@ -71,14 +93,7 @@ def naimark_basis(gamma: float, phase: float = 0.0) -> NaimarkExtension:
     if not math.isfinite(phase):
         raise ValueError("phase must be finite")
     phase = phase % TWO_PI
-    eta = max(math.cos(2.0 * gamma), 0.0)
-    root = math.sqrt(1.0 + eta)
-    e = complex(math.cos(phase), math.sin(phase))
-    sg, cg = math.sin(gamma), math.cos(gamma)
-    w_plus = np.array([sg, cg, math.sqrt(eta) * e]) / root
-    w_minus = np.array([sg, -cg, math.sqrt(eta) * e]) / root
-    w_inc = np.array([math.sqrt(2.0 * eta), 0.0, -math.sqrt(1.0 - eta) * e]) / root
-    return NaimarkExtension(gamma=gamma, phase=phase, basis=np.array([w_plus, w_minus, w_inc]))
+    return NaimarkExtension(gamma=gamma, phase=phase, basis=_bases(gamma, phase))
 
 
 def overlap_matrix(e1: NaimarkExtension, e2: NaimarkExtension) -> np.ndarray:
@@ -101,24 +116,6 @@ def s_second(w) -> float:
     return float(mods[-2])
 
 
-def _grid_bases(gamma: float, phases: np.ndarray) -> np.ndarray:
-    """Stack of extension bases over a phase grid, shape (n, 3, 3)."""
-    eta = max(math.cos(2.0 * gamma), 0.0)
-    root = math.sqrt(1.0 + eta)
-    e = np.exp(1j * phases)
-    n = phases.size
-    b = np.zeros((n, 3, 3), dtype=complex)
-    b[:, 0, 0] = math.sin(gamma)
-    b[:, 0, 1] = math.cos(gamma)
-    b[:, 0, 2] = math.sqrt(eta) * e
-    b[:, 1, 0] = math.sin(gamma)
-    b[:, 1, 1] = -math.cos(gamma)
-    b[:, 1, 2] = math.sqrt(eta) * e
-    b[:, 2, 0] = math.sqrt(2.0 * eta)
-    b[:, 2, 2] = -math.sqrt(1.0 - eta) * e
-    return b / root
-
-
 def optimize_s_max(
     eta: float,
     grid_points: int = DEFAULT_GRID,
@@ -126,44 +123,40 @@ def optimize_s_max(
 ) -> tuple[float, tuple[float, float]]:
     """Minimize the peak overlap over the two free extension phases.
 
-    Exhaustive grid (grid_points per phase) followed by coordinate
-    descent down to a phase resolution of refine_tol.  Returns the
-    minimized peak overlap and the minimizing phase pair.  The optimum
-    certifies the closed form: it equals 1 / mu_factor(eta).
+    The overlap moduli depend only on the phase difference delta, so the
+    search fixes the first phase at 0 and scans delta on grid_points
+    points, then refines by 1-D descent down to a step of refine_tol.
+    Returns the minimized peak overlap and the phase pair (0, delta*).
+    The optimum certifies the closed form: it equals 1 / mu_factor(eta).
     """
     if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
         raise ValueError(f"eta {eta} outside [0, 1]")
+    is_int = isinstance(grid_points, (int, np.integer)) and not isinstance(grid_points, bool)
+    if not (is_int and grid_points >= 2):
+        raise ValueError(f"grid_points must be an integer >= 2, got {grid_points!r}")
+    if not (math.isfinite(refine_tol) and refine_tol > 0.0):
+        raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol!r}")
     gamma = 0.5 * math.acos(min(eta, 1.0))
-    phases = np.arange(grid_points) * (TWO_PI / grid_points)
-    b = _grid_bases(gamma, phases)
-    flat = b.reshape(grid_points * 3, 3)
-    overlaps = np.abs(flat.conj() @ flat.T)
-    smax_grid = overlaps.reshape(grid_points, 3, grid_points, 3).max(axis=(1, 3))
-    k, l = np.unravel_index(np.argmin(smax_grid), smax_grid.shape)
-    best_val = float(smax_grid[k, l])
-    best = [float(phases[k]), float(phases[l])]
+    origin = _bases(gamma, 0.0).conj()
 
-    def evaluate(phi: float, phi_prime: float) -> float:
-        w = overlap_matrix(
-            naimark_basis(gamma, phi % TWO_PI),
-            naimark_basis(gamma, phi_prime % TWO_PI),
-        )
-        return s_max(w)
+    def peaks(deltas: np.ndarray) -> np.ndarray:
+        overlaps = np.einsum("ik,njk->nij", origin, _bases(gamma, deltas))
+        return np.abs(overlaps).max(axis=(1, 2))
 
     step = TWO_PI / grid_points
+    grid = np.arange(grid_points) * step
+    scan = peaks(grid)
+    k = int(np.argmin(scan))
+    best, best_val = float(grid[k]), float(scan[k])
     while step > refine_tol:
-        moved = False
-        for axis in (0, 1):
-            for sign in (1.0, -1.0):
-                trial = best.copy()
-                trial[axis] += sign * step
-                val = evaluate(*trial)
-                if val < best_val - 1e-15:
-                    best_val, best = val, trial
-                    moved = True
-        if not moved:
+        trials = np.array([best + step, best - step])
+        vals = peaks(trials)
+        j = int(np.argmin(vals))
+        if vals[j] < best_val - 1e-15:
+            best, best_val = float(trials[j]), float(vals[j])
+        else:
             step *= 0.5
-    return best_val, (best[0] % TWO_PI, best[1] % TWO_PI)
+    return best_val, (0.0, best % TWO_PI)
 
 
 def _eta_array(eta) -> np.ndarray:
@@ -238,12 +231,34 @@ def zeta_closed_form(eta) -> tuple[float, float, float] | np.ndarray:
     return tuple(z.tolist()) if z.ndim == 1 else z
 
 
+@lru_cache(maxsize=None)
+def _class_masks(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the r x r' submatrices with r + r' = k + 1, class by class.
+
+    Returns an (n, d, d) boolean stack, classes k = 1..d in order, and
+    the index where each class starts.  A submatrix zero-padded to d x d
+    keeps its singular values, so one batched SVD covers every shape.
+    """
+    masks, starts = [], []
+    for k in range(1, d + 1):
+        starts.append(len(masks))
+        for r in range(max(1, k + 1 - d), min(d, k) + 1):
+            for rows in combinations(range(d), r):
+                for cols in combinations(range(d), k + 1 - r):
+                    m = np.zeros((d, d), dtype=bool)
+                    m[np.ix_(rows, cols)] = True
+                    masks.append(m)
+    masks, starts = np.array(masks), np.array(starts)
+    masks.flags.writeable = starts.flags.writeable = False  # shared by every caller
+    return masks, starts
+
+
 def zeta_coefficients(w, tol: float = 1e-8) -> np.ndarray:
     """Max spectral norm over submatrices of class k, for k = 1..d.
 
     Submatrices of class k are the r x r' blocks with r + r' = k + 1;
-    enumeration is brute force (d <= 4).  Unitarity forces the last
-    coefficient to 1.
+    enumeration is brute force (d <= 4) and all their norms come from
+    one batched SVD.  Unitarity forces the last coefficient to 1.
     """
     mat = linalg.as_matrix(w)
     d = mat.shape[0]
@@ -251,17 +266,9 @@ def zeta_coefficients(w, tol: float = 1e-8) -> np.ndarray:
         raise ValueError("overlap matrix must be square")
     if not linalg.is_unitary(mat, tol=tol):
         raise ValueError("overlap matrix is not unitary within tolerance")
-    zetas = []
-    for k in range(1, d + 1):
-        best = 0.0
-        for r in range(max(1, k + 1 - d), min(d, k) + 1):
-            rp = k + 1 - r
-            for rows in combinations(range(d), r):
-                for cols in combinations(range(d), rp):
-                    sub = mat[np.ix_(rows, cols)]
-                    best = max(best, linalg.spectral_norm(sub))
-        zetas.append(min(best, 1.0))
-    z = np.maximum.accumulate(np.array(zetas))
+    masks, starts = _class_masks(d)
+    norms = np.linalg.svd(np.where(masks, mat, 0.0), compute_uv=False)[:, 0]
+    z = np.maximum.accumulate(np.minimum(np.maximum.reduceat(norms, starts), 1.0))
     if abs(z[-1] - 1.0) > tol:
         raise ValueError(f"zeta_d = {z[-1]} differs from 1; matrix not unitary enough")
     z[-1] = 1.0

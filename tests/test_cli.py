@@ -1,7 +1,10 @@
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -241,13 +244,83 @@ class TestOutputFiles:
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
+    SIMULATE = ["simulate", "--rounds", "2000", "--p-e", "0.1", "--seed", "3"]
+
+    @staticmethod
+    def fail_mid_write(monkeypatch):
+        def dump(obj, fh, **kwargs):
+            fh.write('{"config": ')
+            fh.flush()
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.json, "dump", dump)
+
+    @pytest.mark.parametrize("existing", [b"previous report\n", None], ids=["existing", "absent"])
+    def test_failed_write_leaves_target_untouched(self, existing, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "report.json"
+        if existing is not None:
+            path.write_bytes(existing)
+        self.fail_mid_write(monkeypatch)
+        code, out = run_cli(self.SIMULATE + ["--out", str(path)], capsys)
+        assert code == 3
+        assert out == ""
+        if existing is None:
+            assert not path.exists()
+        else:
+            assert path.read_bytes() == existing
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([path.name] if existing else [])
+
+    def test_replaces_existing_target_with_plain_open_mode(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text("stale\n")
+        reference = tmp_path / "reference"
+        open(reference, "w").close()
+        code, out = run_cli(self.SIMULATE + ["--out", str(path)], capsys)
+        assert code == 0
+        _, expected = run_cli(self.SIMULATE, capsys)
+        assert path.read_text() == expected
+        assert path.stat().st_mode == reference.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["reference", "report.json"]
+
+    def test_symlink_target_is_written_through(self, tmp_path, capsys):
+        real = tmp_path / "real.json"
+        real.write_text("stale\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(real)
+        code, _ = run_cli(self.SIMULATE + ["--out", str(link)], capsys)
+        assert code == 0
+        _, expected = run_cli(self.SIMULATE, capsys)
+        assert link.is_symlink()
+        assert real.read_text() == expected
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_target_is_written_in_place(self, tmp_path, capsys):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        code, _ = run_cli(self.SIMULATE + ["--out", str(fifo)], capsys)
+        reader.join(timeout=10)
+        assert code == 0
+        assert not reader.is_alive()
+        _, expected = run_cli(self.SIMULATE, capsys)
+        assert received == [expected]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child imports the same package as this process, installed or not
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "fpbprobe.cli", "povm", "--theta", "0.3", "--xi", "0.0"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         report = json.loads(proc.stdout)

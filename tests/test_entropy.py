@@ -297,6 +297,14 @@ class TestAlphaMutualInformation:
                     i, abs=1e-9
                 )
 
+    def test_unknown_variant_rejected_at_order_one(self):
+        # the order-1 shortcut to the mutual information must not skip the variant check
+        q = OutcomeProbs(0.6, 0.1, 0.3)
+        j = joint_from_outcome_probs(q)
+        for a in (1.0, 1.0 + 5e-10, 2.0):
+            with pytest.raises(ValueError):
+                alpha_mutual_information(j, a, 3)
+
     def test_variant2_symmetric(self, rng):
         for _ in range(20):
             j = random_joint(rng)

@@ -35,61 +35,47 @@ def power_iteration_norm(m, iters=2000):
 
 
 class TestInnerProduct:
-    def test_unit_ket_normalization(self):
-        k = np.array([1 / math.sqrt(2), 1j / math.sqrt(2)])
-        assert linalg.inner_product(k, k) == pytest.approx(1.0, abs=1e-15)
-
-    def test_orthogonal_basis_kets(self):
-        assert linalg.inner_product([1, 0], [0, 1]) == 0
-
     def test_probe_states_overlap_at_pe_02(self):
         g = probe_geometry(ProbeConfig(0.2))
-        assert linalg.inner_product(g.t_plus, g.t_minus).real == pytest.approx(0.4, abs=1e-14)
+        assert np.vdot(g.t_plus, g.t_minus).real == pytest.approx(0.4, abs=1e-14)
 
     def test_conjugate_symmetry(self, rng):
+        # overlaps are inner products: swapping the two bases conjugates them
         for _ in range(20):
-            a = rng.normal(size=3) + 1j * rng.normal(size=3)
-            b = rng.normal(size=3) + 1j * rng.normal(size=3)
-            lhs = linalg.inner_product(a, b)
-            rhs = linalg.inner_product(b, a)
-            assert lhs == pytest.approx(rhs.conjugate(), abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            linalg.inner_product([1, 0], [1, 0, 0])
+            gamma = rng.uniform(0.0, math.pi / 4)
+            a = naimark_basis(gamma, rng.uniform(0, 2 * math.pi))
+            b = naimark_basis(gamma, rng.uniform(0, 2 * math.pi))
+            np.testing.assert_allclose(overlap_matrix(a, b), overlap_matrix(b, a).conj().T, atol=1e-12)
 
 
 class TestSingularValues:
+    """The leading singular value, `spectral_norm`, against closed-form oracles."""
+
     def test_identity(self):
-        np.testing.assert_allclose(linalg.singular_values(np.eye(3)), [1, 1, 1], atol=1e-14)
+        assert linalg.spectral_norm(np.eye(3)) == pytest.approx(1.0, abs=1e-14)
 
     def test_scalar(self):
         w = 0.3 - 0.4j
-        np.testing.assert_allclose(linalg.singular_values([[w]]), [abs(w)], atol=1e-15)
+        assert linalg.spectral_norm([[w]]) == pytest.approx(abs(w), abs=1e-15)
 
     def test_random_2x3_vs_quadratic_oracle(self, rng):
         for _ in range(50):
             m = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-            expected = np.sqrt(np.clip(gram2_eigs_oracle(m), 0.0, None))
-            np.testing.assert_allclose(linalg.singular_values(m), expected, atol=1e-10)
+            expected = math.sqrt(max(gram2_eigs_oracle(m)[0], 0.0))
+            assert linalg.spectral_norm(m) == pytest.approx(expected, abs=1e-10)
 
     def test_unitary_singular_values_are_one(self, rng):
         for _ in range(10):
             u = haar_unitary(3, rng)
-            np.testing.assert_allclose(linalg.singular_values(u), [1, 1, 1], atol=1e-10)
-
-    def test_descending_and_padded_length(self, rng):
-        m = rng.normal(size=(3, 2))
-        sv = linalg.singular_values(m)
-        assert sv.shape == (2,)
-        assert sv[0] >= sv[1] >= 0
+            assert linalg.spectral_norm(u) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestSpectralNorm:
     def test_equals_max_singular_value(self, rng):
         for _ in range(20):
             m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            assert linalg.spectral_norm(m) == pytest.approx(linalg.singular_values(m)[0])
+            gram_top = np.linalg.eigvalsh(m.conj().T @ m)[-1]
+            assert linalg.spectral_norm(m) == pytest.approx(math.sqrt(gram_top))
 
     def test_against_power_iteration(self, rng):
         for shape in [(2, 2), (2, 3), (3, 3), (3, 2)]:
@@ -124,18 +110,18 @@ class TestStructureChecks:
             linalg.is_unitary(np.ones((2, 3)))
 
     def test_zero_matrix_is_psd(self):
-        assert linalg.is_psd(np.zeros((2, 2)))
+        np.testing.assert_array_equal(linalg.hermitian_eigenvalues(np.zeros((2, 2))), [0.0, 0.0])
 
     def test_indefinite_diag_is_not_psd(self):
-        assert not linalg.is_psd(np.diag([1.0, -1.0]))
+        assert linalg.hermitian_eigenvalues(np.diag([1.0, -1.0]))[-1] < 0.0
 
     def test_inconclusive_element_is_psd(self):
         povm = build_povm(DiscriminationConfig(theta=math.pi / 12, phi=math.pi / 6 - math.pi / 12))
-        assert linalg.is_psd(povm.m_inconclusive)
+        assert linalg.hermitian_eigenvalues(povm.m_inconclusive)[-1] >= -1e-10
 
     def test_psd_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            linalg.is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            linalg.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestHermitianEigenvalues:

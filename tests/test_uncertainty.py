@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -88,6 +89,18 @@ class TestOverlapMatrix:
         with pytest.raises(ValueError):
             overlap_matrix(naimark_basis(0.3, 0.0), naimark_basis(0.4, 0.0))
 
+    def test_moduli_depend_only_on_phase_difference(self, rng):
+        # the 1-D search in optimize_s_max rests on this invariance
+        for eta in (0.0, 0.1, 0.3, 0.5, 0.8, 1.0):
+            gamma = 0.5 * math.acos(eta)
+            for _ in range(60):
+                phi, phi_prime, shift = rng.uniform(-2 * math.pi, 2 * math.pi, 3)
+                w = overlap_matrix(naimark_basis(gamma, phi), naimark_basis(gamma, phi_prime))
+                shifted = overlap_matrix(
+                    naimark_basis(gamma, phi + shift), naimark_basis(gamma, phi_prime + shift)
+                )
+                assert np.abs(np.abs(shifted) - np.abs(w)).max() <= 1e-14
+
     def test_peak_overlap_never_beats_optimum(self, rng):
         for eta in (0.05, 0.2, 0.4, 0.7, 0.95):
             gamma = 0.5 * math.acos(eta)
@@ -140,6 +153,29 @@ class TestOptimizeSMax:
         gamma = 0.5 * math.acos(eta)
         w = overlap_matrix(naimark_basis(gamma, phi), naimark_basis(gamma, phi_prime))
         assert s_max(w) == pytest.approx(val, abs=1e-12)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.2, 0.5, 1.0])
+    def test_first_phase_zero_and_value_rebuilds(self, eta):
+        val, (phi, phi_prime) = optimize_s_max(eta)
+        assert phi == 0.0
+        assert 0.0 <= phi_prime < 2 * math.pi
+        gamma = 0.5 * math.acos(eta)
+        w = overlap_matrix(naimark_basis(gamma, phi), naimark_basis(gamma, phi_prime))
+        assert s_max(w) == pytest.approx(val, abs=1e-12)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"grid_points": 0},
+        {"grid_points": 1},
+        {"grid_points": True},
+        {"grid_points": 720.0},
+        {"refine_tol": -1.0},
+        {"refine_tol": 0.0},
+        {"refine_tol": math.nan},
+        {"refine_tol": math.inf},
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_rejects_bad_arguments(self, kwargs):
+        with pytest.raises(ValueError):
+            optimize_s_max(0.3, **kwargs)
 
     def test_s_max_invariant_under_global_rephasing(self, rng):
         gamma = 0.5 * math.acos(0.3)
@@ -223,6 +259,22 @@ class TestZetaCoefficients:
             z = zeta_coefficients(w)
             assert z[0] == pytest.approx(1 / mu_factor(eta), abs=1e-6)
             assert z[1] == pytest.approx(zeta2_closed_form(eta), abs=1e-6)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_batched_norms_match_reference_loop(self, d, rng):
+        for _ in range(10):
+            u = haar_unitary(d, rng)
+            ref = []
+            for k in range(1, d + 1):
+                best = 0.0
+                for r in range(max(1, k + 1 - d), min(d, k) + 1):
+                    for rows in combinations(range(d), r):
+                        for cols in combinations(range(d), k + 1 - r):
+                            best = max(best, np.linalg.norm(u[np.ix_(rows, cols)], 2))
+                ref.append(min(best, 1.0))
+            ref = np.maximum.accumulate(ref)
+            ref[-1] = 1.0
+            np.testing.assert_allclose(zeta_coefficients(u), ref, rtol=0, atol=1e-12)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
