@@ -193,7 +193,8 @@ def _columns(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _check_variant(variant: int) -> None:
-    if variant not in _VARIANTS:
+    # A membership test alone would take True as variant 1 and 4.0 as variant 4.
+    if isinstance(variant, bool) or not isinstance(variant, (int, np.integer)) or variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
 
 

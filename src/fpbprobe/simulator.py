@@ -11,6 +11,13 @@ rounds.  Each round consumes exactly five uniforms at a deterministic
 position inside its chunk, so any round's randomness is a pure function
 of (seed, round index) and chunked execution in any order merges to the
 same tally as a serial run.
+
+A round falls into one of eight cases (Alice's bit, basis match, Bob
+correct), each leaving a known real probe state.  Per session, the
+outcome thresholds of every case come from the closed-form Born rule
+(_case_tables); per chunk, one pass over the uniforms builds a uint8
+case index, looks both of Eve's thresholds up in 8-entry rows and bins
+the flat tally cell with one bincount (_run_chunk).
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import DiscriminationConfig, born_probs, build_povm
+from .discrimination import DiscriminationConfig, xi_to_phi
 from .entropy import JointDistribution, mutual_information
 from .probe import MAX_ERROR_RATE, ProbeConfig, theta_from_error_rate
 
@@ -111,59 +118,88 @@ class SessionTally:
         }
 
 
+def _probe_states(probe: ProbeConfig, theta: float) -> np.ndarray:
+    """(2, 8) table: column k is the real state (a, b) that
+    conditional_probe_state gives for case k = bit*4 + basis_match*2 +
+    bob_correct; theta is theta_from_error_rate(probe).
+    """
+    c, s = probe.amplitudes
+    norm = math.sqrt(1.0 + 2.0 * probe.error_rate)
+    tagged = math.sqrt(2.0) * s / norm
+    sin_t = math.sin(theta)
+    return np.array([
+        [1.0, c / norm, 0.0, math.cos(theta)] * 2,
+        [0.0, tagged, 1.0, sin_t, 0.0, -tagged, 1.0, -sin_t],
+    ])
+
+
 def conditional_probe_state(error_rate: float, bit: int, basis_matched: bool, bob_correct: bool) -> np.ndarray:
     """Normalized probe state after Bob's carrier measurement.
 
     The branch decompositions collapse to four families, none of which
     depends on the sending basis: matched and correct leaves the tagged
-    probe state, matched and flipped leaves |->, mismatched outcomes
-    leave (c, +/- sqrt(2) s) (correct bit) or |+> (flipped bit).
+    probe state (cos theta, +/- sin theta), matched and flipped leaves
+    |->, mismatched outcomes leave (c, +/- sqrt(2) s) / sqrt(1 + 2 P_E)
+    (correct bit) or |+> (flipped bit).  The sign is + for bit 0.
     """
-    cfg = ProbeConfig(error_rate)
-    c, s = cfg.amplitudes
-    sign = 1.0 if bit == 0 else -1.0
-    if basis_matched:
-        if bob_correct:
-            theta = theta_from_error_rate(cfg)
-            return np.array([math.cos(theta), sign * math.sin(theta)], dtype=complex)
-        return np.array([0.0, 1.0], dtype=complex)
-    if bob_correct:
-        vec = np.array([c, sign * math.sqrt(2.0) * s], dtype=complex)
-        return vec / math.sqrt(1.0 + 2.0 * error_rate)
-    return np.array([1.0, 0.0], dtype=complex)
+    if bit not in (0, 1):
+        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+    probe = ProbeConfig(error_rate)
+    case = int(bit) * 4 + bool(basis_matched) * 2 + bool(bob_correct)
+    return _probe_states(probe, theta_from_error_rate(probe))[:, case].astype(complex)
+
+
+# Flat tally cell matched*12 + correct*6 + bit*3 of each case bit*4 + matched*2 + correct;
+# Eve's outcome (0, 1, 2) is added to it.
+_CASE_CELL = np.array([12 * (k >> 1 & 1) + 6 * (k & 1) + 3 * (k >> 2) for k in range(8)], dtype=np.uint8)
+_CASE_CELL.flags.writeable = False
 
 
 def _case_tables(cfg: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
     """Eve's cumulative outcome thresholds per case, and Bob's hit rates.
 
-    Case index is bit*4 + basis_match*2 + bob_correct.  The cumulative
-    table keeps only the first two thresholds (the third is 1).
+    Case index is bit*4 + basis_match*2 + bob_correct.  Every case leaves
+    a real probe state tau = (a, b), so the Born rule on the measurement
+    of build_povm is closed form:
+    p_+/- = (a sin gamma +/- b cos gamma)^2 / (1 + eta), with
+    gamma = theta + xi (pi/4 - theta) and eta = cos(2 gamma).  The
+    cumulative table keeps (p_+, p_+ + p_-); the third threshold is 1.
+    At xi = 0 (gamma = theta) the wrong guess of the tagged states is
+    exactly 0.
     """
-    povm = build_povm(cfg.discrimination())
-    cum = np.zeros((8, 2), dtype=float)
-    for bit in (0, 1):
-        for matched in (0, 1):
-            for correct in (0, 1):
-                tau = conditional_probe_state(cfg.error_rate, bit, bool(matched), bool(correct))
-                probs = born_probs(povm, np.outer(tau, tau.conj()))
-                cum[bit * 4 + matched * 2 + correct] = np.cumsum(probs)[:2]
+    # The measurement of cfg.discrimination(); the states reuse its probe and theta.
+    probe = ProbeConfig(cfg.error_rate)
+    theta = theta_from_error_rate(probe)
+    disc = DiscriminationConfig(theta, xi_to_phi(cfg.xi, theta))
+    a, b = _probe_states(probe, theta)[:, :, None]
+    g = disc.gamma
+    probs = (a * math.sin(g) + b * (math.cos(g), -math.cos(g))) ** 2 / (1.0 + disc.eta)
+    cum = probs.cumsum(axis=1)
     p_correct = np.array([(1.0 + 2.0 * cfg.error_rate) / 2.0, 1.0 - cfg.error_rate])
     return cum, p_correct
 
 
 def _run_chunk(cfg: SessionConfig, chunk_index: int, n_rounds: int,
                eve_cum: np.ndarray, p_correct: np.ndarray) -> np.ndarray:
+    """(2, 2, 2, 3) tally of one chunk of rounds.
+
+    Uniform columns: 0 Alice's basis, 1 her bit, 2 Bob's basis, 3 Bob's
+    hit, 4 Eve's outcome.  One pass over them: a uint8 case index, Bob's
+    threshold by basis match, Eve's two thresholds from 8-entry rows, and
+    one bincount of the flat tally cell.
+    """
     rng = np.random.Generator(np.random.Philox(key=cfg.seed, counter=[0, 0, 0, chunk_index]))
     u = rng.random((n_rounds, DRAWS_PER_ROUND))
-    alice_basis = u[:, 0] >= 0.5
-    alice_bit = (u[:, 1] >= 0.5).astype(np.int64)
-    bob_basis = u[:, 2] >= 0.5
-    matched = (alice_basis == bob_basis).astype(np.int64)
-    correct = (u[:, 3] < p_correct[matched]).astype(np.int64)
-    case = alice_bit * 4 + matched * 2 + correct
-    eve = (u[:, 4, None] >= eve_cum[case]).sum(axis=1)
-    composite = matched * 12 + correct * 6 + alice_bit * 3 + eve
-    return np.bincount(composite, minlength=24).reshape(2, 2, 2, 3)
+    matched = (u[:, 0] >= 0.5) == (u[:, 2] >= 0.5)
+    correct = u[:, 3] < np.where(matched, p_correct[1], p_correct[0])
+    case = (u[:, 1] >= 0.5).view(np.uint8) << 2
+    case |= matched.view(np.uint8) << 1
+    case |= correct.view(np.uint8)
+    eve = u[:, 4]
+    cell = (eve >= eve_cum[:, 0].take(case)).view(np.uint8)
+    cell += (eve >= eve_cum[:, 1].take(case)).view(np.uint8)
+    cell += _CASE_CELL.take(case)
+    return np.bincount(cell, minlength=24).reshape(2, 2, 2, 3)
 
 
 def run_session(cfg: SessionConfig) -> SessionTally:

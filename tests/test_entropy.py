@@ -220,6 +220,13 @@ class TestConditionalRenyi:
         with pytest.raises(ValueError):
             conditional_renyi(random_joint(rng), 2.0, 3)
 
+    def test_non_integer_variant_rejected(self):
+        j = joint_from_outcome_probs(OutcomeProbs(0.6, 0.1, 0.3))
+        for variant in (4.0, 2.0, np.float64(1.0)):
+            with pytest.raises(ValueError):
+                conditional_renyi(j, 2.0, variant)
+        assert conditional_renyi(j, 2.0, np.int64(4)) == conditional_renyi(j, 2.0, 4)
+
     def test_jensen_direction_variant1_vs_variant4_at_order_two(self, rng):
         """-log2 is convex, so averaging inside the log can only lower it."""
         for _ in range(40):
@@ -304,6 +311,13 @@ class TestAlphaMutualInformation:
         for a in (1.0, 1.0 + 5e-10, 2.0):
             with pytest.raises(ValueError):
                 alpha_mutual_information(j, a, 3)
+
+    def test_bool_variant_rejected(self):
+        j = joint_from_outcome_probs(OutcomeProbs(0.6, 0.1, 0.3))
+        for a in (1.0, 2.0):
+            for variant in (True, False, np.bool_(True)):
+                with pytest.raises(ValueError):
+                    alpha_mutual_information(j, a, variant)
 
     def test_variant2_symmetric(self, rng):
         for _ in range(20):

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from fpbprobe.entropy import joint_from_outcome_probs, mutual_information
 from fpbprobe.probe import BASES, DIAGONAL, RECTILINEAR, ProbeConfig, cnot_action
 from fpbprobe.simulator import (
     CHUNK_ROUNDS,
+    DRAWS_PER_ROUND,
     SessionConfig,
     SessionTally,
     _case_tables,
@@ -37,6 +40,35 @@ def two_qubit_joint_oracle(p_e, xi, basis, bit):
             op = np.kron(proj, m)
             out[b, e] = np.vdot(psi, op @ psi).real
     return out
+
+
+GOLDEN_TALLIES = json.loads((Path(__file__).parent / "data" / "session_tallies.json").read_text())["cases"]
+
+
+def reference_chunk(cfg, chunk_index, n_rounds, eve_cum, p_correct):
+    """The int64 tally kernel the fused _run_chunk replaced, kept as its oracle."""
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed, counter=[0, 0, 0, chunk_index]))
+    u = rng.random((n_rounds, DRAWS_PER_ROUND))
+    alice_basis = u[:, 0] >= 0.5
+    alice_bit = (u[:, 1] >= 0.5).astype(np.int64)
+    bob_basis = u[:, 2] >= 0.5
+    matched = (alice_basis == bob_basis).astype(np.int64)
+    correct = (u[:, 3] < p_correct[matched]).astype(np.int64)
+    case = alice_bit * 4 + matched * 2 + correct
+    eve = (u[:, 4, None] >= eve_cum[case]).sum(axis=1)
+    composite = matched * 12 + correct * 6 + alice_bit * 3 + eve
+    return np.bincount(composite, minlength=24).reshape(2, 2, 2, 3)
+
+
+def born_case_tables(cfg):
+    """Cumulative Eve thresholds per case through the POVM and the Born rule."""
+    povm = build_povm(cfg.discrimination())
+    cum = np.zeros((8, 2))
+    for case in range(8):
+        bit, matched, correct = case >> 2, bool(case >> 1 & 1), bool(case & 1)
+        tau = conditional_probe_state(cfg.error_rate, bit, matched, correct)
+        cum[case] = np.cumsum(born_probs(povm, np.outer(tau, tau.conj())))[:2]
+    return cum
 
 
 class TestSessionConfig:
@@ -82,6 +114,86 @@ class TestReproducibility:
         backward = sum(reversed(chunks[:-1]), chunks[-1])
         np.testing.assert_array_equal(forward, backward)
         np.testing.assert_array_equal(run_session(cfg).counts, forward)
+
+
+class TestGoldenTallies:
+    """Counts captured from the int64 kernel before the fused one replaced it."""
+
+    @pytest.mark.parametrize("rounds", sorted({c["rounds"] for c in GOLDEN_TALLIES}))
+    def test_bit_identical_counts(self, rounds):
+        cases = [c for c in GOLDEN_TALLIES if c["rounds"] == rounds]
+        assert len(cases) == 18
+        for c in cases:
+            cfg = SessionConfig(rounds=rounds, error_rate=c["error_rate"], xi=c["xi"], seed=c["seed"])
+            assert run_session(cfg).counts.tolist() == c["counts"], c
+
+    def test_coverage(self):
+        assert {c["rounds"] for c in GOLDEN_TALLIES} == {
+            1, 1000, CHUNK_ROUNDS, CHUNK_ROUNDS + 1, 3 * CHUNK_ROUNDS + 17, (1 << 18) + 4321
+        }
+        assert {c["error_rate"] for c in GOLDEN_TALLIES} == {0.0, 0.123, 1 / 3}
+        assert {c["xi"] for c in GOLDEN_TALLIES} == {0.0, 0.37, 1.0}
+        assert max(c["seed"] for c in GOLDEN_TALLIES) >= 2**63
+
+
+class TestFusedKernel:
+    SIZES = (1, 2, 999, CHUNK_ROUNDS)
+
+    @staticmethod
+    def assert_matches_reference(cfg, eve_cum, p_correct):
+        for chunk, n in enumerate(TestFusedKernel.SIZES):
+            np.testing.assert_array_equal(
+                _run_chunk(cfg, chunk, n, eve_cum, p_correct),
+                reference_chunk(cfg, chunk, n, eve_cum, p_correct),
+            )
+
+    def test_random_tables(self):
+        rng = np.random.default_rng(20181018)
+        for seed in (7, 2**64 - 1):
+            cfg = SessionConfig(rounds=1, error_rate=0.1, xi=0.5, seed=seed)
+            for _ in range(3):
+                eve_cum = np.sort(rng.random((8, 2)), axis=1)
+                self.assert_matches_reference(cfg, eve_cum, rng.random(2))
+
+    def test_tables_with_exact_zeros_and_ones(self):
+        rng = np.random.default_rng(5)
+        cfg = SessionConfig(rounds=1, error_rate=0.1, xi=0.5, seed=99)
+        for p_correct in ((0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1.0, 1.0)):
+            picks = rng.choice([0.0, 1.0, 0.5, rng.random()], size=(8, 2))
+            eve_cum = np.sort(picks, axis=1)
+            eve_cum[0], eve_cum[7] = (0.0, 0.0), (1.0, 1.0)
+            self.assert_matches_reference(cfg, eve_cum, np.array(p_correct))
+
+    def test_session_tables(self):
+        for p_e, xi in ((0.0, 0.0), (0.2, 0.3), (1 / 3, 1.0)):
+            cfg = SessionConfig(rounds=1, error_rate=p_e, xi=xi, seed=123)
+            self.assert_matches_reference(cfg, *_case_tables(cfg))
+
+
+class TestCaseTables:
+    ERROR_RATES = (0.0, 1e-9, 0.05, 0.2, 1 / 3 - 1e-12, 1 / 3)
+    XIS = (0.0, 0.25, 0.5, 1.0)
+
+    def test_closed_form_matches_born_rule(self):
+        for p_e in self.ERROR_RATES:
+            for xi in self.XIS:
+                cfg = SessionConfig(rounds=1, error_rate=p_e, xi=xi, seed=1)
+                eve_cum, _ = _case_tables(cfg)
+                np.testing.assert_allclose(eve_cum, born_case_tables(cfg), rtol=0, atol=1e-15)
+
+    def test_unambiguous_scheme_never_guesses_wrong(self):
+        # matched and correct: case 3 (bit 0, wrong guess "minus") and 7 (bit 1, wrong guess "plus")
+        for p_e in self.ERROR_RATES:
+            eve_cum, _ = _case_tables(SessionConfig(rounds=1, error_rate=p_e, xi=0.0, seed=1))
+            assert eve_cum[3, 1] - eve_cum[3, 0] == 0.0
+            assert eve_cum[7, 0] == 0.0
+
+
+class TestConditionalProbeState:
+    def test_rejects_bit_outside_0_1(self):
+        for bit in (2, -7, -1):
+            with pytest.raises(ValueError, match="bit"):
+                conditional_probe_state(0.1, bit, True, True)
 
 
 class TestSessionStatistics:
