@@ -34,6 +34,7 @@ from .discrimination import (
     error_lower_bound,
     outcome_probs,
     outcome_probs_grid,
+    xi_to_phi,
 )
 from .entropy import (
     Order,
@@ -308,8 +309,6 @@ def cmd_povm(args, config: dict[str, str]) -> int:
     out_path = args.out if args.out is not None else config.get("out")
     if theta is None or xi is None:
         raise ValueError("povm requires --theta and --xi")
-
-    from .discrimination import xi_to_phi
 
     cfg = DiscriminationConfig(theta=theta, phi=xi_to_phi(xi, theta))
     povm = build_povm(cfg)

@@ -82,9 +82,10 @@ class Povm:
 
     def psd_floor(self) -> float:
         """Smallest eigenvalue over all three elements."""
-        return min(
-            float(linalg.hermitian_eigenvalues(m)[-1]) for m in self.elements
-        )
+        m = np.array([linalg.as_matrix(e) for e in self.elements])
+        if np.abs(m - m.conj().swapaxes(1, 2)).max() > 1e-10:
+            raise ValueError("POVM element is not Hermitian within tolerance")
+        return float(np.linalg.eigvalsh(m).min())
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,17 @@ def _eta(gamma):
     return np.maximum(np.cos(2.0 * gamma), 0.0)
 
 
+def _measurement_vectors(gamma: float) -> tuple[np.ndarray, float]:
+    """Real vectors v_k and eta of the measurement at angle gamma.
+
+    Rows are (plus, minus, inconclusive) = (sin gamma, +/- cos gamma) and
+    (sqrt(2 eta), 0); each element is M_k = v_k v_k^T / (1 + eta).
+    """
+    eta = float(_eta(gamma))
+    s, c = math.sin(gamma), math.cos(gamma)
+    return np.array([[s, c], [s, -c], [math.sqrt(2.0 * eta), 0.0]]), eta
+
+
 def _outcome_triple(theta, phi, eta) -> tuple:
     denom = 1.0 + eta
     return (
@@ -129,8 +141,8 @@ def xi_to_phi(xi: float, theta: float) -> float:
 
     xi = 0 is the unambiguous (IDP) scheme, xi = 1 the Helstrom scheme.
     """
-    if not (math.isfinite(xi) and 0.0 <= xi <= 1.0):
-        raise ValueError(f"xi {xi} outside [0, 1]")
+    if isinstance(xi, bool) or not (math.isfinite(xi) and 0.0 <= xi <= 1.0):
+        raise ValueError(f"xi {xi!r} outside [0, 1]")
     if not 0.0 <= theta <= QUARTER_PI + PHI_SLACK:
         raise ValueError(f"theta {theta} outside [0, pi/4]")
     return xi * (QUARTER_PI - theta)
@@ -138,16 +150,8 @@ def xi_to_phi(xi: float, theta: float) -> float:
 
 def build_povm(cfg: DiscriminationConfig) -> Povm:
     """Measurement operators for one (theta, phi) configuration."""
-    g, eta = cfg.gamma, cfg.eta
-    denom = 1.0 + eta
-    kp = np.array([math.sin(g), math.cos(g)], dtype=complex)
-    km = np.array([math.sin(g), -math.cos(g)], dtype=complex)
-    kq = np.array([1.0, 0.0], dtype=complex)
-    povm = Povm(
-        m_plus=np.outer(kp, kp.conj()) / denom,
-        m_minus=np.outer(km, km.conj()) / denom,
-        m_inconclusive=(2.0 * eta / denom) * np.outer(kq, kq.conj()),
-    )
+    v, eta = _measurement_vectors(cfg.gamma)
+    povm = Povm(*(np.outer(k, k) / (1.0 + eta) for k in v))
     if povm.completeness_residual() > 1e-10:
         raise AssertionError("POVM completeness residual exceeds 1e-10")
     return povm
@@ -205,7 +209,7 @@ def _validate_density(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         raise ValueError("density matrix is not Hermitian within tolerance")
     if abs(np.trace(r).real - 1.0) > tol:
         raise ValueError("density matrix trace differs from 1")
-    if linalg.hermitian_eigenvalues(r, tol=tol)[-1] < -tol:
+    if np.linalg.eigvalsh(r)[0] < -tol:
         raise ValueError("density matrix is not positive semidefinite")
     return r
 

@@ -29,7 +29,8 @@ class ProbeConfig:
 
     def __post_init__(self):
         p = self.error_rate
-        if not (isinstance(p, (int, float)) and math.isfinite(p)):
+        # bool is an int subclass: False would pass as an error rate of 0.
+        if isinstance(p, bool) or not (isinstance(p, (int, float)) and math.isfinite(p)):
             raise ValueError("error_rate must be a finite number")
         if not 0.0 <= p <= MAX_ERROR_RATE:
             raise ValueError(f"error_rate {p} outside [0, 1/3]")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import DiscriminationConfig, xi_to_phi
+from .discrimination import DiscriminationConfig, _measurement_vectors
 from .entropy import JointDistribution, mutual_information
 from .probe import MAX_ERROR_RATE, ProbeConfig, theta_from_error_rate
 
@@ -167,14 +167,10 @@ def _case_tables(cfg: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
     At xi = 0 (gamma = theta) the wrong guess of the tagged states is
     exactly 0.
     """
-    # The measurement of cfg.discrimination(); the states reuse its probe and theta.
-    probe = ProbeConfig(cfg.error_rate)
-    theta = theta_from_error_rate(probe)
-    disc = DiscriminationConfig(theta, xi_to_phi(cfg.xi, theta))
-    a, b = _probe_states(probe, theta)[:, :, None]
-    g = disc.gamma
-    probs = (a * math.sin(g) + b * (math.cos(g), -math.cos(g))) ** 2 / (1.0 + disc.eta)
-    cum = probs.cumsum(axis=1)
+    disc = cfg.discrimination()
+    v, eta = _measurement_vectors(disc.gamma)
+    a, b = _probe_states(ProbeConfig(cfg.error_rate), disc.theta)[:, :, None]
+    cum = ((a * v[:2, 0] + b * v[:2, 1]) ** 2 / (1.0 + eta)).cumsum(axis=1)
     p_correct = np.array([(1.0 + 2.0 * cfg.error_rate) / 2.0, 1.0 - cfg.error_rate])
     return cum, p_correct
 

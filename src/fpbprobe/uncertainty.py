@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from .discrimination import OutcomeProbs
+from .discrimination import OutcomeProbs, _measurement_vectors
 from .entropy import (
     Distribution,
     Order,
@@ -69,15 +69,11 @@ def _bases(gamma: float, phases) -> np.ndarray:
     third column, so a shift of both phases leaves every overlap modulus
     unchanged.
     """
-    eta = max(math.cos(2.0 * gamma), 0.0)
+    v, eta = _measurement_vectors(gamma)
     root = math.sqrt(1.0 + eta)
     e = np.exp(1j * np.asarray(phases, dtype=float))
-    sg, cg = math.sin(gamma) / root, math.cos(gamma) / root
     b = np.zeros(e.shape + (3, 3), dtype=complex)
-    b[..., :2, 0] = sg
-    b[..., 0, 1] = cg
-    b[..., 1, 1] = -cg
-    b[..., 2, 0] = math.sqrt(2.0 * eta) / root
+    b[..., :2] = v / root
     b[..., :2, 2] = (math.sqrt(eta) / root) * e[..., None]
     b[..., 2, 2] = (-math.sqrt(1.0 - eta) / root) * e
     return b

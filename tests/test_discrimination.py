@@ -57,6 +57,14 @@ class TestXiToPhi:
         with pytest.raises(ValueError):
             xi_to_phi(-0.1, 0.3)
 
+    def test_rejects_bools(self):
+        # bool is an int subclass: True would pass as xi = 1, the Helstrom end.
+        for flag in (True, False):
+            with pytest.raises(ValueError, match="xi"):
+                xi_to_phi(flag, 0.3)
+        with pytest.raises(ValueError):
+            DiscriminationConfig.from_error_rate(False, True)
+
 
 class TestConfig:
     def test_rejects_phi_above_range(self):
@@ -198,3 +206,9 @@ class TestBornProbs:
             born_probs(povm, np.eye(2))          # trace 2
         with pytest.raises(ValueError):
             born_probs(povm, np.array([[1.5, 0.0], [0.0, -0.5]]))   # not PSD
+
+    def test_rejects_non_hermitian_density(self):
+        # eigvalsh reads one triangle only: without the check this passes as I/2.
+        povm = build_povm(DiscriminationConfig(0.4, 0.1))
+        with pytest.raises(ValueError, match="Hermitian"):
+            born_probs(povm, np.array([[0.5, 0.5], [0.0, 0.5]]))

@@ -1,4 +1,4 @@
-"""`curves` and `bounds` output against golden CSVs in tests/data.
+"""`curves`, `bounds` and `povm` output against golden files in tests/data.
 
 The golden files were written by the per-grid-point implementation that
 preceded the array-native one.  The header, the row order and every
@@ -6,8 +6,13 @@ non-value column must match byte for byte.  Each value must lie within
 16 * 2**-52 * max(1, |golden|) of the golden value: numpy's log2, power
 and arctan2 differ from libm in the last bit on some inputs, and
 differences of entropies make a relative bound meaningless near 0.
+
+povm.json holds one `povm` JSON report per (theta, xi) pair, written by
+the implementation that built each element from complex kets.  Keys and
+nesting must match exactly; every number must lie within the same bound.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -51,3 +56,26 @@ def test_matches_golden(name, capsys):
                     f"line {line} column {col}: {g} vs golden {w}"
             else:
                 assert g == w, f"line {line} column {col}"
+
+
+def assert_json_close(got, want, path="report"):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for key in want:
+            assert_json_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_json_close(g, w, f"{path}[{i}]")
+    else:
+        assert type(got) is type(want), path
+        assert abs(got - want) <= ULP_GATE * max(1.0, abs(want)), f"{path}: {got} vs golden {want}"
+
+
+POVM_CASES = json.loads((DATA / "povm.json").read_text())
+
+
+@pytest.mark.parametrize("case", POVM_CASES, ids=lambda c: f"theta={c['argv'][2]},xi={c['argv'][4]}")
+def test_povm_matches_golden(case, capsys):
+    assert cli.main(case["argv"]) == 0
+    assert_json_close(json.loads(capsys.readouterr().out), case["report"])

@@ -59,6 +59,12 @@ class TestProbeConfig:
         ProbeConfig(0.0)
         ProbeConfig(1.0 / 3.0)
 
+    def test_rejects_bools(self):
+        # bool is an int subclass: False would pass as an error rate of 0.
+        for flag in (True, False):
+            with pytest.raises(ValueError, match="error_rate"):
+                ProbeConfig(flag)
+
 
 class TestProbeInput:
     def test_zero_error_is_plus(self):
@@ -102,6 +108,10 @@ class TestProbeGeometry:
             assert np.vdot(g.t_minus, g.t_minus).real == pytest.approx(1 - p, abs=1e-13)
             assert np.vdot(g.t_plus, g.t_minus).real == pytest.approx(1 - 3 * p, abs=1e-13)
             assert np.vdot(g.t_err, g.t_err).real == pytest.approx(p, abs=1e-13)
+
+    def test_probe_states_overlap_at_pe_02(self):
+        g = probe_geometry(ProbeConfig(0.2))
+        assert np.vdot(g.t_plus, g.t_minus).real == pytest.approx(0.4, abs=1e-14)
 
     def test_normalized_states_match_angle(self):
         for p in PE_GRID[1:]:

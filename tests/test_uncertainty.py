@@ -89,6 +89,14 @@ class TestOverlapMatrix:
         with pytest.raises(ValueError):
             overlap_matrix(naimark_basis(0.3, 0.0), naimark_basis(0.4, 0.0))
 
+    def test_conjugate_symmetry(self, rng):
+        # overlaps are inner products: swapping the two bases conjugates them
+        for _ in range(20):
+            gamma = rng.uniform(0.0, math.pi / 4)
+            a = naimark_basis(gamma, rng.uniform(0, 2 * math.pi))
+            b = naimark_basis(gamma, rng.uniform(0, 2 * math.pi))
+            np.testing.assert_allclose(overlap_matrix(a, b), overlap_matrix(b, a).conj().T, atol=1e-12)
+
     def test_moduli_depend_only_on_phase_difference(self, rng):
         # the 1-D search in optimize_s_max rests on this invariance
         for eta in (0.0, 0.1, 0.3, 0.5, 0.8, 1.0):
