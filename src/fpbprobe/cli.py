@@ -28,6 +28,7 @@ from contextlib import contextmanager, suppress
 
 import numpy as np
 
+from ._g17 import WIDTH, format_g17
 from .discrimination import (
     DiscriminationConfig,
     build_povm,
@@ -74,10 +75,7 @@ DEFAULT_ETA_STEPS = 501
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+BLOCK_VALUES = 4096  # float cells formatted and written per block
 
 
 @contextmanager
@@ -109,6 +107,54 @@ def _open_out(path):
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def _key_cells(column) -> np.ndarray:
+    """One row of ASCII bytes per cell, followed by NUL padding and ','.
+
+    Floats print as '%.17g', strings as given.  The kernel's NULs are
+    moved to the end of each row, so the rows are as narrow as the
+    longest cell.
+    """
+    column = np.asarray(column)
+    if column.dtype.kind == "f":
+        cells = format_g17(column)
+        unused = cells == 0
+        packed = np.take_along_axis(cells, np.argsort(unused, axis=1, kind="stable"), axis=1)
+        packed = packed[:, :WIDTH - unused.sum(axis=1).min()]
+    else:
+        column = column.astype(bytes)
+        packed = column.view(np.uint8).reshape(column.size, column.itemsize)
+    return np.concatenate([packed, np.full((len(packed), 1), ord(","), np.uint8)], axis=1)
+
+
+def _write_csv(fh, header: str, keys, values: np.ndarray, tail: str = "\n") -> None:
+    """Write `header`, then one CSV line per point of the grid spanned by `keys`.
+
+    `keys` are the leading columns: one sequence of floats or strings per
+    axis, the last varying fastest.  `values` has shape
+    ``(len(k) for k in keys) + (m,)``: the m float cells that follow the
+    keys on each line.  `tail` ends each line.  Floats print as
+    ``'%.17g'``.  Lines are built in blocks of at most `BLOCK_VALUES`
+    float cells, as byte matrices whose NULs are dropped before the write.
+    """
+    key_cells = [_key_cells(key) for key in keys]
+    fh.write(header + "\n")
+    grid_shape = tuple(len(c) for c in key_cells)
+    m = values.shape[-1]
+    values = values.reshape(-1, m)
+    tail_bytes = np.frombuffer(tail.encode(), np.uint8)
+    step = max(1, BLOCK_VALUES // m)
+    for start in range(0, len(values), step):
+        lines = np.arange(start, min(start + step, len(values)))
+        n = len(lines)
+        cells = np.empty((n, m, WIDTH + 1), np.uint8)
+        cells[:, :, :WIDTH] = format_g17(values[start:start + n]).reshape(n, m, WIDTH)
+        cells[:, :, WIDTH] = ord(",")
+        cells[:, -1, WIDTH] = 0
+        parts = [c[i] for c, i in zip(key_cells, np.unravel_index(lines, grid_shape))]
+        parts += [cells.reshape(n, -1), np.broadcast_to(tail_bytes, (n, len(tail_bytes)))]
+        fh.write(np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -191,17 +237,10 @@ def cmd_curves(args, config: dict[str, str]) -> int:
                 columns.append(alpha_mutual_information(joint, order, variant))
     if not columns:
         raise ValueError("no rows selected: give a measure, and an order for v1, v2 and v4")
-    values = np.stack(columns, axis=-1)
-    xi_strs = [_fmt(xi) for xi in xis]
+    values = np.stack(columns, axis=-1)[..., None]
 
     with _open_out(out_path) as fh:
-        fh.write("p_e,xi,measure,order,value\n")
-        for p_str, at_p in zip(map(_fmt, grid.tolist()), values):
-            fh.write("".join(
-                f"{p_str},{xi_str},{label},{v:.17g}\n"
-                for xi_str, at_point in zip(xi_strs, at_p.tolist())
-                for label, v in zip(labels, at_point)
-            ))
+        _write_csv(fh, "p_e,xi,measure,order,value", [grid, np.asarray(xis, dtype=float), labels], values)
     return EXIT_OK
 
 
@@ -239,16 +278,9 @@ def cmd_bounds(args, config: dict[str, str]) -> int:
         shannon_entropy(rho_star),
         renyi_entropy(rho_star, 2.0),
     ] + pe_columns
-    values = np.stack(columns, axis=-1).tolist()
-    blank = "" if sweep_pe else ",,"
-
     header = "x,mu_bound,coles_piani,maj_shannon,maj_alpha2_a,maj_alpha2_b,rho_star_H,rho_star_R2,i_std,i_upper"
     with _open_out(out_path) as fh:
-        fh.write(header + "\n")
-        fh.write("".join(
-            ",".join([_fmt(x)] + [_fmt(v) for v in row]) + blank + "\n"
-            for x, row in zip(grid.tolist(), values)
-        ))
+        _write_csv(fh, header, [grid], np.stack(columns, axis=-1), tail="\n" if sweep_pe else ",,\n")
     return EXIT_OK
 
 

@@ -38,6 +38,10 @@ class DiscriminationConfig:
     phi: float
 
     def __post_init__(self):
+        # bool is an int subclass: False would pass as the angle 0.
+        for name in ("theta", "phi"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, not a bool")
         th, ph = float(self.theta), float(self.phi)
         if not (math.isfinite(th) and math.isfinite(ph)):
             raise ValueError("angles must be finite")
@@ -187,6 +191,9 @@ def error_lower_bound(theta: float, q_inconclusive: float) -> float:
     The family built by build_povm saturates this bound for every valid
     (theta, phi).
     """
+    for name, v in (("theta", theta), ("q_inconclusive", q_inconclusive)):
+        if isinstance(v, bool):
+            raise ValueError(f"{name} must be a number, not a bool")
     if not 0.0 <= theta <= QUARTER_PI + PHI_SLACK:
         raise ValueError(f"theta {theta} outside [0, pi/4]")
     if not 0.0 <= q_inconclusive <= 1.0:

@@ -84,6 +84,9 @@ def naimark_basis(gamma: float, phase: float = 0.0) -> NaimarkExtension:
 
     gamma = 0 (eta = 1) is included so the eta grid can reach both ends.
     """
+    for name, v in (("gamma", gamma), ("phase", phase)):
+        if isinstance(v, bool):
+            raise ValueError(f"{name} must be a number, not a bool")
     if not (math.isfinite(gamma) and 0.0 <= gamma <= 0.25 * math.pi + 1e-12):
         raise ValueError(f"gamma {gamma} outside [0, pi/4]")
     if not math.isfinite(phase):

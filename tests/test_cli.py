@@ -107,10 +107,19 @@ class TestCurves:
         assert code == 3
 
     def test_values_are_17_digit_reproducible(self, capsys):
-        _, out = run_cli(self.ARGS, capsys)
+        # Every number, the P_E and xi columns included, must read back as
+        # '%.17g' of the float it parses to.  The grid reaches P_E = 0,
+        # exponent notation (v2 near P_E = 0) and both ends of xi.
+        args = ["curves", "--p-e-min", "0", "--p-e-max", "0.3333333333333333", "--steps", "13",
+                "--xi", "0", "--xi", "1e-05", "--xi", "0.3", "--xi", "1",
+                "--order", "0.5", "--order", "2", "--order", "10"]
+        args += [a for m in cli.MEASURES for a in ("--measure", m)]
+        _, out = run_cli(args, capsys)
         _, rows = parse_csv(out)
-        val = rows[0][4]
-        assert float(val) == float(f"{float(val):.17g}")
+        assert len(rows) == 13 * 4 * 12
+        for row in rows:
+            for tok in (row[0], row[1], row[4]):
+                assert format(float(tok), ".17g") == tok, row
 
 
 class TestBounds:
@@ -125,6 +134,18 @@ class TestBounds:
         assert len(rows) == 11
         for row in rows:
             assert row[8] == "" and row[9] == ""
+
+    @pytest.mark.parametrize("variable", ["eta", "p-e"])
+    def test_values_are_17_digit_reproducible(self, variable, capsys):
+        _, out = run_cli(["bounds", "--variable", variable, "--min", "0", "--steps", "41"], capsys)
+        _, rows = parse_csv(out)
+        assert len(rows) == 41
+        for row in rows:
+            for col, tok in enumerate(row):
+                if variable == "eta" and col >= 8:
+                    assert tok == ""
+                else:
+                    assert format(float(tok), ".17g") == tok, (col, row)
 
     def test_default_eta_grid_contains_knots(self, capsys):
         _, out = run_cli(["bounds"], capsys)

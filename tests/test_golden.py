@@ -7,11 +7,17 @@ non-value column must match byte for byte.  Each value must lie within
 and arctan2 differ from libm in the last bit on some inputs, and
 differences of entropies make a relative bound meaningless near 0.
 
+cli_digests.json holds the length and SHA-256 of stdout for 16 `curves`
+and `bounds` argvs (defaults, the cases above, edge grids), written by
+the per-value `f"{v:.17g}"` writer that preceded the array kernel.
+Those outputs must match byte for byte.
+
 povm.json holds one `povm` JSON report per (theta, xi) pair, written by
 the implementation that built each element from complex kets.  Keys and
 nesting must match exactly; every number must lie within the same bound.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -79,3 +85,15 @@ POVM_CASES = json.loads((DATA / "povm.json").read_text())
 def test_povm_matches_golden(case, capsys):
     assert cli.main(case["argv"]) == 0
     assert_json_close(json.loads(capsys.readouterr().out), case["report"])
+
+
+DIGEST_CASES = json.loads((DATA / "cli_digests.json").read_text())
+
+
+@pytest.mark.parametrize("case", DIGEST_CASES, ids=[f"{c['argv'][0]}{i:02d}" for i, c in enumerate(DIGEST_CASES)])
+def test_output_bytes_match_digest(case, capsys):
+    """stdout byte for byte: the value gate above passes any formatting
+    that parses back to a nearby float, this one passes no change at all."""
+    assert cli.main(case["argv"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (case["bytes"], case["sha256"])
