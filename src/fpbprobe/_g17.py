@@ -6,23 +6,22 @@ sit where that text has no character, so the rows need no shifting and
 a writer drops them all in one pass.
 
 The 17 significant digits of v are the integer D = round(|v| * 10**k)
-in [10**16, 10**17), with k = 16 - floor(log10 |v|).  10**k is held as
-a double-double P + Q: P is the double nearest 10**k and Q the double
-nearest the rest, so Q = 0 where 10**k is itself a double
-(0 <= k <= 22).  Dekker's two-product (Veltkamp split, no fused
-multiply-add, no long double) gives |v| * P = h + l exactly.  h lies
-above 2**53, so it is an even integer, and D = h + rint(l + |v| * Q)
-rounds half to even as C's printf does.  Where Q != 0 that sum is off
-by under 1e-14, so values whose l + |v| * Q lies within `TIE_GUARD` of a
-half-integer (a rounding tie of the 17th digit) are left to Python.  A rounding carry to 10**17 raises the exponent by one; an
-exponent estimate that is one off (log10 rounds near powers of ten) is
-corrected by a second pass over those values.
+in [10**16, 10**17), with k = 16 - floor(log10 |v|).  For decimal
+exponents -6 to 16, 0 <= k <= 22 and 10**k is itself a double P.
+Dekker's two-product (Veltkamp split, no fused multiply-add, no long
+double) gives |v| * P = h + l exactly.  h lies above 2**53, so it is an
+even integer, and D = h + rint(l) rounds half to even as C's printf
+does.  An exponent estimate that is one off (log10 rounds, or errs by
+an ulp or so, next to a power of ten) is corrected by a second pass
+over those values.  In this range the double nearest below a power of
+ten is more than 5e-18 (relative) away from it, so no D rounds up to
+10**17: D >= 10**17 always means the estimate is one too small.
 
 The digits come from a 10 000-entry table of four ASCII digits.
 Trailing zeros are masked out, and the fixed or exponent layout follows
 the ``g`` rules: fixed for decimal exponents -4 to 16, else
-``d.ddde±XX``.  Zero, inf, nan, |v| outside [1e-99, 1e100) (three-digit
-exponents) and the near-ties go through ``'%.17g' %`` one at a time.
+``d.ddde±XX``.  Zero, inf, nan and |v| outside [1e-6, 1e17) go through
+``'%.17g' %`` one at a time.
 """
 
 from __future__ import annotations
@@ -30,29 +29,15 @@ from __future__ import annotations
 import numpy as np
 
 # A row: '-', the prefix '0.000', 17 digits with a point slot between
-# each two, and 'e±XX'.  Dropping the NUL bytes of a row leaves its text.
+# each two, and 'e-XX'.  Dropping the NUL bytes of a row leaves its text.
 WIDTH = 1 + 5 + 17 + 16 + 4
 _LONGEST = 24  # len('-2.2250738585072014e-308'), the longest '%.17g' of a float64
-E_MIN, E_MAX = -99, 99  # decimal exponents the array path prints
-TIE_GUARD = 1e-9
+E_MIN, E_MAX = -6, 16  # decimal exponents the array path prints
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
-_ZERO, _POINT, _MINUS, _E, _PLUS = (ord(c) for c in "0.-e+")
+_ZERO, _POINT, _MINUS, _E = (ord(c) for c in "0.-e")
 
-# 10**k = P + Q for every k that an exponent estimate one or two off the
-# printed range can ask for.  The rest 10**k - P is exact integer
-# arithmetic; int / int true division rounds correctly.
-_K0 = 16 - E_MAX - 2
-
-
-def _pow10(k: int) -> tuple[float, float]:
-    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-    p = num / den
-    m, d = p.as_integer_ratio()
-    return p, (num * d - m * den) / (den * d)
-
-
-_P, _Q = np.array([_pow10(k) for k in range(_K0, 16 - E_MIN + 3)]).T
+_P = np.array([float(10**k) for k in range(16 - E_MIN + 1)])  # 10**k, exact for k <= 22
 _P_HI = _P * _SPLIT - (_P * _SPLIT - _P)
 _P_LO = _P - _P_HI
 
@@ -73,35 +58,32 @@ _DIGITS4, _SIG4 = _digit_tables()
 # Row templates: every byte but the digits, one row per sign and form.
 # Forms 0-3: fixed notation, exponent -4 to -1 ('0.' and zeros ahead of
 # the digits); 4-19: fixed, exponent 0 to 15, with the point after digit
-# form - 4; 20: fixed, no point; 21-24: exponent notation, 'e+', 'e-',
-# then the same without a point.
-_FORMS = 25
+# form - 4; 20: fixed, no point; 21-22: exponent notation, with and
+# without a point.  Only exponents -6 and -5 print that way here, so
+# the exponent sign is always '-'.
+_FORMS = 23
 _TEMPLATES = np.zeros((2, _FORMS, WIDTH), dtype=np.uint8)
 _TEMPLATES[1, :, 0] = _MINUS
 _TEMPLATES[:, :4, 1:6] = (np.arange(-4, 0)[:, None] <= [-1, -1, -2, -3, -4]) * np.frombuffer(b"0.000", np.uint8)
 _TEMPLATES[:, np.arange(4, 20), 7 + 2 * np.arange(16)] = _POINT
-_TEMPLATES[:, 21:23, 7] = _POINT
-_TEMPLATES[:, 21:, 39] = _E
-_TEMPLATES[:, 21:, 40] = [_PLUS, _MINUS, _PLUS, _MINUS]
+_TEMPLATES[:, 21, 7] = _POINT
+_TEMPLATES[:, 21:, 39:41] = _E, _MINUS
 _TEMPLATES = _TEMPLATES.reshape(2 * _FORMS, WIDTH)
 # _KEEP[k] masks the 16 digits after the leading one down to the first k - 1.
 _KEEP = np.where(np.arange(1, 17) < np.arange(18)[:, None], 255, 0).astype(np.uint8)
 
 
-def _scaled(a: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """D = round(a * 10**(16 - e10)) as int64, where D may sit on a rounding
-    tie, and where a * 10**(16 - e10) < 10**16, i.e. e10 is one too big."""
-    i = 16 - e10.astype(np.intp) - _K0
-    p, q = _P[i], _Q[i]
-    h = a * p
+def _scaled(a: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D = round(a * 10**(16 - e10)) as int64, and where a * 10**(16 - e10)
+    < 10**16, i.e. e10 is one too big.  E_MIN <= e10 <= E_MAX."""
+    i = 16 - e10.astype(np.intp)
+    h = a * _P[i]
     c = a * _SPLIT
     a_hi = c - (c - a)
     a_lo = a - a_hi
     p_hi, p_lo = _P_HI[i], _P_LO[i]
-    r = (((a_hi * p_hi - h) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo) + a * q
-    n = np.rint(r)
-    tie = (q != 0.0) & (np.abs(r - n) > 0.5 - TIE_GUARD)
-    return h.astype(np.int64) + n.astype(np.int64), tie, (h - 1e16) + r < 0.0
+    l = ((a_hi * p_hi - h) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    return h.astype(np.int64) + np.rint(l).astype(np.int64), (h - 1e16) + l < 0.0
 
 
 def format_g17(values) -> np.ndarray:
@@ -110,20 +92,18 @@ def format_g17(values) -> np.ndarray:
     a = np.abs(x)
     ok = (a > 0.0) & (a < np.inf)
     e10 = np.floor(np.log10(np.where(ok, a, 1.0))).astype(np.int16)
-    ok &= (e10 >= E_MIN - 1) & (e10 <= E_MAX + 1)
+    ok &= (e10 >= E_MIN) & (e10 <= E_MAX)
     a = np.where(ok, a, 1.0)
     e10[~ok] = 0
 
-    d, tie, low = _scaled(a, e10)
-    off = np.flatnonzero(low | (d > 10**17))
+    d, low = _scaled(a, e10)
+    off = np.flatnonzero(low | (d >= 10**17))
     if off.size:
         e10[off] += np.where(low[off], -1, 1).astype(np.int16)
-        d[off], tie[off], low[off] = _scaled(a[off], e10[off])
-        ok[off[low[off] | (d[off] > 10**17)]] = False
-    carry = d == 10**17
-    d[carry] = 10**16
-    e10 += carry
-    ok &= ~tie & (e10 >= E_MIN) & (e10 <= E_MAX)
+        inside = (e10[off] >= E_MIN) & (e10[off] <= E_MAX)
+        ok[off[~inside]] = False
+        off = off[inside]
+        d[off] = _scaled(a[off], e10[off])[0]
 
     # The 17 digits in four-digit groups after the leading one, and how
     # many of them print: trailing zeros go, except those left of the
@@ -145,7 +125,7 @@ def format_g17(values) -> np.ndarray:
     form = np.where(
         fixed,
         np.where((e10 < 0) | (keep > e10 + 1), e10 + 4, 20),
-        21 + (e10 < 0) + 2 * (nd == 1),
+        21 + (nd == 1),
     )
 
     out = _TEMPLATES[form + _FORMS * np.signbit(x)]

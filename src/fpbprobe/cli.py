@@ -110,21 +110,15 @@ def _open_out(path):
 
 
 def _key_cells(column) -> np.ndarray:
-    """One row of ASCII bytes per cell, followed by NUL padding and ','.
+    """One row of ASCII bytes per cell, NUL-padded, then ','.
 
-    Floats print as '%.17g', strings as given.  The kernel's NULs are
-    moved to the end of each row, so the rows are as narrow as the
-    longest cell.
+    Floats print as '%.17g', strings as given.
     """
     column = np.asarray(column)
     if column.dtype.kind == "f":
-        cells = format_g17(column)
-        unused = cells == 0
-        packed = np.take_along_axis(cells, np.argsort(unused, axis=1, kind="stable"), axis=1)
-        packed = packed[:, :WIDTH - unused.sum(axis=1).min()]
-    else:
-        column = column.astype(bytes)
-        packed = column.view(np.uint8).reshape(column.size, column.itemsize)
+        column = np.array([b"%.17g" % v for v in column.tolist()])
+    column = column.astype(bytes)
+    packed = column.view(np.uint8).reshape(column.size, column.itemsize)
     return np.concatenate([packed, np.full((len(packed), 1), ord(","), np.uint8)], axis=1)
 
 

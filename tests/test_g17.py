@@ -53,6 +53,15 @@ def test_adversarial_list():
     assert_matches_python(adversarial())
 
 
+@pytest.mark.parametrize("skew", [-1e-12, 1e-12])
+def test_exponent_estimate_one_off(monkeypatch, skew):
+    # A log10 that errs by a few ulp puts floor(log10 |v|) one off next to
+    # a power of ten, in either direction; the second pass must catch it.
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + skew)
+    assert_matches_python(adversarial())
+
+
 def test_random_bit_patterns():
     bits = np.random.default_rng(20181018).integers(0, 2**64, size=100_000, dtype=np.uint64)
     assert_matches_python(bits.view(np.float64))
@@ -64,15 +73,17 @@ def test_random_magnitudes_through_the_array_path():
     assert_matches_python(x)
 
 
-def test_near_ties_of_inexact_powers():
+def test_near_ties():
     # (2D + 1) / 2 * 10**-k rounded to a double sits within an ulp of a
-    # 17-digit tie; for k outside 0..22 the product is not exact.
+    # 17-digit tie.  For 0 <= k <= 22 it takes the array path, where
+    # 10**k is exact; other k go through Python.
     rng = np.random.default_rng(11)
     vals = []
-    for _ in range(3000):
-        d, k = int(rng.integers(10**16, 10**17)), int(rng.integers(-80, 110))
-        num, den = (2 * d + 1, 2 * 10**k) if k >= 0 else ((2 * d + 1) * 10**-k, 2)
-        vals += ulp_neighbours(num / den, 1)
+    for k_lo, k_hi in ((-80, 110), (16 - E_MAX, 17 - E_MIN)):
+        for _ in range(3000):
+            d, k = int(rng.integers(10**16, 10**17)), int(rng.integers(k_lo, k_hi))
+            num, den = (2 * d + 1, 2 * 10**k) if k >= 0 else ((2 * d + 1) * 10**-k, 2)
+            vals += ulp_neighbours(num / den, 1)
     assert_matches_python(vals)
 
 
