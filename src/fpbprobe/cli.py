@@ -25,6 +25,7 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager, suppress
+from functools import lru_cache
 
 import numpy as np
 
@@ -361,7 +362,14 @@ def cmd_povm(args, config: dict[str, str]) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call.
+
+    Treat it as read-only.  Parsing leaves it unchanged (every flag
+    defaults to None and each call gets a fresh namespace), so `main`
+    reuses it instead of paying ~1 ms to rebuild it per call.
+    """
     parser = argparse.ArgumentParser(
         prog="fpbprobe",
         description="Probe-attack information measures and uncertainty bounds for BB84.",

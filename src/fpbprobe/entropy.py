@@ -8,6 +8,14 @@ from the discrimination triple (Q_S, Q_E, Q_?).
 
 Every measure reduces over the last axes: a stack of tables or vectors along
 leading axes gives an array, a single one a Python float.
+
+The table axes are short (2, 3 or 6), and numpy runs a reduction over such
+an axis as one inner loop per stack member: on a 334 x 5 stack of 2 x 3
+tables, .sum and .max over the last axis take 4-16x as long as one ufunc
+call per slice.  The measures therefore fold those axes slice by slice
+(`_fold`), in the order numpy reduces them, so the bits do not change.  `_checked` and `_mutual_information` keep numpy's reductions: the
+simulator runs them on one table per session, where a fold's extra ufunc
+calls cost more than the loop they save.
 """
 
 from __future__ import annotations
@@ -74,9 +82,28 @@ class Order:
         return cls(float(t))
 
     def __str__(self) -> str:
+        """'%g' when it reads back as this order, else the shortest repr.
+
+        '%g' keeps six digits, so it would print 2.0000001 as '2' and
+        1.0000001 as '1', the Shannon order's label.
+        """
         if self.is_infinite:
             return "inf"
-        return f"{self.value:g}"
+        short = f"{self.value:g}"
+        return short if float(short) == self.value else repr(self.value)
+
+
+def _fold(ufunc, x: np.ndarray) -> np.ndarray:
+    """ufunc.reduce over the last axis of x, one ufunc call per slice.
+
+    Left to right, as numpy reduces axes shorter than its pairwise-sum
+    block of 8; an add starts from +0.0 as numpy's does, so a sum of -0.0
+    terms gives 0.0.  The same bits as .sum(axis=-1) or .max(axis=-1).
+    """
+    r = x[..., 0] + 0.0 if ufunc is np.add else x[..., 0].copy()
+    for i in range(1, x.shape[-1]):
+        r = ufunc(r, x[..., i])
+    return r
 
 
 def _checked(x, ndim: int, what: str) -> np.ndarray:
@@ -163,19 +190,19 @@ def _xlog2x(p: np.ndarray) -> np.ndarray:
 
 
 def _shannon(p: np.ndarray) -> np.ndarray:
-    return -_xlog2x(p).sum(axis=-1) + 0.0  # +0.0 avoids -0.0
+    return -_fold(np.add, _xlog2x(p)) + 0.0  # +0.0 avoids -0.0
 
 
 def _renyi(p: np.ndarray, order: Order) -> np.ndarray:
     """Renyi entropy over the last axis of nonzero probability vectors."""
     if order.is_shannon:
         return _shannon(p)
-    m = p.max(axis=-1)
+    m = _fold(np.maximum, p)
     if order.is_infinite:
         return -np.log2(m) + 0.0
     a = order.value
     # Factor out the peak so p**a never underflows the whole sum.
-    s = ((p / m[..., None]) ** a).sum(axis=-1)
+    s = _fold(np.add, (p / m[..., None]) ** a)
     return (a * np.log2(m) + np.log2(s)) / (1.0 - a) + 0.0
 
 
@@ -185,7 +212,7 @@ def _columns(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     An empty column gets a point mass as its conditional: every entropy of
     it is 0, and its weight is 0 anyway.
     """
-    py = t.sum(axis=-2)
+    py = _fold(np.add, np.swapaxes(t, -1, -2))
     empty = py <= 0.0
     cond = np.swapaxes(t / np.where(empty, 1.0, py)[..., None, :], -1, -2)
     cond[..., 0] += empty
@@ -203,17 +230,17 @@ def _conditional(t: np.ndarray, o: Order, variant: int) -> np.ndarray:
     _check_variant(variant)
     if variant == 1 or o.is_shannon:
         py, cond, _ = _columns(t)
-        return (py * _renyi(cond, o)).sum(axis=-1)
+        return _fold(np.add, py * _renyi(cond, o))
     if o.is_infinite:
         raise ValueError(f"variant {variant} is undefined at infinite order")
     if variant == 2:
-        return _renyi(t.reshape(t.shape[:-2] + (-1,)), o) - _renyi(t.sum(axis=-2), o)
+        return _renyi(t.reshape(t.shape[:-2] + (-1,)), o) - _renyi(_fold(np.add, np.swapaxes(t, -1, -2)), o)
     # Variant 4: factor out the largest conditional so the inner powers
     # cannot underflow collectively.
     alpha = o.value
     py, cond, empty = _columns(t)
-    peak = np.where(empty[..., None], 0.0, cond).max(axis=(-2, -1))
-    inner = (py * ((cond / peak[..., None, None]) ** alpha).sum(axis=-1)).sum(axis=-1)
+    peak = _fold(np.maximum, _fold(np.maximum, np.where(empty[..., None], 0.0, cond)))
+    inner = _fold(np.add, py * _fold(np.add, (cond / peak[..., None, None]) ** alpha))
     return (alpha * np.log2(peak) + np.log2(inner)) / (1.0 - alpha)
 
 
@@ -273,7 +300,7 @@ def alpha_mutual_information(j, a, variant: int, direction: str = B_GIVEN_E) -> 
     t = _oriented(j, direction)
     if o.is_shannon:
         return _float_or_array(_mutual_information(t))
-    return _float_or_array(_renyi(t.sum(axis=-1), o) - _conditional(t, o, variant))
+    return _float_or_array(_renyi(_fold(np.add, t), o) - _conditional(t, o, variant))
 
 
 def joint_from_outcome_probs(q: OutcomeProbs) -> JointDistribution:

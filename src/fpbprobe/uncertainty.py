@@ -23,6 +23,7 @@ from .entropy import (
     Distribution,
     Order,
     _float_or_array,
+    _fold,
     binary_entropy,
     renyi_entropy,
     shannon_entropy,
@@ -321,7 +322,7 @@ def majorization_bound_direct_sum(md: MajorizationData, a) -> float | np.ndarray
     if o.is_shannon or o.value < 1.0:
         return 0.5 * renyi_entropy(md.omega, o)
     alpha = o.value
-    powers = (p ** alpha).sum(axis=-1)
+    powers = _fold(np.add, p ** alpha)
     return _float_or_array(np.log2(0.5 + 0.5 * powers) / (1.0 - alpha))
 
 

@@ -76,6 +76,13 @@ class TestCurves:
                 q.q_success / (1 - q.q_inconclusive), abs=1e-12
             )
 
+    def test_close_orders_get_distinct_labels(self, capsys):
+        code, out = run_cli(["curves", "--steps", "2", "--xi", "1", "--measure", "v1",
+                             "--order", "2", "--order", "2.0000001", "--order", "1.0000001"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r[3] for r in rows] == ["2", "2.0000001", "1.0000001"] * 2
+
     def test_rejects_unknown_measure(self, capsys):
         code, _ = run_cli(["curves", "--measure", "bogus"], capsys)
         assert code == 2
@@ -331,18 +338,55 @@ class TestOutputFiles:
         assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
+def run_child(*args):
+    """Run python with `args` in a fresh interpreter that imports the same
+    package as this process, installed or not."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.conf"
+        cfg.write_text("steps=3\nxi=0.25,0.75\nmeasure=std,v1\norder=2,3\n")
+        calls = [
+            ["curves", "--xi", "0.5"],
+            ["bounds"],
+            ["curves", "--xi", "0.25", "--order", "3", "--xi", "oops"],
+            ["curves", "--config", str(cfg)],
+            ["curves", "--xi", "0.5"],
+        ]
+        got = []
+        for argv in calls:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            got.append((code, capsys.readouterr().out))
+        assert [code for code, _ in got] == [0, 0, 2, 0, 0]
+        assert got[4] == got[0]
+        assert {row[1] for row in parse_csv(got[0][1])[1]} == {"0.5"}
+        assert {(row[1], row[3]) for row in parse_csv(got[3][1])[1]} == {
+            (xi, order) for xi in ("0.25", "0.75") for order in ("1", "2", "3")}
+        for argv, (code, out) in zip(calls, got):
+            proc = run_child("-m", "fpbprobe.cli", *argv)
+            assert (proc.returncode, proc.stdout) == (code, out), argv
+
+    def test_import_builds_no_parser(self):
+        proc = run_child("-c", "import fpbprobe.cli as cli; print(cli.build_parser.cache_info().misses); "
+                               "cli.main(['povm', '--theta', '0.3', '--xi', '0']); "
+                               "cli.main(['povm', '--theta', '0.3', '--xi', '1']); "
+                               "print(tuple(cli.build_parser.cache_info()[:2]))")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("0", "(1, 1)")
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        # the child imports the same package as this process, installed or not
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "fpbprobe.cli", "povm", "--theta", "0.3", "--xi", "0.0"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_child("-m", "fpbprobe.cli", "povm", "--theta", "0.3", "--xi", "0.0")
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["q_error"] == 0.0

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from fpbprobe.discrimination import DiscriminationConfig, OutcomeProbs, outcome_probs
+from fpbprobe.discrimination import DiscriminationConfig, OutcomeProbs, outcome_probs, outcome_probs_grid
 from fpbprobe.entropy import (
     B_GIVEN_E,
     E_GIVEN_B,
     Distribution,
     JointDistribution,
     Order,
+    _fold,
     alpha_mutual_information,
     binary_entropy,
     closed_form_i1,
@@ -63,6 +64,99 @@ class TestOrder:
             Order(0.0)
         with pytest.raises(ValueError):
             Order(-2.0)
+
+    def test_labels_read_back_as_the_order(self):
+        labels = {"2": "2", "3": "3", "10": "10", "0.5": "0.5", "1": "1", "inf": "inf", "1e-07": "1e-07",
+                  "2.0000001": "2.0000001", "1.0000001": "1.0000001", "1234567": "1234567.0"}
+        for token, label in labels.items():
+            o = Order.parse(token)
+            assert str(o) == label
+            assert Order.parse(str(o)) == o
+        assert str(Order(2.0)) != str(Order(np.nextafter(2.0, 3.0)))
+
+
+def bits(x):
+    """The IEEE-754 bit patterns of x, so -0.0, 0.0 and nan payloads all count."""
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def special_filled(rng, shape):
+    """Random doubles of every binade, with -0.0, 0.0, subnormals, +-inf and nan
+    mixed in, and every seventh row along the last axis all -0.0."""
+    x = rng.standard_normal(shape) * 2.0 ** rng.integers(-1074, 1000, shape)
+    specials = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2e-310, np.inf, -np.inf, np.nan, 1.7e308])
+    pick = rng.random(shape) < 0.3
+    x[pick] = rng.choice(specials, size=int(pick.sum()))
+    x.reshape(-1, shape[-1])[::7] = -0.0
+    return x
+
+
+class TestFold:
+    """_fold gives numpy's .sum/.max over the last axis bit for bit."""
+
+    @pytest.mark.parametrize("ufunc, method", [(np.add, "sum"), (np.maximum, "max")])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_numpy_reduction(self, ufunc, method, n):
+        rng = np.random.default_rng(9100 + n)
+        with np.errstate(all="ignore"):
+            for lead in ((2,), (3,), (7, 5, 2), (7, 5, 3)):
+                x = special_filled(rng, lead + (n,))
+                assert bits(_fold(ufunc, x)).tolist() == bits(getattr(x, method)(axis=-1)).tolist()
+                for vector in x.reshape(-1, n)[:8]:
+                    assert bits(_fold(ufunc, vector)) == bits(getattr(vector, method)())
+                # the same numbers laid out with the folded axis second to last
+                z = np.ascontiguousarray(np.swapaxes(x, -1, -2))
+                y = np.swapaxes(z, -1, -2)
+                assert n == 1 or not y.flags.c_contiguous
+                assert bits(_fold(ufunc, y)).tolist() == bits(getattr(y, method)(axis=-1)).tolist()
+                assert bits(_fold(ufunc, y)).tolist() == bits(getattr(z, method)(axis=-2)).tolist()
+
+
+def random_table_stack(rng, lead):
+    """Joint tables with zero cells and empty columns, stacked along `lead`."""
+    t = rng.random(lead + (2, 3)) * (rng.random(lead + (2, 3)) < 0.8)
+    t[..., 0, 0] += 1e-3
+    t[..., 1] *= rng.random(lead + (1,)) < 0.7
+    return t / t.sum(axis=(-2, -1), keepdims=True)
+
+
+class TestStackedEqualsSingle:
+    """A measure over a stack of tables equals, bit for bit, the measure on each table alone."""
+
+    ORDERS = (0.5, 1.0, 2.0, 3.0, 10.0, math.inf)
+
+    def measures(self):
+        yield "shannon_rows", lambda t: shannon_entropy(t[..., 0, :] / t[..., 0, :].sum(axis=-1, keepdims=True))
+        for a in self.ORDERS:
+            yield f"renyi_flat_{a}", lambda t, a=a: renyi_entropy(t.reshape(t.shape[:-2] + (6,)), a)
+        yield "mutual_information", mutual_information
+        for direction in (B_GIVEN_E, E_GIVEN_B):
+            yield f"conditional_std_{direction}", lambda t, d=direction: conditional_std(t, d)
+            for a in self.ORDERS:
+                for variant in ((1,) if math.isinf(a) else (1, 2, 4)):
+                    yield f"conditional_renyi_{a}_{variant}_{direction}", \
+                        lambda t, a=a, v=variant, d=direction: conditional_renyi(t, a, v, d)
+                    yield f"alpha_mi_{a}_{variant}_{direction}", \
+                        lambda t, a=a, v=variant, d=direction: alpha_mutual_information(t, a, v, d)
+
+    def test_every_measure(self):
+        rng = np.random.default_rng(9200)
+        stack = random_table_stack(rng, (4, 5))
+        for name, measure in self.measures():
+            stacked = measure(stack)
+            assert stacked.shape == (4, 5), name
+            for idx in np.ndindex(4, 5):
+                single = measure(stack[idx])
+                assert isinstance(single, float), name
+                assert bits(single) == bits(stacked[idx]), (name, idx)
+
+    def test_fpb_tables(self):
+        q, _ = outcome_probs_grid(PE_GRID[:, None], np.asarray(XI_GRID))
+        stack = joint_from_outcome_probs(q).table
+        for name, measure in self.measures():
+            stacked = measure(stack)
+            for idx in np.ndindex(stack.shape[:-2]):
+                assert bits(measure(stack[idx])) == bits(stacked[idx]), (name, idx)
 
 
 class TestDistributions:

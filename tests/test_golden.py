@@ -10,7 +10,10 @@ differences of entropies make a relative bound meaningless near 0.
 cli_digests.json holds the length and SHA-256 of stdout for 16 `curves`
 and `bounds` argvs (defaults, the cases above, edge grids), written by
 the per-value `f"{v:.17g}"` writer that preceded the array kernel.
-Those outputs must match byte for byte.
+Those outputs must match byte for byte.  The two `--order 1.0000001`
+entries differ from that writer's output in the order label only: its
+v1/v2/v4 rows used to read '1', the Shannon label, and now read
+'1.0000001'; every other byte is the same.
 
 povm.json holds one `povm` JSON report per (theta, xi) pair, written by
 the implementation that built each element from complex kets.  Keys and

@@ -365,6 +365,15 @@ class TestMajorizationBounds:
         assert majorization_bound_direct_sum(md, 1e6) == pytest.approx(0.0, abs=1e-4)
         assert majorization_bound_tensor(md, 1e6) == pytest.approx(expected, abs=1e-4)
 
+    def test_eta_grid_equals_each_eta_alone_bit_for_bit(self):
+        eta = np.linspace(0.0, 1.0, 41)
+        md = majorization_data(zeta_closed_form(eta))
+        for a in (0.5, 1.0, 2.0, 3.0, 10.0, math.inf):
+            for bound in (majorization_bound_direct_sum, majorization_entropy_bound):
+                grid = np.asarray(bound(md, a), dtype=float)
+                alone = [bound(majorization_data(zeta_closed_form(float(e))), a) for e in eta]
+                assert grid.view(np.uint64).tolist() == np.asarray(alone).view(np.uint64).tolist(), (bound, a)
+
     def test_half_order_bound_sound_on_random_states(self, rng):
         for eta in (0.1, 0.4, 0.8):
             md = majorization_data(zeta_closed_form(eta))
