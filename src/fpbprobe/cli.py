@@ -13,7 +13,8 @@ Exit codes: 0 success, 2 argument error, 3 I/O error.
 
 An optional ``--config FILE`` reads line-oriented ``key=value`` defaults
 (keys are the long flag names with underscores, list values are
-comma-separated); explicit flags override the file.
+comma-separated); explicit flags override the file.  Keys of other
+subcommands are ignored; an unknown key is an argument error.
 """
 
 from __future__ import annotations
@@ -166,6 +167,22 @@ def _load_config_file(path: str) -> dict[str, str]:
     return out
 
 
+def _check_config(parser: argparse.ArgumentParser, command: str, config: dict[str, str]) -> None:
+    """Reject a key that no subcommand defines, and a value outside its flag's choices.
+
+    Keys of another subcommand are ignored, so one file can serve them all.
+    """
+    subcommands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {name: {a.dest: a for a in sub._actions if a.default is not argparse.SUPPRESS}  # not --help
+             for name, sub in subcommands.items()}
+    for key, value in config.items():
+        if not any(key in d for d in dests.values()):
+            raise ValueError(f"unknown config key {key!r}")
+        choices = getattr(dests[command].get(key), "choices", None)
+        if choices and value not in choices:
+            raise ValueError(f"config key {key}: invalid choice {value!r} (choose from {', '.join(choices)})")
+
+
 def _csv_list(value: str) -> list[str]:
     return [tok.strip() for tok in value.split(",") if tok.strip()]
 
@@ -240,10 +257,7 @@ def cmd_curves(args, config: dict[str, str]) -> int:
 
 
 def cmd_bounds(args, config: dict[str, str]) -> int:
-    variable = _resolve(args.variable, config, "variable", "eta", str)
-    if variable not in ("eta", "p-e", "p_e"):
-        raise ValueError(f"variable must be 'eta' or 'p-e', got {variable!r}")
-    sweep_pe = variable in ("p-e", "p_e")
+    sweep_pe = _resolve(args.variable, config, "variable", "eta", str) == "p-e"
     default_lo = DEFAULT_PE_MIN if sweep_pe else 0.0
     default_hi = DEFAULT_PE_MAX if sweep_pe else 1.0
     default_steps = DEFAULT_PE_STEPS if sweep_pe else DEFAULT_ETA_STEPS
@@ -290,7 +304,6 @@ def cmd_simulate(args, config: dict[str, str]) -> int:
     tally = run_session(cfg)
     q = outcome_probs(cfg.discrimination())
     analytic = joint_from_outcome_probs(q).table
-    emp = empirical_joint(tally)
     restricted = int(tally.restricted_counts.sum())
 
     sigma = np.sqrt(restricted * analytic * (1.0 - analytic))
@@ -311,12 +324,13 @@ def cmd_simulate(args, config: dict[str, str]) -> int:
             "pull_sigma": sift_pull,
         },
         "restricted_rounds": restricted,
-        "empirical_joint": emp.table.tolist(),
+        # null when no round is sifted and error-free, as can happen in short runs
+        "empirical_joint": empirical_joint(tally).table.tolist() if restricted else None,
         "analytic_joint": analytic.tolist(),
         "max_cell_pull_sigma": float(pulls.max()),
         "cells_within_4_sigma": bool(pulls.max() <= 4.0),
         "mutual_information": {
-            "empirical": empirical_mutual_information(tally),
+            "empirical": empirical_mutual_information(tally) if restricted else None,
             "analytic": closed_form_i_std(q),
         },
     }
@@ -424,6 +438,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config_file(args.config) if args.config else {}
+        if config:
+            _check_config(parser, args.command, config)
     except OSError as exc:
         print(f"error: cannot read config file: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from ._checks import real
 from .probe import MAX_ERROR_RATE, ProbeConfig, theta_from_error_rate, theta_grid
 
 QUARTER_PI = 0.25 * math.pi
@@ -38,19 +39,9 @@ class DiscriminationConfig:
     phi: float
 
     def __post_init__(self):
-        # bool is an int subclass: False would pass as the angle 0.
-        for name in ("theta", "phi"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, not a bool")
-        th, ph = float(self.theta), float(self.phi)
-        if not (math.isfinite(th) and math.isfinite(ph)):
-            raise ValueError("angles must be finite")
-        if not 0.0 <= th <= QUARTER_PI + PHI_SLACK:
-            raise ValueError(f"theta {th} outside [0, pi/4]")
-        if not 0.0 <= ph <= QUARTER_PI - th + PHI_SLACK:
-            raise ValueError(f"phi {ph} outside [0, pi/4 - theta]")
+        th = float(real("theta", self.theta, 0.0, QUARTER_PI + PHI_SLACK))
         object.__setattr__(self, "theta", th)
-        object.__setattr__(self, "phi", ph)
+        object.__setattr__(self, "phi", float(real("phi", self.phi, 0.0, QUARTER_PI - th + PHI_SLACK)))
 
     @classmethod
     def from_error_rate(cls, error_rate: float, xi: float) -> "DiscriminationConfig":
@@ -105,10 +96,8 @@ class OutcomeProbs:
     q_inconclusive: float | np.ndarray
 
     def __post_init__(self):
-        q = np.array(np.broadcast_arrays(self.q_success, self.q_error, self.q_inconclusive), dtype=float)
-        bad = ~(np.isfinite(q) & (q >= -1e-12) & (q <= 1.0 + 1e-12))
-        if bad.any():
-            raise ValueError(f"probability {q[bad][0]} outside [0, 1]")
+        fields = np.broadcast_arrays(self.q_success, self.q_error, self.q_inconclusive)
+        q = real("outcome probability", fields, -1e-12, 1.0 + 1e-12)
         total = q.sum(axis=0)
         off = np.abs(total - 1.0) > 1e-12
         if off.any():
@@ -145,11 +134,7 @@ def xi_to_phi(xi: float, theta: float) -> float:
 
     xi = 0 is the unambiguous (IDP) scheme, xi = 1 the Helstrom scheme.
     """
-    if isinstance(xi, bool) or not (math.isfinite(xi) and 0.0 <= xi <= 1.0):
-        raise ValueError(f"xi {xi!r} outside [0, 1]")
-    if not 0.0 <= theta <= QUARTER_PI + PHI_SLACK:
-        raise ValueError(f"theta {theta} outside [0, pi/4]")
-    return xi * (QUARTER_PI - theta)
+    return real("xi", xi, 0.0, 1.0) * (QUARTER_PI - real("theta", theta, 0.0, QUARTER_PI + PHI_SLACK))
 
 
 def build_povm(cfg: DiscriminationConfig) -> Povm:
@@ -174,11 +159,7 @@ def outcome_probs_grid(error_rate, xi) -> tuple[OutcomeProbs, np.ndarray]:
     checked once, before anything is computed: P_E in [0, 1/3], xi in
     [0, 1], all finite.
     """
-    p, x = np.broadcast_arrays(np.asarray(error_rate, dtype=float), np.asarray(xi, dtype=float))
-    for name, v, hi, label in (("error_rate", p, MAX_ERROR_RATE, "1/3"), ("xi", x, 1.0, "1")):
-        bad = ~(np.isfinite(v) & (v >= 0.0) & (v <= hi))
-        if bad.any():
-            raise ValueError(f"{name} {v[bad][0]} outside [0, {label}]")
+    p, x = np.broadcast_arrays(real("error_rate", error_rate, 0.0, MAX_ERROR_RATE), real("xi", xi, 0.0, 1.0))
     theta = theta_grid(p)
     phi = x * (QUARTER_PI - theta)
     eta = _eta(theta + phi)
@@ -191,13 +172,8 @@ def error_lower_bound(theta: float, q_inconclusive: float) -> float:
     The family built by build_povm saturates this bound for every valid
     (theta, phi).
     """
-    for name, v in (("theta", theta), ("q_inconclusive", q_inconclusive)):
-        if isinstance(v, bool):
-            raise ValueError(f"{name} must be a number, not a bool")
-    if not 0.0 <= theta <= QUARTER_PI + PHI_SLACK:
-        raise ValueError(f"theta {theta} outside [0, pi/4]")
-    if not 0.0 <= q_inconclusive <= 1.0:
-        raise ValueError(f"q_inconclusive {q_inconclusive} outside [0, 1]")
+    theta = real("theta", theta, 0.0, QUARTER_PI + PHI_SLACK)
+    q_inconclusive = real("q_inconclusive", q_inconclusive, 0.0, 1.0)
     cos_sq = math.cos(theta) ** 2
     radicand = 1.0 - q_inconclusive / cos_sq
     if radicand < -1e-12:

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import TINY, integer, real
 from .discrimination import OutcomeProbs
 
 SHANNON_WINDOW = 1e-9
 DIST_TOL = 1e-10
-_TINY = np.finfo(float).smallest_subnormal
 
 B_GIVEN_E = "b_given_e"
 E_GIVEN_B = "e_given_b"
@@ -49,10 +49,7 @@ class Order:
     value: float
 
     def __post_init__(self):
-        v = float(self.value)
-        if math.isnan(v) or v <= 0.0:
-            raise ValueError(f"order must be positive or inf, got {self.value!r}")
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", float(real("order", self.value, TINY, math.inf)))
 
     @property
     def is_shannon(self) -> bool:
@@ -72,7 +69,7 @@ class Order:
 
     @classmethod
     def coerce(cls, a) -> "Order":
-        return a if isinstance(a, cls) else cls(float(a))
+        return a if isinstance(a, cls) else cls(a)
 
     @classmethod
     def parse(cls, token: str) -> "Order":
@@ -186,7 +183,7 @@ def _xlog2x(p: np.ndarray) -> np.ndarray:
 
     log2 of the smallest subnormal is finite (-1074), so p = 0 gives 0.
     """
-    return p * np.log2(np.maximum(p, _TINY))
+    return p * np.log2(np.maximum(p, TINY))
 
 
 def _shannon(p: np.ndarray) -> np.ndarray:
@@ -220,8 +217,7 @@ def _columns(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _check_variant(variant: int) -> None:
-    # A membership test alone would take True as variant 1 and 4.0 as variant 4.
-    if isinstance(variant, bool) or not isinstance(variant, (int, np.integer)) or variant not in _VARIANTS:
+    if integer("variant", variant, 1, 4) not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
 
 
@@ -256,9 +252,7 @@ def renyi_entropy(d, a) -> float | np.ndarray:
 
 def binary_entropy(p) -> float | np.ndarray:
     """h(p) in bits, zero at both endpoints; p may be an array."""
-    x = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(x) & (x >= 0.0) & (x <= 1.0)):
-        raise ValueError(f"p {p} outside [0, 1]")
+    x = real("p", p, 0.0, 1.0)
     return _float_or_array(_shannon(np.stack([x, 1.0 - x], axis=-1)))
 
 
@@ -348,6 +342,4 @@ def closed_form_i_std(q: OutcomeProbs) -> float | np.ndarray:
 
 def shor_preskill_rate(delta: float) -> float:
     """Asymptotic one-way secure-key rate max(1 - 2 h(delta), 0)."""
-    if not (math.isfinite(delta) and 0.0 <= delta <= 0.5):
-        raise ValueError(f"delta {delta} outside [0, 1/2]")
-    return max(1.0 - 2.0 * binary_entropy(delta), 0.0)
+    return max(1.0 - 2.0 * binary_entropy(real("delta", delta, 0.0, 0.5)), 0.0)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer, real
+
 RECTILINEAR = "rectilinear"
 DIAGONAL = "diagonal"
 BASES = (RECTILINEAR, DIAGONAL)
@@ -28,13 +30,7 @@ class ProbeConfig:
     error_rate: float
 
     def __post_init__(self):
-        p = self.error_rate
-        # bool is an int subclass: False would pass as an error rate of 0.
-        if isinstance(p, bool) or not (isinstance(p, (int, float)) and math.isfinite(p)):
-            raise ValueError("error_rate must be a finite number")
-        if not 0.0 <= p <= MAX_ERROR_RATE:
-            raise ValueError(f"error_rate {p} outside [0, 1/3]")
-        object.__setattr__(self, "error_rate", float(p))
+        object.__setattr__(self, "error_rate", float(real("error_rate", self.error_rate, 0.0, MAX_ERROR_RATE)))
 
     @property
     def amplitudes(self) -> tuple[float, float]:
@@ -106,8 +102,7 @@ def cnot_action(basis: str, bit: int, cfg: ProbeConfig) -> np.ndarray:
     """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+    bit = integer("bit", bit, 0, 1)
     c, s = cfg.amplitudes
     se = s / math.sqrt(2.0)
     keep = np.array([c, se if bit == 0 else -se], dtype=complex)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer, real
 from .discrimination import DiscriminationConfig, _measurement_vectors
 from .entropy import JointDistribution, mutual_information
 from .probe import MAX_ERROR_RATE, ProbeConfig, theta_from_error_rate
@@ -48,28 +49,10 @@ class SessionConfig:
     seed: int
 
     def __post_init__(self):
-        # bool is an int subclass: True would pass as 1 round, xi = 1.0 or seed 1.
-        for name in ("rounds", "error_rate", "xi", "seed"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, not a bool")
-        if not (isinstance(self.rounds, int) and self.rounds >= 1):
-            raise ValueError(f"rounds must be a positive integer, got {self.rounds!r}")
-        if not (
-            isinstance(self.error_rate, (int, float))
-            and math.isfinite(self.error_rate)
-            and 0.0 <= self.error_rate <= MAX_ERROR_RATE
-        ):
-            raise ValueError(f"error_rate {self.error_rate!r} outside [0, 1/3]")
-        if not (
-            isinstance(self.xi, (int, float))
-            and math.isfinite(self.xi)
-            and 0.0 <= self.xi <= 1.0
-        ):
-            raise ValueError(f"xi {self.xi!r} outside [0, 1]")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        object.__setattr__(self, "error_rate", float(self.error_rate))
-        object.__setattr__(self, "xi", float(self.xi))
+        object.__setattr__(self, "rounds", integer("rounds", self.rounds, 1, math.inf))
+        object.__setattr__(self, "error_rate", float(real("error_rate", self.error_rate, 0.0, MAX_ERROR_RATE)))
+        object.__setattr__(self, "xi", float(real("xi", self.xi, 0.0, 1.0)))
+        object.__setattr__(self, "seed", integer("seed", self.seed, 0, 2**64 - 1))
 
     def discrimination(self) -> DiscriminationConfig:
         return DiscriminationConfig.from_error_rate(self.error_rate, self.xi)
@@ -142,10 +125,8 @@ def conditional_probe_state(error_rate: float, bit: int, basis_matched: bool, bo
     |->, mismatched outcomes leave (c, +/- sqrt(2) s) / sqrt(1 + 2 P_E)
     (correct bit) or |+> (flipped bit).  The sign is + for bit 0.
     """
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+    case = integer("bit", bit, 0, 1) * 4 + bool(basis_matched) * 2 + bool(bob_correct)
     probe = ProbeConfig(error_rate)
-    case = int(bit) * 4 + bool(basis_matched) * 2 + bool(bob_correct)
     return _probe_states(probe, theta_from_error_rate(probe))[:, case].astype(complex)
 
 

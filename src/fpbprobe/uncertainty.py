@@ -18,6 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
+from ._checks import HUGE, TINY, integer, real
 from .discrimination import OutcomeProbs, _measurement_vectors
 from .entropy import (
     Distribution,
@@ -85,14 +86,8 @@ def naimark_basis(gamma: float, phase: float = 0.0) -> NaimarkExtension:
 
     gamma = 0 (eta = 1) is included so the eta grid can reach both ends.
     """
-    for name, v in (("gamma", gamma), ("phase", phase)):
-        if isinstance(v, bool):
-            raise ValueError(f"{name} must be a number, not a bool")
-    if not (math.isfinite(gamma) and 0.0 <= gamma <= 0.25 * math.pi + 1e-12):
-        raise ValueError(f"gamma {gamma} outside [0, pi/4]")
-    if not math.isfinite(phase):
-        raise ValueError("phase must be finite")
-    phase = phase % TWO_PI
+    gamma = real("gamma", gamma, 0.0, 0.25 * math.pi + 1e-12)
+    phase = real("phase", phase, -HUGE, HUGE) % TWO_PI
     return NaimarkExtension(gamma=gamma, phase=phase, basis=_bases(gamma, phase))
 
 
@@ -129,14 +124,10 @@ def optimize_s_max(
     Returns the minimized peak overlap and the phase pair (0, delta*).
     The optimum certifies the closed form: it equals 1 / mu_factor(eta).
     """
-    if not (math.isfinite(eta) and 0.0 <= eta <= 1.0):
-        raise ValueError(f"eta {eta} outside [0, 1]")
-    is_int = isinstance(grid_points, (int, np.integer)) and not isinstance(grid_points, bool)
-    if not (is_int and grid_points >= 2):
-        raise ValueError(f"grid_points must be an integer >= 2, got {grid_points!r}")
-    if not (math.isfinite(refine_tol) and refine_tol > 0.0):
-        raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol!r}")
-    gamma = 0.5 * math.acos(min(eta, 1.0))
+    eta = real("eta", eta, 0.0, 1.0)
+    grid_points = integer("grid_points", grid_points, 2, math.inf)
+    refine_tol = real("refine_tol", refine_tol, TINY, HUGE)
+    gamma = 0.5 * math.acos(eta)
     origin = _bases(gamma, 0.0).conj()
 
     def peaks(deltas: np.ndarray) -> np.ndarray:
@@ -160,11 +151,7 @@ def optimize_s_max(
 
 
 def _eta_array(eta) -> np.ndarray:
-    e = np.asarray(eta, dtype=float)
-    bad = ~(np.isfinite(e) & (e >= 0.0) & (e <= 1.0))
-    if bad.any():
-        raise ValueError(f"eta {e[bad][0]} outside [0, 1]")
-    return e
+    return np.asarray(real("eta", eta, 0.0, 1.0))
 
 
 def _mu(e: np.ndarray) -> np.ndarray:

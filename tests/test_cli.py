@@ -210,6 +210,19 @@ class TestSimulate:
         code, _ = run_cli(["simulate", "--p-e", "0.9"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_one_round_session(self, seed, capsys):
+        # seeds 2-4 leave no error-free sifted round, so there is no empirical table
+        code, out = run_cli(["simulate", "--rounds", "1", "--seed", str(seed)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        _, healthy = run_cli(self.ARGS, capsys)
+        assert sorted(report) == sorted(json.loads(healthy))
+        empty = report["restricted_rounds"] == 0
+        assert empty == (seed != 1)
+        assert (report["empirical_joint"] is None) == empty
+        assert (report["mutual_information"]["empirical"] is None) == empty
+
 
 class TestPovm:
     def test_helstrom_has_zero_inconclusive(self, capsys):
@@ -257,6 +270,32 @@ class TestConfigFile:
         bad.write_text("steps 3\n")
         code, _ = run_cli(["curves", "--config", str(bad)], capsys)
         assert code == 2
+
+    def test_unknown_key_rejected_other_subcommands_keys_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.conf"
+        cfg.write_text("steps=3\nmeasure=std\nxi=0.5\nrounds=7\nseed=1\ntheta=0.3\n")
+        code, out = run_cli(["curves", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 3
+        cfg.write_text(cfg.read_text() + "stepz=4\n")
+        code = cli.main(["curves", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "stepz" in captured.err
+
+    @pytest.mark.parametrize("variable", ["eta", "p-e", "p_e", "P-E"])
+    def test_variable_flag_and_file_agree(self, variable, tmp_path, capsys):
+        cfg = tmp_path / "bounds.conf"
+        cfg.write_text(f"variable={variable}\n")
+        results = []
+        for argv in (["--variable", variable], ["--config", str(cfg)]):
+            try:
+                code = cli.main(["bounds", "--steps", "3", *argv])
+            except SystemExit as exc:  # argparse rejects the flag
+                code = exc.code
+            results.append((code, capsys.readouterr().out))
+        assert results[0] == results[1]
+        assert results[0][0] == (0 if variable in ("eta", "p-e") else 2)
 
 
 class TestOutputFiles:

@@ -57,26 +57,11 @@ class TestXiToPhi:
         with pytest.raises(ValueError):
             xi_to_phi(-0.1, 0.3)
 
-    def test_rejects_bools(self):
-        # bool is an int subclass: True would pass as xi = 1, the Helstrom end.
-        for flag in (True, False):
-            with pytest.raises(ValueError, match="xi"):
-                xi_to_phi(flag, 0.3)
-        with pytest.raises(ValueError):
-            DiscriminationConfig.from_error_rate(False, True)
-
 
 class TestConfig:
     def test_rejects_phi_above_range(self):
         with pytest.raises(ValueError):
             DiscriminationConfig(theta=0.3, phi=QUARTER_PI - 0.3 + 1e-6)
-
-    def test_rejects_bools(self):
-        # bool is an int subclass: DiscriminationConfig(False, False) was theta = phi = 0.
-        for field, other in (("theta", "phi"), ("phi", "theta")):
-            for flag in (True, False):
-                with pytest.raises(ValueError, match=field):
-                    DiscriminationConfig(**{field: flag, other: 0.0})
 
     def test_allows_degenerate_theta(self):
         cfg = DiscriminationConfig(theta=0.0, phi=QUARTER_PI)
@@ -156,14 +141,6 @@ class TestErrorLowerBound:
             assert error_lower_bound(th, 0.0) == pytest.approx(
                 (1 - math.sin(2 * th)) / 2, abs=1e-12
             )
-
-    def test_rejects_bools(self):
-        # error_lower_bound(False, False) returned 0.5.
-        for flag in (True, False):
-            with pytest.raises(ValueError, match="theta"):
-                error_lower_bound(flag, 0.0)
-            with pytest.raises(ValueError, match="q_inconclusive"):
-                error_lower_bound(0.3, flag)
 
     def test_orthogonal_states_zero_error(self):
         assert error_lower_bound(QUARTER_PI, 0.0) == pytest.approx(0.0, abs=1e-12)

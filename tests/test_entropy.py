@@ -406,13 +406,6 @@ class TestAlphaMutualInformation:
             with pytest.raises(ValueError):
                 alpha_mutual_information(j, a, 3)
 
-    def test_bool_variant_rejected(self):
-        j = joint_from_outcome_probs(OutcomeProbs(0.6, 0.1, 0.3))
-        for a in (1.0, 2.0):
-            for variant in (True, False, np.bool_(True)):
-                with pytest.raises(ValueError):
-                    alpha_mutual_information(j, a, variant)
-
     def test_variant2_symmetric(self, rng):
         for _ in range(20):
             j = random_joint(rng)

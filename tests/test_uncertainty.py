@@ -45,14 +45,6 @@ class TestNaimarkBasis:
             gram = ext.basis.conj() @ ext.basis.T
             np.testing.assert_allclose(gram, np.eye(3), atol=1e-10)
 
-    def test_rejects_bools(self):
-        # naimark_basis(False) stored gamma=False.
-        for flag in (True, False):
-            with pytest.raises(ValueError, match="gamma"):
-                naimark_basis(flag)
-            with pytest.raises(ValueError, match="phase"):
-                naimark_basis(0.3, flag)
-
     def test_eta_zero_ancilla_component(self):
         ext = naimark_basis(math.pi / 4, 0.7)
         assert abs(ext.basis[2, 2]) == pytest.approx(1.0, abs=1e-12)
