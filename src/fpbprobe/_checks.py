@@ -6,8 +6,9 @@ numpy integer.  Bools (Python counts them as ints), strings and every
 other type are rejected, and so is any value outside the closed bounds
 the caller passes, nan included, since it fails every comparison.  Each
 rejection is one ValueError that names the parameter and its bounds.
-Classes that hold one number wrap the result in float(), which raises
-TypeError for an array.
+Functions that take one number check it with scalar, which also rejects
+arrays; classes that hold one number wrap the result of real in float(),
+which raises TypeError for an array.
 """
 
 from __future__ import annotations
@@ -31,13 +32,26 @@ def real(name: str, x, lo: float, hi: float):
         v = float(x)
         if lo <= v <= hi:
             return v
-    elif (a := np.asarray(x)).dtype.kind in "iuf":
-        a = np.asarray(a, dtype=float)
-        bad = ~((a >= lo) & (a <= hi))
-        if not bad.any():
-            return float(a) if a.ndim == 0 else a
-        x = a[bad][0].item()
+    else:
+        try:
+            a = np.asarray(x)
+        except ValueError:  # a ragged nested sequence
+            raise ValueError(f"{name} must be a real number or a rectangular array of them, got {x!r}") from None
+        if a.dtype.kind in "iuf":
+            a = np.asarray(a, dtype=float)
+            bad = ~((a >= lo) & (a <= hi))
+            if not bad.any():
+                return float(a) if a.ndim == 0 else a
+            x = a[bad][0].item()
     raise ValueError(f"{name} must be a real number in [{lo}, {hi}], got {x!r}")
+
+
+def scalar(name: str, x, lo: float, hi: float) -> float:
+    """real(name, x, lo, hi) for a parameter that takes one number: arrays fail."""
+    v = real(name, x, lo, hi)
+    if type(v) is float:
+        return v
+    raise ValueError(f"{name} must be one real number in [{lo}, {hi}], got an array of shape {v.shape}")
 
 
 def integer(name: str, x, lo, hi) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from ._checks import real
+from ._checks import real, scalar
 from .probe import MAX_ERROR_RATE, ProbeConfig, theta_from_error_rate, theta_grid
 
 QUARTER_PI = 0.25 * math.pi
@@ -134,7 +134,7 @@ def xi_to_phi(xi: float, theta: float) -> float:
 
     xi = 0 is the unambiguous (IDP) scheme, xi = 1 the Helstrom scheme.
     """
-    return real("xi", xi, 0.0, 1.0) * (QUARTER_PI - real("theta", theta, 0.0, QUARTER_PI + PHI_SLACK))
+    return scalar("xi", xi, 0.0, 1.0) * (QUARTER_PI - scalar("theta", theta, 0.0, QUARTER_PI + PHI_SLACK))
 
 
 def build_povm(cfg: DiscriminationConfig) -> Povm:
@@ -172,8 +172,8 @@ def error_lower_bound(theta: float, q_inconclusive: float) -> float:
     The family built by build_povm saturates this bound for every valid
     (theta, phi).
     """
-    theta = real("theta", theta, 0.0, QUARTER_PI + PHI_SLACK)
-    q_inconclusive = real("q_inconclusive", q_inconclusive, 0.0, 1.0)
+    theta = scalar("theta", theta, 0.0, QUARTER_PI + PHI_SLACK)
+    q_inconclusive = scalar("q_inconclusive", q_inconclusive, 0.0, 1.0)
     cos_sq = math.cos(theta) ** 2
     radicand = 1.0 - q_inconclusive / cos_sq
     if radicand < -1e-12:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import TINY, integer, real
+from ._checks import TINY, integer, real, scalar
 from .discrimination import OutcomeProbs
 
 SHANNON_WINDOW = 1e-9
@@ -342,4 +342,4 @@ def closed_form_i_std(q: OutcomeProbs) -> float | np.ndarray:
 
 def shor_preskill_rate(delta: float) -> float:
     """Asymptotic one-way secure-key rate max(1 - 2 h(delta), 0)."""
-    return max(1.0 - 2.0 * binary_entropy(real("delta", delta, 0.0, 0.5)), 0.0)
+    return max(1.0 - 2.0 * binary_entropy(scalar("delta", delta, 0.0, 0.5)), 0.0)

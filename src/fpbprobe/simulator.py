@@ -12,17 +12,25 @@ position inside its chunk, so any round's randomness is a pure function
 of (seed, round index) and chunked execution in any order merges to the
 same tally as a serial run.
 
+The kernel reads the raw 64-bit words r and never forms the uniforms:
+``Generator.random`` maps r to u = (r >> 11) * 2**-53, so u >= 1/2 is bit
+63 of r, and u < p is (r >> 11) < ceil(p * 2**53), exactly, for every
+double p >= 0 (_word_thresholds).  The contract above and every tally are
+the same as with float uniforms.
+
 A round falls into one of eight cases (Alice's bit, basis match, Bob
 correct), each leaving a known real probe state.  Per session, the
 outcome thresholds of every case come from the closed-form Born rule
-(_case_tables); per chunk, one pass over the uniforms builds a uint8
-case index, looks both of Eve's thresholds up in 8-entry rows and bins
-the flat tally cell with one bincount (_run_chunk).
+(_case_probabilities) and become integer cut-offs once (_case_tables);
+per chunk, one pass over the words builds the case index, looks both of
+Eve's cut-offs up in 8-entry rows and bins the flat tally cell with one
+bincount (_run_chunk).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,9 +143,24 @@ def conditional_probe_state(error_rate: float, bit: int, basis_matched: bool, bo
 _CASE_CELL = np.array([12 * (k >> 1 & 1) + 6 * (k & 1) + 3 * (k >> 2) for k in range(8)], dtype=np.uint8)
 _CASE_CELL.flags.writeable = False
 
+# Offset of the most significant byte inside a uint64 in memory.
+_TOP_BYTE = 7 if sys.byteorder == "little" else 0
 
-def _case_tables(cfg: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Eve's cumulative outcome thresholds per case, and Bob's hit rates.
+
+def _word_thresholds(p) -> np.ndarray:
+    """Integer cut-offs t = ceil(p * 2**53) for probability thresholds p >= 0.
+
+    With u = (r >> 11) * 2**-53 the uniform that Generator.random makes of
+    the Philox word r, u < p iff (r >> 11) < t and u >= p iff (r >> 11) >= t.
+    Scaling by 2**53 is exact for every double (a subnormal p gives t = 1),
+    so the decisions are those of the float compare, at p = 0, p = 1 and
+    above 1 (t > 2**53 exceeds every r >> 11) included.
+    """
+    return np.ceil(np.asarray(p, dtype=float) * 2.0**53).astype(np.uint64)
+
+
+def _case_probabilities(cfg: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Eve's cumulative outcome probabilities per case, and Bob's hit rates.
 
     Case index is bit*4 + basis_match*2 + bob_correct.  Every case leaves
     a real probe state tau = (a, b), so the Born rule on the measurement
@@ -146,7 +169,8 @@ def _case_tables(cfg: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
     gamma = theta + xi (pi/4 - theta) and eta = cos(2 gamma).  The
     cumulative table keeps (p_+, p_+ + p_-); the third threshold is 1.
     At xi = 0 (gamma = theta) the wrong guess of the tagged states is
-    exactly 0.
+    exactly 0.  Bob's hit rate is (1 + 2 P_E) / 2 on mismatched bases and
+    1 - P_E on matched ones.
     """
     disc = cfg.discrimination()
     v, eta = _measurement_vectors(disc.gamma)
@@ -156,25 +180,50 @@ def _case_tables(cfg: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
     return cum, p_correct
 
 
+def _case_tables(cfg: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """_case_probabilities as uint64 cut-offs on the raw Philox words.
+
+    _run_chunk compares r >> 11 with them, which decides every round as
+    comparing u = (r >> 11) * 2**-53 with the probabilities does, so the
+    randomness contract and the tallies are those of the uniforms.  One
+    _word_thresholds call per session gives Eve's (8, 2) and Bob's (2,)
+    cut-offs.  The closed-form sum p_+ + p_- can round above 1; its
+    cut-off then exceeds 2**53 and the outcome never fires, as with the
+    float compare.
+    """
+    cum, p_correct = _case_probabilities(cfg)
+    cuts = _word_thresholds(np.concatenate([cum.ravel(), p_correct]))
+    return cuts[:16].reshape(8, 2), cuts[16:]
+
+
 def _run_chunk(cfg: SessionConfig, chunk_index: int, n_rounds: int,
-               eve_cum: np.ndarray, p_correct: np.ndarray) -> np.ndarray:
+               eve_cuts: np.ndarray, bob_cuts: np.ndarray) -> np.ndarray:
     """(2, 2, 2, 3) tally of one chunk of rounds.
 
-    Uniform columns: 0 Alice's basis, 1 her bit, 2 Bob's basis, 3 Bob's
-    hit, 4 Eve's outcome.  One pass over them: a uint8 case index, Bob's
-    threshold by basis match, Eve's two thresholds from 8-entry rows, and
-    one bincount of the flat tally cell.
+    Reads the n_rounds x 5 raw Philox words r in place of the uniforms
+    u = (r >> 11) * 2**-53 that Generator.random would make of them; the
+    randomness contract (five words per round at fixed positions, chunk
+    index in the high counter word), the decisions and the tally are the
+    same as with the uniforms.  Word columns: 0 Alice's basis,
+    1 her bit, 2 Bob's basis (each u >= 1/2, i.e. bit 63 of r, read from
+    the word's top byte), 3 Bob's hit, 4 Eve's outcome (r >> 11 against
+    the uint64 cut-offs of _case_tables).  One pass over them: an intp
+    case index, Bob's cut-off by basis match, Eve's two cut-offs from
+    8-entry rows, and one bincount of the flat tally cell.
     """
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed, counter=[0, 0, 0, chunk_index]))
-    u = rng.random((n_rounds, DRAWS_PER_ROUND))
-    matched = (u[:, 0] >= 0.5) == (u[:, 2] >= 0.5)
-    correct = u[:, 3] < np.where(matched, p_correct[1], p_correct[0])
-    case = (u[:, 1] >= 0.5).view(np.uint8) << 2
-    case |= matched.view(np.uint8) << 1
-    case |= correct.view(np.uint8)
-    eve = u[:, 4]
-    cell = (eve >= eve_cum[:, 0].take(case)).view(np.uint8)
-    cell += (eve >= eve_cum[:, 1].take(case)).view(np.uint8)
+    words = np.random.Philox(key=cfg.seed, counter=[0, 0, 0, chunk_index]).random_raw(n_rounds * DRAWS_PER_ROUND)
+    r = words.reshape(n_rounds, DRAWS_PER_ROUND)
+    top = r.view(np.uint8)[:, _TOP_BYTE::8]  # bit 7 of top is bit 63 of r: u >= 1/2
+    # intp indices: take with any other index dtype is several times slower
+    matched = (~(top[:, 0] ^ top[:, 2]) >> 7).astype(np.intp)
+    case = (top[:, 1] >> 7).astype(np.intp)
+    case <<= 1
+    case |= matched
+    case <<= 1
+    case |= (r[:, 3] >> 11) < bob_cuts.take(matched)
+    eve = r[:, 4] >> 11
+    cell = (eve >= eve_cuts[:, 0].take(case)).view(np.uint8)
+    cell += (eve >= eve_cuts[:, 1].take(case)).view(np.uint8)
     cell += _CASE_CELL.take(case)
     return np.bincount(cell, minlength=24).reshape(2, 2, 2, 3)
 
@@ -185,13 +234,13 @@ def run_session(cfg: SessionConfig) -> SessionTally:
     Deterministic given (config, seed); chunk tallies merge additively,
     so parallel chunk evaluation would reproduce the serial result.
     """
-    eve_cum, p_correct = _case_tables(cfg)
+    eve_cuts, bob_cuts = _case_tables(cfg)
     counts = np.zeros((2, 2, 2, 3), dtype=np.int64)
     full, rest = divmod(cfg.rounds, CHUNK_ROUNDS)
     for chunk in range(full):
-        counts += _run_chunk(cfg, chunk, CHUNK_ROUNDS, eve_cum, p_correct)
+        counts += _run_chunk(cfg, chunk, CHUNK_ROUNDS, eve_cuts, bob_cuts)
     if rest:
-        counts += _run_chunk(cfg, full, rest, eve_cum, p_correct)
+        counts += _run_chunk(cfg, full, rest, eve_cuts, bob_cuts)
     return SessionTally(counts, cfg.rounds)
 
 

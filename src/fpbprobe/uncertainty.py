@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from ._checks import HUGE, TINY, integer, real
+from ._checks import HUGE, TINY, integer, real, scalar
 from .discrimination import OutcomeProbs, _measurement_vectors
 from .entropy import (
     Distribution,
@@ -86,8 +86,8 @@ def naimark_basis(gamma: float, phase: float = 0.0) -> NaimarkExtension:
 
     gamma = 0 (eta = 1) is included so the eta grid can reach both ends.
     """
-    gamma = real("gamma", gamma, 0.0, 0.25 * math.pi + 1e-12)
-    phase = real("phase", phase, -HUGE, HUGE) % TWO_PI
+    gamma = scalar("gamma", gamma, 0.0, 0.25 * math.pi + 1e-12)
+    phase = scalar("phase", phase, -HUGE, HUGE) % TWO_PI
     return NaimarkExtension(gamma=gamma, phase=phase, basis=_bases(gamma, phase))
 
 
@@ -124,9 +124,9 @@ def optimize_s_max(
     Returns the minimized peak overlap and the phase pair (0, delta*).
     The optimum certifies the closed form: it equals 1 / mu_factor(eta).
     """
-    eta = real("eta", eta, 0.0, 1.0)
+    eta = scalar("eta", eta, 0.0, 1.0)
     grid_points = integer("grid_points", grid_points, 2, math.inf)
-    refine_tol = real("refine_tol", refine_tol, TINY, HUGE)
+    refine_tol = scalar("refine_tol", refine_tol, TINY, HUGE)
     gamma = 0.5 * math.acos(eta)
     origin = _bases(gamma, 0.0).conj()
 

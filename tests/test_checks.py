@@ -1,9 +1,11 @@
 """One input-check policy (fpbprobe._checks) at every numeric entry point.
 
 Each row feeds one parameter a value, with every other argument valid.
-Every row rejects bools, nan, the infinities, a string and an
-out-of-range value with a ValueError that names the parameter, and gives
-the same result for a numpy scalar as for the equal Python number.
+Every row rejects bools, nan, the infinities, a string, a ragged nested
+list and an out-of-range value with a ValueError that names the parameter,
+and gives the same result for a numpy scalar as for the equal Python
+number.  Integer parameters and the real parameters of functions that
+take one number reject arrays the same way.
 """
 
 from __future__ import annotations
@@ -73,6 +75,13 @@ REAL_ROWS = {
         ("error_rate", lambda v: conditional_probe_state(v, 1, True, True), 0.125, 0, 0.5),
 }
 INFINITE_ORDERS = {"Order", "alpha_mutual_information.order"}  # inf is the min-entropy order
+# Parameters that take one number, so an array fails like any bad value.  The
+# config classes raise TypeError for one (test_config_fields_hold_python_numbers).
+ONE_NUMBER = {
+    "xi_to_phi.xi", "xi_to_phi.theta", "error_lower_bound.theta", "error_lower_bound.q_inconclusive",
+    "shor_preskill_rate", "naimark_basis.gamma", "naimark_basis.phase", "optimize_s_max.eta",
+    "optimize_s_max.refine_tol",
+}
 
 # id: (parameter, call, a valid value, a value out of range)
 INTEGER_ROWS = {
@@ -123,6 +132,9 @@ def bad_values(key, kind, good, out_of_range):
         values.append(out_of_range)
     if kind == "integer":
         values += [float(good), np.float64(good)]
+    if kind == "integer" or key in ONE_NUMBER:
+        values.append(np.array([good, good]))
+    values.append([[good], [good, good]])  # ragged: no parameter takes it
     return values
 
 

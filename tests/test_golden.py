@@ -15,6 +15,12 @@ entries differ from that writer's output in the order label only: its
 v1/v2/v4 rows used to read '1', the Shannon label, and now read
 '1.0000001'; every other byte is the same.
 
+simulate_digests.json holds the length and SHA-256 of `simulate` stdout
+for six argvs (2**22 + 4321 rounds, the four corners P_E in {0, 1/3} x
+xi in {0, 1}, and seed 2**64 - 1), written by the kernel that drew float
+uniforms, before the one that reads raw Philox words.  Tallies and the
+report must match byte for byte.
+
 povm.json holds one `povm` JSON report per (theta, xi) pair, written by
 the implementation that built each element from complex kets.  Keys and
 nesting must match exactly; every number must lie within the same bound.
@@ -97,6 +103,16 @@ DIGEST_CASES = json.loads((DATA / "cli_digests.json").read_text())
 def test_output_bytes_match_digest(case, capsys):
     """stdout byte for byte: the value gate above passes any formatting
     that parses back to a nearby float, this one passes no change at all."""
+    assert cli.main(case["argv"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (case["bytes"], case["sha256"])
+
+
+SIMULATE_CASES = json.loads((DATA / "simulate_digests.json").read_text())
+
+
+@pytest.mark.parametrize("case", SIMULATE_CASES, ids=[f"simulate{i:02d}" for i in range(len(SIMULATE_CASES))])
+def test_simulate_bytes_match_digest(case, capsys):
     assert cli.main(case["argv"]) == 0
     out = capsys.readouterr().out.encode()
     assert (len(out), hashlib.sha256(out).hexdigest()) == (case["bytes"], case["sha256"])

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from pathlib import Path
@@ -13,8 +14,11 @@ from fpbprobe.simulator import (
     DRAWS_PER_ROUND,
     SessionConfig,
     SessionTally,
+    _TOP_BYTE,
+    _case_probabilities,
     _case_tables,
     _run_chunk,
+    _word_thresholds,
     conditional_probe_state,
     empirical_joint,
     empirical_mutual_information,
@@ -97,16 +101,17 @@ class TestReproducibility:
         assert (t1.counts != t2.counts).any()
 
     def test_chunk_merge_is_order_independent(self):
+        """Chunks run and merged in shuffled order give the serial session."""
         cfg = SessionConfig(rounds=3 * CHUNK_ROUNDS + 17, error_rate=0.1, xi=0.4, seed=5)
-        eve_cum, p_correct = _case_tables(cfg)
+        eve_cuts, bob_cuts = _case_tables(cfg)
         sizes = [CHUNK_ROUNDS, CHUNK_ROUNDS, CHUNK_ROUNDS, 17]
-        chunks = [
-            _run_chunk(cfg, i, n, eve_cum, p_correct) for i, n in enumerate(sizes)
+        tallies = [
+            SessionTally(_run_chunk(cfg, i, sizes[i], eve_cuts, bob_cuts), sizes[i]) for i in (2, 3, 0, 1)
         ]
-        forward = sum(chunks[1:], chunks[0])
-        backward = sum(reversed(chunks[:-1]), chunks[-1])
-        np.testing.assert_array_equal(forward, backward)
-        np.testing.assert_array_equal(run_session(cfg).counts, forward)
+        merged = functools.reduce(SessionTally.merged, tallies)
+        session = run_session(cfg)
+        assert merged.rounds == session.rounds
+        np.testing.assert_array_equal(merged.counts, session.counts)
 
 
 class TestGoldenTallies:
@@ -130,13 +135,16 @@ class TestGoldenTallies:
 
 
 class TestFusedKernel:
+    """_run_chunk on the uint64 cut-offs of float tables against the float oracle."""
+
     SIZES = (1, 2, 999, CHUNK_ROUNDS)
 
     @staticmethod
     def assert_matches_reference(cfg, eve_cum, p_correct):
+        eve_cuts, bob_cuts = _word_thresholds(eve_cum), _word_thresholds(p_correct)
         for chunk, n in enumerate(TestFusedKernel.SIZES):
             np.testing.assert_array_equal(
-                _run_chunk(cfg, chunk, n, eve_cum, p_correct),
+                _run_chunk(cfg, chunk, n, eve_cuts, bob_cuts),
                 reference_chunk(cfg, chunk, n, eve_cum, p_correct),
             )
 
@@ -157,10 +165,88 @@ class TestFusedKernel:
             eve_cum[0], eve_cum[7] = (0.0, 0.0), (1.0, 1.0)
             self.assert_matches_reference(cfg, eve_cum, np.array(p_correct))
 
+    def test_tables_at_the_edges(self):
+        # a sum that rounds to 1 + 2**-52, values past it, a subnormal, the smallest uniform step
+        above_one = np.cumsum([0.5 + 2.0**-53, 0.5 + 2.0**-53])[1]
+        assert above_one == 1.0 + 2.0**-52
+        edges = [0.0, 5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0, above_one, 1.0 + 3 * 2.0**-52]
+        rng = np.random.default_rng(11)
+        cfg = SessionConfig(rounds=1, error_rate=0.1, xi=0.5, seed=2**63 + 1)
+        for _ in range(4):
+            eve_cum = np.sort(rng.choice(edges, size=(8, 2)), axis=1)
+            eve_cum[1] = (0.0, above_one)
+            self.assert_matches_reference(cfg, eve_cum, rng.choice(edges, size=2))
+
+    def test_thresholds_equal_to_drawn_uniforms(self):
+        """Each threshold is the uniform of a round it decides, so u == p occurs."""
+        cfg = SessionConfig(rounds=1, error_rate=0.1, xi=0.5, seed=77)
+        chunk = len(self.SIZES) - 1
+        u = np.random.Generator(np.random.Philox(key=cfg.seed, counter=[0, 0, 0, chunk])).random(
+            (self.SIZES[chunk], DRAWS_PER_ROUND)
+        )
+        matched = (u[:, 0] >= 0.5) == (u[:, 2] >= 0.5)
+        p_correct = np.array([u[np.flatnonzero(matched == k)[0], 3] for k in (0, 1)])
+        case = (u[:, 1] >= 0.5) * 4 + matched * 2 + (u[:, 3] < p_correct[matched.astype(int)])
+        eve_cum = np.array([np.sort(u[np.flatnonzero(case == k)[:2], 4]) for k in range(8)])
+        self.assert_matches_reference(cfg, eve_cum, p_correct)
+
     def test_session_tables(self):
         for p_e, xi in ((0.0, 0.0), (0.2, 0.3), (1 / 3, 1.0)):
             cfg = SessionConfig(rounds=1, error_rate=p_e, xi=xi, seed=123)
-            self.assert_matches_reference(cfg, *_case_tables(cfg))
+            self.assert_matches_reference(cfg, *_case_probabilities(cfg))
+
+    def test_case_tables_are_the_converted_probabilities(self):
+        for p_e, xi in ((0.0, 0.0), (0.2, 0.3), (1 / 3, 1.0)):
+            cfg = SessionConfig(rounds=1, error_rate=p_e, xi=xi, seed=123)
+            eve_cuts, bob_cuts = _case_tables(cfg)
+            eve_cum, p_correct = _case_probabilities(cfg)
+            assert eve_cuts.dtype == bob_cuts.dtype == np.uint64
+            np.testing.assert_array_equal(eve_cuts, _word_thresholds(eve_cum))
+            np.testing.assert_array_equal(bob_cuts, _word_thresholds(p_correct))
+
+
+class TestWordThresholds:
+    """u < p iff (r >> 11) < t and u >= p iff (r >> 11) >= t, for t = _word_thresholds(p)."""
+
+    @staticmethod
+    def neighbours(x):
+        return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+    def edge_thresholds(self):
+        ps = [0.0, 5e-324, 2.0**-1060, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52]
+        for k in (1, 3, 12345, 2**52 - 1, 2**52 + 1, 2**53 - 1):
+            ps += self.neighbours(k * 2.0**-53)
+        return [p for p in ps if p >= 0.0]
+
+    def test_decisions_match_float_compare(self):
+        rng = np.random.default_rng(2018)
+        for p in self.edge_thresholds():
+            cut = _word_thresholds(p)
+            t = int(cut)
+            m = np.array([m for m in (0, 1, t - 2, t - 1, t, t + 1, 2**52, 2**53 - 1) if 0 <= m < 2**53],
+                         dtype=np.uint64)
+            r = m << np.uint64(11) | rng.integers(0, 2**11, size=m.size, dtype=np.uint64)
+            u = (r >> np.uint64(11)).astype(float) * 2.0**-53
+            np.testing.assert_array_equal(m < cut, u < p, err_msg=repr(p))
+            np.testing.assert_array_equal(m >= cut, u >= p, err_msg=repr(p))
+
+    def test_exact_values(self):
+        got = _word_thresholds([0.0, 5e-324, 2.0**-53, np.nextafter(2.0**-53, 1.0), 0.5, 1.0, 1.0 + 2.0**-52])
+        assert got.dtype == np.uint64
+        assert got.tolist() == [0, 1, 1, 2, 2**52, 2**53, 2**53 + 2]
+
+    def test_generator_random_is_the_top_53_bits(self):
+        """Pins numpy's mapping from Philox words to Generator.random uniforms."""
+        n = 4 * CHUNK_ROUNDS + 3
+        key, counter = 2**64 - 59, [0, 0, 0, 5]
+        raw = np.random.Philox(key=key, counter=counter).random_raw(n)
+        u = np.random.Generator(np.random.Philox(key=key, counter=counter)).random(n)
+        np.testing.assert_array_equal((raw >> np.uint64(11)) * 2.0**-53, u)
+
+    def test_top_byte_holds_bit_63(self):
+        raw = np.random.Philox(key=3).random_raw(4096)
+        top = raw.view(np.uint8)[_TOP_BYTE::8]
+        np.testing.assert_array_equal(top >> 7, raw >> np.uint64(63))
 
 
 class TestCaseTables:
@@ -171,13 +257,13 @@ class TestCaseTables:
         for p_e in self.ERROR_RATES:
             for xi in self.XIS:
                 cfg = SessionConfig(rounds=1, error_rate=p_e, xi=xi, seed=1)
-                eve_cum, _ = _case_tables(cfg)
+                eve_cum, _ = _case_probabilities(cfg)
                 np.testing.assert_allclose(eve_cum, born_case_tables(cfg), rtol=0, atol=1e-15)
 
     def test_unambiguous_scheme_never_guesses_wrong(self):
         # matched and correct: case 3 (bit 0, wrong guess "minus") and 7 (bit 1, wrong guess "plus")
         for p_e in self.ERROR_RATES:
-            eve_cum, _ = _case_tables(SessionConfig(rounds=1, error_rate=p_e, xi=0.0, seed=1))
+            eve_cum, _ = _case_probabilities(SessionConfig(rounds=1, error_rate=p_e, xi=0.0, seed=1))
             assert eve_cum[3, 1] - eve_cum[3, 0] == 0.0
             assert eve_cum[7, 0] == 0.0
 
