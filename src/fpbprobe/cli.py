@@ -11,10 +11,13 @@ Output is byte-identical across runs for identical flags and seed.
 Numbers are printed with 17 significant digits and LF line endings.
 Exit codes: 0 success, 2 argument error, 3 I/O error.
 
-An optional ``--config FILE`` reads line-oriented ``key=value`` defaults
-(keys are the long flag names with underscores, list values are
-comma-separated); explicit flags override the file.  Keys of other
-subcommands are ignored; an unknown key is an argument error.
+Every subcommand takes ``--config FILE`` and ``--out PATH``.  The file
+holds ``key=value`` lines, one key per long flag name (``p_e_min`` or
+``p-e-min`` for ``--p-e-min``).  A config value is parsed exactly like the
+flag of the same name, with its type and choices; a repeatable flag takes
+comma-separated values.  A flag given on the command line wins over the
+file.  Keys of other subcommands are ignored; a key that no subcommand
+defines is an argument error.
 """
 
 from __future__ import annotations
@@ -167,36 +170,41 @@ def _load_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _check_config(parser: argparse.ArgumentParser, command: str, config: dict[str, str]) -> None:
-    """Reject a key that no subcommand defines, and a value outside its flag's choices.
+def _apply_config(parser: argparse.ArgumentParser, args, config: dict[str, str]) -> None:
+    """Fill each flag of `args.command` that the command line left unset from `config`.
 
-    Keys of another subcommand are ignored, so one file can serve them all.
+    A value goes through argparse's own conversion for its flag, type and
+    choices included; a repeatable flag splits it at commas.  Keys of other
+    subcommands are ignored, so one file can serve them all.
     """
     subcommands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    dests = {name: {a.dest: a for a in sub._actions if a.default is not argparse.SUPPRESS}  # not --help
+    flags = {name: {a.dest: a for a in sub._actions if a.default is not argparse.SUPPRESS}  # not --help
              for name, sub in subcommands.items()}
-    for key, value in config.items():
-        if not any(key in d for d in dests.values()):
+    for key in config:
+        if not any(key in f for f in flags.values()):
             raise ValueError(f"unknown config key {key!r}")
-        choices = getattr(dests[command].get(key), "choices", None)
-        if choices and value not in choices:
-            raise ValueError(f"config key {key}: invalid choice {value!r} (choose from {', '.join(choices)})")
+    sub = subcommands[args.command]
+    for key, action in flags[args.command].items():
+        if key not in config or getattr(args, key) is not None:
+            continue
+        repeatable = isinstance(action, argparse._AppendAction)
+        tokens = [t.strip() for t in config[key].split(",") if t.strip()] if repeatable else [config[key]]
+        try:
+            values = [sub._get_values(action, [tok]) for tok in tokens]
+        except argparse.ArgumentError as exc:
+            raise ValueError(f"config key {key}: {exc.message}") from None
+        setattr(args, key, values if repeatable else values[0])
 
 
-def _csv_list(value: str) -> list[str]:
-    return [tok.strip() for tok in value.split(",") if tok.strip()]
+def _path(value: str) -> str:
+    """A file path; an empty one would resolve to the working directory."""
+    if not value:
+        raise argparse.ArgumentTypeError("empty path")
+    return value
 
 
-def _resolve(args_value, config: dict[str, str], key: str, default, parse_scalar, is_list=False):
-    """Precedence: explicit flag > config file entry > built-in default."""
-    if args_value is not None:
-        return args_value
-    if key in config:
-        raw = config[key]
-        if is_list:
-            return [parse_scalar(tok) for tok in _csv_list(raw)]
-        return parse_scalar(raw)
-    return default
+def _given(value, default):
+    return default if value is None else value
 
 
 def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
@@ -207,24 +215,19 @@ def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def cmd_curves(args, config: dict[str, str]) -> int:
-    p_min = _resolve(args.p_e_min, config, "p_e_min", DEFAULT_PE_MIN, float)
-    p_max = _resolve(args.p_e_max, config, "p_e_max", DEFAULT_PE_MAX, float)
-    steps = _resolve(args.steps, config, "steps", DEFAULT_PE_STEPS, int)
-    xis = _resolve(args.xi, config, "xi", list(DEFAULT_XI), float, is_list=True)
-    order_tokens = _resolve(args.order, config, "order", list(DEFAULT_ORDERS), str, is_list=True)
-    measures = _resolve(args.measure, config, "measure", list(DEFAULT_MEASURES), str, is_list=True)
-    out_path = args.out if args.out is not None else config.get("out")
-
+def cmd_curves(args) -> int:
+    xis = _given(args.xi, DEFAULT_XI)
+    measures = _given(args.measure, DEFAULT_MEASURES)
     for m in measures:
         if m not in MEASURES:
             raise ValueError(f"unknown measure {m!r}; choose from {MEASURES}")
-    orders = [Order.parse(tok) for tok in order_tokens]
+    orders = [Order.parse(tok) for tok in _given(args.order, DEFAULT_ORDERS)]
     if any(o.is_infinite for o in orders) and any(m in ("v2", "v4") for m in measures):
         raise ValueError("measures v2 and v4 are undefined at infinite order; drop 'inf' or the measure")
     if not xis:
         raise ValueError("at least one xi is needed")
-    grid = _grid(p_min, p_max, steps)
+    grid = _grid(_given(args.p_e_min, DEFAULT_PE_MIN), _given(args.p_e_max, DEFAULT_PE_MAX),
+                 _given(args.steps, DEFAULT_PE_STEPS))
 
     # Every column over the whole (P_E, xi) grid first; bad grid input
     # fails here, before the output is opened.
@@ -251,27 +254,20 @@ def cmd_curves(args, config: dict[str, str]) -> int:
         raise ValueError("no rows selected: give a measure, and an order for v1, v2 and v4")
     values = np.stack(columns, axis=-1)[..., None]
 
-    with _open_out(out_path) as fh:
+    with _open_out(args.out) as fh:
         _write_csv(fh, "p_e,xi,measure,order,value", [grid, np.asarray(xis, dtype=float), labels], values)
     return EXIT_OK
 
 
-def cmd_bounds(args, config: dict[str, str]) -> int:
-    sweep_pe = _resolve(args.variable, config, "variable", "eta", str) == "p-e"
-    default_lo = DEFAULT_PE_MIN if sweep_pe else 0.0
-    default_hi = DEFAULT_PE_MAX if sweep_pe else 1.0
-    default_steps = DEFAULT_PE_STEPS if sweep_pe else DEFAULT_ETA_STEPS
-    lo = _resolve(args.min, config, "min", default_lo, float)
-    hi = _resolve(args.max, config, "max", default_hi, float)
-    steps = _resolve(args.steps, config, "steps", default_steps, int)
-    xi = _resolve(args.xi, config, "xi", 1.0, float)
-    out_path = args.out if args.out is not None else config.get("out")
-
+def cmd_bounds(args) -> int:
+    sweep_pe = args.variable == "p-e"
     # As in cmd_curves: every column first, then the output is opened.
-    grid = _grid(lo, hi, steps)
+    grid = _grid(_given(args.min, DEFAULT_PE_MIN if sweep_pe else 0.0),
+                 _given(args.max, DEFAULT_PE_MAX if sweep_pe else 1.0),
+                 _given(args.steps, DEFAULT_PE_STEPS if sweep_pe else DEFAULT_ETA_STEPS))
     eta, pe_columns = grid, []
     if sweep_pe:
-        q, eta = outcome_probs_grid(grid, xi)
+        q, eta = outcome_probs_grid(grid, _given(args.xi, 1.0))
         pe_columns = [closed_form_i_std(q), mutual_info_upper_bound(q, eta)]
     md = majorization_data(zeta_closed_form(eta))
     # Outcome distribution of the maximally mixed state I/2 under the
@@ -288,18 +284,22 @@ def cmd_bounds(args, config: dict[str, str]) -> int:
         renyi_entropy(rho_star, 2.0),
     ] + pe_columns
     header = "x,mu_bound,coles_piani,maj_shannon,maj_alpha2_a,maj_alpha2_b,rho_star_H,rho_star_R2,i_std,i_upper"
-    with _open_out(out_path) as fh:
+    with _open_out(args.out) as fh:
         _write_csv(fh, header, [grid], np.stack(columns, axis=-1), tail="\n" if sweep_pe else ",,\n")
     return EXIT_OK
 
 
-def cmd_simulate(args, config: dict[str, str]) -> int:
-    rounds = _resolve(args.rounds, config, "rounds", 10**6, int)
-    p_e = _resolve(args.p_e, config, "p_e", 0.1, float)
-    xi = _resolve(args.xi, config, "xi", 1.0, float)
-    seed = _resolve(args.seed, config, "seed", 42, int)
-    out_path = args.out if args.out is not None else config.get("out")
+def _write_json(path, report: dict) -> None:
+    with _open_out(path) as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
+
+def cmd_simulate(args) -> int:
+    rounds = _given(args.rounds, 10**6)
+    p_e = _given(args.p_e, 0.1)
+    xi = _given(args.xi, 1.0)
+    seed = _given(args.seed, 42)
     cfg = SessionConfig(rounds=rounds, error_rate=p_e, xi=xi, seed=seed)
     tally = run_session(cfg)
     q = outcome_probs(cfg.discrimination())
@@ -334,20 +334,16 @@ def cmd_simulate(args, config: dict[str, str]) -> int:
             "analytic": closed_form_i_std(q),
         },
     }
-    with _open_out(out_path) as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.out, report)
     return EXIT_OK
 
 
 def _complex_matrix_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
-def cmd_povm(args, config: dict[str, str]) -> int:
-    theta = _resolve(args.theta, config, "theta", None, float)
-    xi = _resolve(args.xi, config, "xi", None, float)
-    out_path = args.out if args.out is not None else config.get("out")
+def cmd_povm(args) -> int:
+    theta, xi = args.theta, args.xi
     if theta is None or xi is None:
         raise ValueError("povm requires --theta and --xi")
 
@@ -370,9 +366,7 @@ def cmd_povm(args, config: dict[str, str]) -> int:
         "completeness_residual": povm.completeness_residual(),
         "psd_floor": povm.psd_floor(),
     }
-    with _open_out(out_path) as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.out, report)
     return EXIT_OK
 
 
@@ -389,8 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Probe-attack information measures and uncertainty bounds for BB84.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", type=_path, default=None, metavar="FILE",
+                        help="key=value file of flag values; flags on the command line win")
+    common.add_argument("--out", type=_path, default=None, metavar="PATH",
+                        help="write here instead of stdout ('-' is stdout)")
 
-    p_curves = sub.add_parser("curves", help="information measures over a (P_E, xi) grid")
+    p_curves = sub.add_parser("curves", parents=[common], help="information measures over a (P_E, xi) grid")
     p_curves.add_argument("--p-e-min", type=float, default=None)
     p_curves.add_argument("--p-e-max", type=float, default=None)
     p_curves.add_argument("--steps", type=int, default=None)
@@ -399,35 +398,27 @@ def build_parser() -> argparse.ArgumentParser:
                           help="Renyi order for v1/v2/v4 (repeatable; accepts 1, finite reals, inf)")
     p_curves.add_argument("--measure", type=str, action="append", default=None,
                           help=f"measure to emit (repeatable; one of {MEASURES})")
-    p_curves.add_argument("--config", type=str, default=None)
-    p_curves.add_argument("--out", type=str, default=None)
     p_curves.set_defaults(func=cmd_curves)
 
-    p_bounds = sub.add_parser("bounds", help="uncertainty bounds over an eta or P_E grid")
+    p_bounds = sub.add_parser("bounds", parents=[common], help="uncertainty bounds over an eta or P_E grid")
     p_bounds.add_argument("--variable", type=str, choices=("eta", "p-e"), default=None)
     p_bounds.add_argument("--min", type=float, default=None)
     p_bounds.add_argument("--max", type=float, default=None)
     p_bounds.add_argument("--steps", type=int, default=None)
     p_bounds.add_argument("--xi", type=float, default=None,
                           help="discrimination ratio for P_E sweeps (default 1.0)")
-    p_bounds.add_argument("--config", type=str, default=None)
-    p_bounds.add_argument("--out", type=str, default=None)
     p_bounds.set_defaults(func=cmd_bounds)
 
-    p_sim = sub.add_parser("simulate", help="seeded Monte-Carlo session report")
+    p_sim = sub.add_parser("simulate", parents=[common], help="seeded Monte-Carlo session report")
     p_sim.add_argument("--rounds", type=int, default=None)
     p_sim.add_argument("--p-e", type=float, default=None)
     p_sim.add_argument("--xi", type=float, default=None)
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--config", type=str, default=None)
-    p_sim.add_argument("--out", type=str, default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_povm = sub.add_parser("povm", help="one measurement in JSON")
+    p_povm = sub.add_parser("povm", parents=[common], help="one measurement in JSON")
     p_povm.add_argument("--theta", type=float, default=None)
     p_povm.add_argument("--xi", type=float, default=None)
-    p_povm.add_argument("--config", type=str, default=None)
-    p_povm.add_argument("--out", type=str, default=None)
     p_povm.set_defaults(func=cmd_povm)
 
     return parser
@@ -437,9 +428,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config_file(args.config) if args.config else {}
-        if config:
-            _check_config(parser, args.command, config)
+        if args.config:
+            _apply_config(parser, args, _load_config_file(args.config))
     except OSError as exc:
         print(f"error: cannot read config file: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -447,7 +437,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args, config)
+        return args.func(args)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

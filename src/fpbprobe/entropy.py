@@ -31,9 +31,6 @@ from .discrimination import OutcomeProbs
 SHANNON_WINDOW = 1e-9
 DIST_TOL = 1e-10
 
-B_GIVEN_E = "b_given_e"
-E_GIVEN_B = "e_given_b"
-_DIRECTIONS = (B_GIVEN_E, E_GIVEN_B)
 _VARIANTS = (1, 2, 4)
 
 
@@ -170,14 +167,6 @@ def _table(j) -> np.ndarray:
     return j.table if isinstance(j, JointDistribution) else JointDistribution(j).table
 
 
-def _oriented(j, direction: str) -> np.ndarray:
-    """Table with the conditioned variable along axis -2."""
-    if direction not in _DIRECTIONS:
-        raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
-    t = _table(j)
-    return t if direction == B_GIVEN_E else np.swapaxes(t, -1, -2)
-
-
 def _xlog2x(p: np.ndarray) -> np.ndarray:
     """p log2 p elementwise for p >= 0, with 0 log 0 = 0.
 
@@ -256,12 +245,15 @@ def binary_entropy(p) -> float | np.ndarray:
     return _float_or_array(_shannon(np.stack([x, 1.0 - x], axis=-1)))
 
 
-def conditional_std(j, direction: str = B_GIVEN_E) -> float | np.ndarray:
-    """Standard conditional entropy H(X|Y), conditioning on columns."""
-    return _float_or_array(_conditional(_oriented(j, direction), Order.shannon(), 1))
+def conditional_std(j) -> float | np.ndarray:
+    """Standard conditional entropy H(X|Y) of rows X given columns Y.
+
+    For H(Y|X), pass the transposed table (`JointDistribution.transposed`).
+    """
+    return _float_or_array(_conditional(_table(j), Order.shannon(), 1))
 
 
-def conditional_renyi(j, a, variant: int, direction: str = B_GIVEN_E) -> float | np.ndarray:
+def conditional_renyi(j, a, variant: int) -> float | np.ndarray:
     """Conditional Renyi entropy, one of the three variants.
 
     Variant 1 averages per-column Renyi entropies and also supports the
@@ -271,7 +263,7 @@ def conditional_renyi(j, a, variant: int, direction: str = B_GIVEN_E) -> float |
     order; every variant reduces to the standard conditional entropy at
     order one.  A stack of tables gives an array of values.
     """
-    return _float_or_array(_conditional(_oriented(j, direction), Order.coerce(a), variant))
+    return _float_or_array(_conditional(_table(j), Order.coerce(a), variant))
 
 
 def _mutual_information(t: np.ndarray) -> np.ndarray:
@@ -287,11 +279,11 @@ def mutual_information(j) -> float | np.ndarray:
     return _float_or_array(_mutual_information(_table(j)))
 
 
-def alpha_mutual_information(j, a, variant: int, direction: str = B_GIVEN_E) -> float | np.ndarray:
-    """R_a(X) - R_a^(variant)(X|Y) with X the conditioned variable."""
+def alpha_mutual_information(j, a, variant: int) -> float | np.ndarray:
+    """R_a(X) - R_a^(variant)(X|Y) of rows X given columns Y."""
     o = Order.coerce(a)
     _check_variant(variant)
-    t = _oriented(j, direction)
+    t = _table(j)
     if o.is_shannon:
         return _float_or_array(_mutual_information(t))
     return _float_or_array(_renyi(_fold(np.add, t), o) - _conditional(t, o, variant))

@@ -1,10 +1,13 @@
+import argparse
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +16,33 @@ from fpbprobe import cli
 from fpbprobe.discrimination import DiscriminationConfig, outcome_probs, xi_to_phi
 from fpbprobe.entropy import closed_form_i_std
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
 
 def run_cli(args, capsys):
     code = cli.main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def exit_and_stdout(argv, capsys):
+    """Exit code and stdout of one call; argparse's own exits count as codes."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def subcommands():
+    parser = cli.build_parser()
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def flag_actions():
+    """(subcommand, action) for every flag of every subcommand but --help."""
+    return [(name, action) for name, sub in subcommands().items()
+            for action in sub._actions if not isinstance(action, argparse._HelpAction)]
 
 
 def parse_csv(text):
@@ -296,6 +321,117 @@ class TestConfigFile:
             results.append((code, capsys.readouterr().out))
         assert results[0] == results[1]
         assert results[0][0] == (0 if variable in ("eta", "p-e") else 2)
+
+
+class TestFlagConfigParity:
+    """A config value is parsed exactly like the flag of the same name."""
+
+    # Small runs of each subcommand; the flag under test is left out.
+    BASE = {
+        "curves": {"--steps": "3", "--xi": "0.5", "--measure": "v1"},
+        "bounds": {"--variable": "p-e", "--steps": "3"},
+        "simulate": {"--rounds": "200", "--seed": "1"},
+        "povm": {"--theta": "0.3", "--xi": "0.5"},
+    }
+    # Per flag: the value a config key gives (two for a repeatable flag),
+    # and another value, given as the flag, that must win over it.
+    SAMPLES = {
+        ("curves", "p_e_min"): (["0.1"], "0.2"),
+        ("curves", "p_e_max"): (["0.2"], "0.3"),
+        ("curves", "steps"): (["2"], "4"),
+        ("curves", "xi"): (["0.25", "0.75"], "1"),
+        ("curves", "order"): (["3", "inf"], "2"),
+        ("curves", "measure"): (["std", "v1_inf"], "cond_prob"),
+        ("bounds", "variable"): (["eta"], "p-e"),
+        ("bounds", "min"): (["0.1"], "0.2"),
+        ("bounds", "max"): (["0.2"], "0.3"),
+        ("bounds", "steps"): (["2"], "4"),
+        ("bounds", "xi"): (["0.5"], "0.25"),
+        ("simulate", "rounds"): (["100"], "150"),
+        ("simulate", "p_e"): (["0.2"], "0.05"),
+        ("simulate", "xi"): (["0.5"], "0"),
+        ("simulate", "seed"): (["3"], "4"),
+        ("povm", "theta"): (["0.2"], "0.4"),
+        ("povm", "xi"): (["0"], "1"),
+    }
+
+    @pytest.mark.parametrize("command,action", flag_actions(),
+                             ids=[f"{name}-{a.dest}" for name, a in flag_actions()])
+    def test_config_value_parses_like_the_flag(self, command, action, tmp_path, capsys):
+        flag = action.option_strings[-1]
+        base = [command] + [tok for f, v in self.BASE[command].items() if f != flag for tok in (f, v)]
+        conf = tmp_path / "run.conf"
+
+        def run(*flags, config=None):
+            argv = base + list(flags)
+            if config is not None:
+                conf.write_text(f"{action.dest}={config}\n")
+                argv += ["--config", str(conf)]
+            code, out = exit_and_stdout(argv, capsys)
+            assert code == 0, argv
+            return out
+
+        if action.dest == "out":
+            a, b = tmp_path / "a.out", tmp_path / "b.out"
+            assert run(flag, str(a)) == ""
+            want = a.read_text()
+            assert want == run()
+            a.unlink()
+            assert run(config=str(a)) == "" and a.read_text() == want
+            a.unlink()
+            assert run(flag, str(b), config=str(a)) == ""
+            assert b.read_text() == want and not a.exists()
+        elif action.dest == "config":
+            # The --config flag that names a file always wins over a
+            # config key in it.
+            nested, nested_out = tmp_path / "nested.conf", tmp_path / "nested.out"
+            nested.write_text(f"out={nested_out}\n")
+            assert run(config=str(nested)) == run() != ""
+            assert not nested_out.exists()
+            assert run(flag, str(nested)) == "" and nested_out.read_text() == run()
+        else:
+            values, other = self.SAMPLES[command, action.dest]
+            assert len(values) == (2 if isinstance(action, argparse._AppendAction) else 1)
+            from_flags = run(*(tok for v in values for tok in (flag, v)))
+            assert run(config=",".join(values)) == from_flags
+            winner = run(flag, other)
+            assert winner != from_flags
+            assert run(flag, other, config=",".join(values)) == winner
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_empty_out_path_is_a_usage_error(self, via, tmp_path, capsys, monkeypatch):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        argv = ["bounds", "--steps", "3"]
+        if via == "flag":
+            argv += ["--out", ""]
+        else:
+            (tmp_path / "run.conf").write_text("out=\n")
+            argv += ["--config", str(tmp_path / "run.conf")]
+        assert exit_and_stdout(argv, capsys) == (2, "")
+        assert list(work.iterdir()) == []
+
+
+class TestReadmeSynopsis:
+    def test_lists_exactly_the_parser_flags(self):
+        text = README.read_text()
+        block = re.search(r"```\n(fpbprobe curves.*?)```", text, re.S).group(1)
+        listed, current = {}, None
+        for line in block.splitlines():
+            if line.startswith("fpbprobe "):
+                current = line.split()[1]
+            elif line.startswith("every subcommand:"):
+                current = "*"
+            elif not line.startswith(" "):
+                continue
+            listed.setdefault(current, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+        common = listed.pop("*")
+        assert sorted(listed) == sorted(subcommands())
+        for name, sub in subcommands().items():
+            defined = {s for a in sub._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+            assert not listed[name] & common, name
+            assert listed[name] | common == defined, name
 
 
 class TestOutputFiles:

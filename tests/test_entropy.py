@@ -5,8 +5,6 @@ import pytest
 
 from fpbprobe.discrimination import DiscriminationConfig, OutcomeProbs, outcome_probs, outcome_probs_grid
 from fpbprobe.entropy import (
-    B_GIVEN_E,
-    E_GIVEN_B,
     Distribution,
     JointDistribution,
     Order,
@@ -130,14 +128,15 @@ class TestStackedEqualsSingle:
         for a in self.ORDERS:
             yield f"renyi_flat_{a}", lambda t, a=a: renyi_entropy(t.reshape(t.shape[:-2] + (6,)), a)
         yield "mutual_information", mutual_information
-        for direction in (B_GIVEN_E, E_GIVEN_B):
-            yield f"conditional_std_{direction}", lambda t, d=direction: conditional_std(t, d)
+        # Each measure of b' given e' and, on the transposed tables, of e' given b'.
+        for side, turn in (("b_given_e", lambda t: t), ("e_given_b", lambda t: np.swapaxes(t, -1, -2))):
+            yield f"conditional_std_{side}", lambda t, f=turn: conditional_std(f(t))
             for a in self.ORDERS:
                 for variant in ((1,) if math.isinf(a) else (1, 2, 4)):
-                    yield f"conditional_renyi_{a}_{variant}_{direction}", \
-                        lambda t, a=a, v=variant, d=direction: conditional_renyi(t, a, v, d)
-                    yield f"alpha_mi_{a}_{variant}_{direction}", \
-                        lambda t, a=a, v=variant, d=direction: alpha_mutual_information(t, a, v, d)
+                    yield f"conditional_renyi_{a}_{variant}_{side}", \
+                        lambda t, a=a, v=variant, f=turn: conditional_renyi(f(t), a, v)
+                    yield f"alpha_mi_{a}_{variant}_{side}", \
+                        lambda t, a=a, v=variant, f=turn: alpha_mutual_information(f(t), a, v)
 
     def test_every_measure(self):
         rng = np.random.default_rng(9200)
@@ -253,10 +252,10 @@ class TestConditionalStd:
             j = random_joint(rng)
             joint_h = shannon_entropy(j.table.ravel())
             assert joint_h == pytest.approx(
-                conditional_std(j, B_GIVEN_E) + shannon_entropy(j.marginal_e()), abs=1e-12
+                conditional_std(j) + shannon_entropy(j.marginal_e()), abs=1e-12
             )
             assert joint_h == pytest.approx(
-                conditional_std(j, E_GIVEN_B) + shannon_entropy(j.marginal_b()), abs=1e-12
+                conditional_std(j.transposed()) + shannon_entropy(j.marginal_b()), abs=1e-12
             )
 
     def test_conditioning_reduces_entropy(self, rng):
@@ -346,8 +345,8 @@ class TestConditionalRenyi:
 
     def test_direction_matters_on_asymmetric_table(self, rng):
         j = JointDistribution(np.array([[0.5, 0.1, 0.05], [0.05, 0.1, 0.2]]))
-        assert conditional_renyi(j, 2.0, 1, B_GIVEN_E) != pytest.approx(
-            conditional_renyi(j, 2.0, 1, E_GIVEN_B), abs=1e-6
+        assert conditional_renyi(j, 2.0, 1) != pytest.approx(
+            conditional_renyi(j.transposed(), 2.0, 1), abs=1e-6
         )
 
 
@@ -372,10 +371,10 @@ class TestMutualInformation:
             j = random_joint(rng)
             i = mutual_information(j)
             assert i == pytest.approx(
-                shannon_entropy(j.marginal_b()) - conditional_std(j, B_GIVEN_E), abs=1e-12
+                shannon_entropy(j.marginal_b()) - conditional_std(j), abs=1e-12
             )
             assert i == pytest.approx(
-                shannon_entropy(j.marginal_e()) - conditional_std(j, E_GIVEN_B), abs=1e-12
+                shannon_entropy(j.marginal_e()) - conditional_std(j.transposed()), abs=1e-12
             )
 
     def test_fpb_table_matches_closed_form(self):
@@ -385,6 +384,34 @@ class TestMutualInformation:
                 assert mutual_information(joint_from_outcome_probs(q)) == pytest.approx(
                     closed_form_i_std(q), abs=1e-10
                 )
+
+
+class TestShannonProperties:
+    """Hypothesis properties of the mutual information of 2x3 tables, e' in (+, -, ?)."""
+
+    # Post-processings of e': each maps Eve's outcome to a coarser one.
+    MERGES = {
+        "? into +": lambda t: np.stack([t[:, 0] + t[:, 2], t[:, 1]], axis=-1),
+        "+ with -": lambda t: np.stack([t[:, 0] + t[:, 1], t[:, 2]], axis=-1),
+    }
+
+    def test_post_processing_and_transposition(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(derandomize=True, database=None, max_examples=200, deadline=None)
+        @hypothesis.given(st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
+        def check(cells):
+            t = np.reshape(cells, (2, 3))
+            hypothesis.assume(t.sum() > 0.0)
+            j = JointDistribution(t / t.sum())
+            i = mutual_information(j)
+            for name, merge in self.MERGES.items():
+                assert mutual_information(merge(j.table)) <= i + 1e-12, name
+            # The joint entropy sums the cells in another order: an ulp apart.
+            assert abs(mutual_information(j.transposed()) - i) <= 1e-12
+
+        check()
 
 
 class TestAlphaMutualInformation:
@@ -410,8 +437,8 @@ class TestAlphaMutualInformation:
         for _ in range(20):
             j = random_joint(rng)
             for a in (0.5, 2.0, 10.0):
-                assert alpha_mutual_information(j, a, 2, B_GIVEN_E) == pytest.approx(
-                    alpha_mutual_information(j.transposed(), a, 2, B_GIVEN_E), abs=1e-12
+                assert alpha_mutual_information(j, a, 2) == pytest.approx(
+                    alpha_mutual_information(j.transposed(), a, 2), abs=1e-12
                 )
 
     def test_conclusive_case_variant1_equals_standard(self):
