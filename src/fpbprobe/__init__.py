@@ -24,6 +24,8 @@ from .entropy import (
     alpha_mutual_information,
     binary_entropy,
     closed_form_i1,
+    closed_form_i2,
+    closed_form_i4,
     closed_form_i_std,
     conditional_renyi,
     conditional_std,

@@ -44,10 +44,11 @@ from .discrimination import (
 )
 from .entropy import (
     Order,
-    alpha_mutual_information,
+    closed_form_i1,
+    closed_form_i2,
+    closed_form_i4,
     closed_form_i_std,
     joint_from_outcome_probs,
-    mutual_information,
     renyi_entropy,
     shannon_entropy,
 )
@@ -229,30 +230,34 @@ def cmd_curves(args) -> int:
     grid = _grid(_given(args.p_e_min, DEFAULT_PE_MIN), _given(args.p_e_max, DEFAULT_PE_MAX),
                  _given(args.steps, DEFAULT_PE_STEPS))
 
-    # Every column over the whole (P_E, xi) grid first; bad grid input
-    # fails here, before the output is opened.
-    q, _ = outcome_probs_grid(grid[:, None], np.asarray(xis, dtype=float))
-    joint = joint_from_outcome_probs(q)
+    # Every column over the whole (P_E, xi) grid first, from the closed
+    # forms; bad grid input fails here, before the output is opened.  The
+    # grid has a last axis of length 1, against which the orders broadcast.
+    q, _ = outcome_probs_grid(grid[:, None, None], np.asarray(xis, dtype=float)[:, None])
+    i_std = closed_form_i_std(q)
+    shannon = np.array([o.is_shannon for o in orders], dtype=bool)
+    # A Shannon order has no variant-specific closed form: it gets 2 in the
+    # call, and the standard measure in the output.
+    alphas = np.where(shannon, 2.0, [o.value for o in orders])
+    closed_forms = {"v1": closed_form_i1, "v2": closed_form_i2, "v4": closed_form_i4}
     labels, columns = [], []
     for measure in measures:
         if measure == "std":
             labels.append("std,1")
-            columns.append(mutual_information(joint))
+            columns.append(i_std)
         elif measure == "v1_inf":
             labels.append("v1_inf,inf")
-            columns.append(alpha_mutual_information(joint, Order.min_entropy(), 1))
+            columns.append(closed_form_i1(math.inf, q))
         elif measure == "cond_prob":
             rem = 1.0 - q.q_inconclusive
             labels.append("cond_prob,")
             columns.append(np.divide(q.q_success, rem, out=np.full_like(rem, 0.5), where=rem > 0.0))
-        else:
-            variant = {"v1": 1, "v2": 2, "v4": 4}[measure]
-            for order in orders:
-                labels.append(f"{measure},{order}")
-                columns.append(alpha_mutual_information(joint, order, variant))
+        elif orders:
+            labels += [f"{measure},{order}" for order in orders]
+            columns.append(np.where(shannon, i_std, closed_forms[measure](alphas, q)))
     if not columns:
         raise ValueError("no rows selected: give a measure, and an order for v1, v2 and v4")
-    values = np.stack(columns, axis=-1)[..., None]
+    values = np.concatenate(columns, axis=-1)[..., None]
 
     with _open_out(args.out) as fh:
         _write_csv(fh, "p_e,xi,measure,order,value", [grid, np.asarray(xis, dtype=float), labels], values)

@@ -9,6 +9,15 @@ from the discrimination triple (Q_S, Q_E, Q_?).
 Every measure reduces over the last axes: a stack of tables or vectors along
 leading axes gives an array, a single one a Python float.
 
+On that table every measure is also a closed form in (Q_S, Q_E, Q_?):
+closed_form_i_std, closed_form_i1, closed_form_i2 and closed_form_i4,
+whose docstrings give the formulas.  They take an OutcomeProbs of arrays
+and an order that is a scalar or an array broadcasting against it, and
+build no table.  They avoid two cancellations of the table path: the
+difference of O(1) entropies that leaves a small variant-2 value as
+noise, and the O(1) numerator over 1 - a near order 1.  The generic
+table path stays for arbitrary tables and the simulator's empirical one.
+
 The table axes are short (2, 3 or 6), and numpy runs a reduction over such
 an axis as one inner loop per stack member: on a 334 x 5 stack of 2 x 3
 tables, .sum and .max over the last axis take 4-16x as long as one ufunc
@@ -32,6 +41,7 @@ SHANNON_WINDOW = 1e-9
 DIST_TOL = 1e-10
 
 _VARIANTS = (1, 2, 4)
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -299,29 +309,140 @@ def joint_from_outcome_probs(q: OutcomeProbs) -> JointDistribution:
     return JointDistribution(0.5 * np.stack(rows, axis=-2))
 
 
+def _operands(a, q: OutcomeProbs, finite: bool) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple]:
+    """The orders of a closed form, its triple (Q_S, Q_E, Q_?), and the result's shape.
+
+    `a` is an Order, a scalar or an array.  Orders within SHANNON_WINDOW of
+    1 are rejected (closed_form_i_std is the measure there), and so is the
+    infinite order if `finite`.  The triple is clipped at 0 (OutcomeProbs
+    allows -1e-12) and keeps its own shape; each closed form computes what
+    depends on it alone in that shape.  The orders come back laid out in
+    full in the result's shape.  Both have at least one dimension, and
+    the closed form reshapes its result: numpy runs its transcendental
+    functions through other code, with other last bits, on 0-d operands.
+    """
+    alpha = np.asarray(real("order", a.value if isinstance(a, Order) else a, TINY, math.inf))
+    if (np.abs(alpha - 1.0) <= SHANNON_WINDOW).any():
+        raise ValueError("order 1 has no variant-specific closed form; use closed_form_i_std")
+    if finite and (alpha == math.inf).any():
+        raise ValueError("this variant is undefined at infinite order")
+    fields = (q.q_success, q.q_error, q.q_inconclusive)
+    try:  # one array of the three, when their shapes agree
+        triple = np.maximum(fields, 0.0, dtype=float)
+    except ValueError:
+        triple = np.maximum(np.broadcast_arrays(*fields), 0.0, dtype=float)
+    shape = np.broadcast(alpha, triple[0]).shape
+    alpha = _pow_base(alpha, shape).reshape(shape or (1,))
+    return alpha, tuple(triple.reshape((3,) + (triple.shape[1:] or (1,)))), shape
+
+
+def _pow_base(x: np.ndarray, shape: tuple) -> np.ndarray:
+    """x broadcast to `shape` as a C-ordered array, copied unless it is one already.
+
+    numpy's power takes other code paths, with other last bits, for a
+    broadcast operand, so both of its operands are laid out in full: an
+    order array then gives, element for element, the bits of one call per
+    order.  Arithmetic rounds alike in every path, and its results, which
+    feed the other functions of the order, come out laid out in full.
+    """
+    return x if x.shape == shape and x.flags.c_contiguous else np.array(np.broadcast_to(x, shape))
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(x)  # -inf at 0
+
+
+def _pow_gap(y: np.ndarray, ln_y: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """y**a, and y**a - y without cancellation at any order a, for y = e**ln_y in [0, 1].
+
+    Where |a - 1| |ln y| <= 1 the two terms are within a factor e of each
+    other, and the difference is y expm1((a - 1) ln y); elsewhere they
+    differ enough to subtract.  The closed forms below are written in
+    these gaps, so that their numerators, O(a - 1) as the order nears 1,
+    keep full relative accuracy there.
+    """
+    power = _pow_base(y, alpha.shape) ** alpha
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 at y = 0 or 1, and the dropped branch
+        x = (alpha - 1.0) * ln_y
+        return power, np.where(np.abs(x) <= 1.0, y * np.expm1(x), power - y)
+
+
+def _split(qs: np.ndarray, qe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """r = Q_S + Q_E, and t = min/max of (Q_S, Q_E) in [0, 1], 0 where r = 0."""
+    hi = np.maximum(qs, qe)
+    return qs + qe, np.minimum(qs, qe) / np.where(hi > 0.0, hi, 1.0)
+
+
 def closed_form_i1(a, q: OutcomeProbs) -> float | np.ndarray:
     """Variant-1 alpha-mutual information of the (b', e') table, closed form.
 
-    Accepts finite orders other than 1 and the infinite order (which uses
-    the analytic large-alpha limit).  The Shannon order is rejected; use
-    closed_form_i_std.  A fully inconclusive measurement gives 0.
+    With r = Q_S + Q_E and t = min(Q_S, Q_E) / max(Q_S, Q_E) this is
+    r (1 - R_a(Q_S/r, Q_E/r)).  Since log1p(t**a) = log1p(t) + G with
+    G = log1p((t**a - t) / (1 + t)), it is evaluated as
+    r (1 - (log1p(t) - G / (a - 1)) / ln 2), which is also the limit
+    r (1 - log2(1 + t)) at the infinite order.  The order `a` is a scalar
+    or an array that broadcasts against the triple; every order must be
+    positive, and none may lie within SHANNON_WINDOW of 1 (use
+    closed_form_i_std there).  A fully inconclusive measurement gives 0.
     """
-    o = Order.coerce(a)
-    if o.is_shannon:
-        raise ValueError("order 1 has no variant-specific closed form; use closed_form_i_std")
-    qs, qe, qq = (np.asarray(v, dtype=float) for v in (q.q_success, q.q_error, q.q_inconclusive))
-    rem = 1.0 - qq
-    hi, lo = np.maximum(qs, qe), np.minimum(qs, qe)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if o.is_infinite:
-            value = rem - rem * np.log2(rem) + rem * np.log2(hi)
-        else:
-            alpha = o.value
-            # log2(qs**a + qe**a) without underflow.
-            tail = np.where(lo > 0.0, (lo / hi) ** alpha, 0.0)
-            log_pow = alpha * np.log2(hi) + np.log2(1.0 + tail)
-            value = rem * (1.0 - log_pow / (1.0 - alpha) + alpha * np.log2(rem) / (1.0 - alpha))
-    return _float_or_array(np.where(rem > 0.0, value, 0.0))
+    alpha, (qs, qe, _), shape = _operands(a, q, finite=False)
+    r, t = _split(qs, qe)
+    g = np.log1p(_pow_gap(t, _log(t), alpha)[1] / (1.0 + t))
+    return _float_or_array((r * (1.0 - (np.log1p(t) - g / (alpha - 1.0)) / _LN2)).reshape(shape))
+
+
+def closed_form_i2(a, q: OutcomeProbs) -> float | np.ndarray:
+    """Variant-2 alpha-mutual information R_a(X) + R_a(Y) - R_a(X, Y), closed form.
+
+    With r = Q_S + Q_E, m = max(Q_S, Q_E, Q_?) and x_k = (q_k / m)**a:
+    S = x_S + x_E + x_?, D = 2**(1-a) x_r - x_S - x_E and
+    N = 2**(1-a) x_r + x_?, so that I_2 = ln(N / S) / ((1 - a) ln 2).
+    D is summed directly, never as N - S, in one of two ways: from the
+    powers, 2 (r / 2m)**a - x_S - x_E, or from the gaps y**a - y,
+    2 gap(r / 2m) - gap(Q_S / m) - gap(Q_E / m), whichever sums smaller
+    terms.  Near order 1 the powers cancel to O(a - 1) and the gaps do
+    not; far from it, a tiny y has y**a << y and the gaps cancel.  Where
+    |D| < S / 2, log1p(D / S) replaces ln(N / S), so a small I_2 keeps its
+    relative accuracy, where the difference of entropies in
+    alpha_mutual_information keeps only an absolute one.  ln N comes from
+    logs, since both of its terms underflow at orders in the thousands.
+    The order `a` is as for closed_form_i1, but finite.
+    """
+    alpha, (qs, qe, qq), shape = _operands(a, q, finite=True)
+    m = np.maximum(np.maximum(qs, qe), qq)
+    ys, ye, yr, yq = qs / m, qe / m, (qs + qe) / (2.0 * m), qq / m
+    ls, le, lr, lq = _log(ys), _log(ye), _log(yr), _log(yq)
+    (ps, gs), (pe, ge), (pr, gr) = _pow_gap(ys, ls, alpha), _pow_gap(ye, le, alpha), _pow_gap(yr, lr, alpha)
+    pr, gr, pq = 2.0 * pr, 2.0 * gr, _pow_base(yq, alpha.shape) ** alpha
+    d = np.where(np.abs(gr) + np.abs(gs) + np.abs(ge) < pr + ps + pe, gr - gs - ge, pr - ps - pe)
+    s = ps + pe + pq
+    with np.errstate(divide="ignore", invalid="ignore"):  # -inf * a at y = 0, and the branch np.where drops
+        ln_n = np.logaddexp(_LN2 + alpha * lr, alpha * lq)
+        ln = np.where(np.abs(d) < 0.5 * s, np.log1p(d / s), ln_n - np.log(s))
+    return _float_or_array((ln / ((1.0 - alpha) * _LN2)).reshape(shape))
+
+
+def closed_form_i4(a, q: OutcomeProbs) -> float | np.ndarray:
+    """Variant-4 alpha-mutual information of the (b', e') table, closed form.
+
+    I_4 = -log2(2**(a-1) r ((Q_S/r)**a + (Q_E/r)**a) + Q_?) / (1 - a) with
+    r = Q_S + Q_E.  The argument of log2 is 1 + r (c - 1), where
+    ln c = a log1p(u) + log1p(t**a) - ln 2 with u = |Q_S - Q_E| / r and t
+    as for closed_form_i1.  Since log1p(u) + log1p(t) = ln 2, that is
+    ln c = (a - 1) log1p(u) + log1p((t**a - t) / (1 + t)), and the
+    argument's log is log1p(r expm1(ln c)); where c is large, it is
+    ln c + ln(r + Q_? / c).  r is never raised to a power, so r = 0, the
+    fully inconclusive case, gives 0 at every order.  The order `a` is as
+    for closed_form_i2.
+    """
+    alpha, (qs, qe, qq), shape = _operands(a, q, finite=True)
+    r, t = _split(qs, qe)
+    rr = np.where(r > 0.0, r, 1.0)
+    ln_c = (alpha - 1.0) * np.log1p(np.abs(qs - qe) / rr) + np.log1p(_pow_gap(t, _log(t), alpha)[1] / (1.0 + t))
+    with np.errstate(over="ignore"):  # exp in the branch np.where drops
+        ln_arg = np.where(ln_c < 1.0, np.log1p(rr * np.expm1(ln_c)), ln_c + np.log(rr + qq / np.exp(ln_c)))
+    return _float_or_array(np.where(r > 0.0, ln_arg / ((alpha - 1.0) * _LN2), 0.0).reshape(shape))
 
 
 def closed_form_i_std(q: OutcomeProbs) -> float | np.ndarray:

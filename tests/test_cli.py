@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpbprobe import cli
+from fpbprobe import cli, entropy
 from fpbprobe.discrimination import DiscriminationConfig, outcome_probs, xi_to_phi
 from fpbprobe.entropy import closed_form_i_std
 
@@ -107,6 +107,40 @@ class TestCurves:
         assert code == 0
         _, rows = parse_csv(out)
         assert [r[3] for r in rows] == ["2", "2.0000001", "1.0000001"] * 2
+
+    def test_builds_no_joint_table(self, capsys, monkeypatch):
+        """Every column comes from the closed forms, none from a 2x3 table."""
+        built = []
+        post_init = entropy.JointDistribution.__post_init__
+        monkeypatch.setattr(entropy.JointDistribution, "__post_init__",
+                            lambda self: built.append(1) or post_init(self))
+        args = ["curves", "--steps", "5", "--xi", "0", "--xi", "0.5", "--xi", "1",
+                "--order", "0.5", "--order", "1", "--order", "2", "--order", "10"]
+        code, out = run_cli(args + [a for m in ("std", "v1", "v2", "v4", "v1_inf", "cond_prob")
+                                    for a in ("--measure", m)], capsys)
+        assert code == 0 and len(parse_csv(out)[1]) == 5 * 3 * 15
+        assert built == []
+        code, _ = run_cli(["simulate", "--rounds", "100"], capsys)  # the counter does count
+        assert code == 0 and built
+
+    def test_default_prints_no_value_above_one(self, capsys):
+        # The table path printed std = 1.0000000000000002 at P_E = 1/3.
+        _, out = run_cli(["curves"], capsys)
+        _, rows = parse_csv(out)
+        values = [float(r[4]) for r in rows if r[2] in ("std", "v1", "v2", "v4")]
+        assert len(values) == 334 * 5 * 4 and max(values) <= 1.0
+        assert {r[4] for r in rows if r[0] == "0.33333333333333331"} == {"1"}
+
+    def test_shannon_orders_print_the_standard_measure(self, capsys):
+        _, out = run_cli(["curves", "--steps", "4", "--xi", "0.5", "--order", "1", "--order", "1.0000000001",
+                          "--order", "2"] + [a for m in ("std", "v1", "v2", "v4") for a in ("--measure", m)], capsys)
+        _, rows = parse_csv(out)
+        std = {r[0]: r[4] for r in rows if r[2] == "std"}
+        for p_e, _, measure, order, value in rows:
+            if order in ("1", "1.0000000001"):
+                assert value == std[p_e], (measure, order)
+            elif measure != "std" and float(p_e) < 0.3:  # at P_E = 1/3 every measure is 1
+                assert value != std[p_e]
 
     def test_rejects_unknown_measure(self, capsys):
         code, _ = run_cli(["curves", "--measure", "bogus"], capsys)

@@ -12,6 +12,8 @@ from fpbprobe.entropy import (
     alpha_mutual_information,
     binary_entropy,
     closed_form_i1,
+    closed_form_i2,
+    closed_form_i4,
     closed_form_i_std,
     conditional_renyi,
     conditional_std,
@@ -548,46 +550,119 @@ class TestClosedForms:
                     mutual_information(j), abs=1e-10
                 )
                 for a in (2.0, 10.0):
-                    assert closed_form_i1(a, q) == pytest.approx(
-                        alpha_mutual_information(j, a, 1), abs=1e-10
-                    )
+                    for variant, closed_form in ((1, closed_form_i1), (2, closed_form_i2), (4, closed_form_i4)):
+                        assert closed_form(a, q) == pytest.approx(
+                            alpha_mutual_information(j, a, variant), abs=1e-10
+                        )
                 assert closed_form_i1(math.inf, q) == pytest.approx(
                     alpha_mutual_information(j, math.inf, 1), abs=1e-10
                 )
 
 
-def born_joint_mp(mp, p_e, xi):
-    """2x3 (b', e') table from the Born rule, in mpmath arithmetic.
+class TestClosedFormOrders:
+    """Orders as scalars, Order instances or arrays that broadcast against the triple."""
 
-    Probe states (cos theta, +/- sin theta) with
-    cos(2 theta) = (1 - 3 P_E) / (1 - P_E), measured by
-    M_+/- = |k_+/-><k_+/-| / (1 + eta) with k_+/- = (sin gamma, +/- cos gamma)
-    and M_? = 2 eta / (1 + eta) |0><0|, where phi = xi (pi/4 - theta),
-    gamma = theta + phi and eta = cos(2 gamma).
-    """
-    p = mp.mpf(p_e)
-    theta = mp.acos((1 - 3 * p) / (1 - p)) / 2
-    gamma = theta + mp.mpf(xi) * (mp.pi / 4 - theta)
-    eta = max(mp.cos(2 * gamma), mp.mpf(0))
-    rows = []
-    for sign in (1, -1):
-        c, s = mp.cos(theta), sign * mp.sin(theta)
-        rows.append([
-            (mp.sin(gamma) * c + mp.cos(gamma) * s) ** 2 / (2 * (1 + eta)),
-            (mp.sin(gamma) * c - mp.cos(gamma) * s) ** 2 / (2 * (1 + eta)),
-            eta * c ** 2 / (1 + eta),
-        ])
-    return rows
+    CLOSED_FORMS = {1: closed_form_i1, 2: closed_form_i2, 4: closed_form_i4}
+    ORDERS = np.array([0.05, 0.5, 1.0 - 1e-6, 1.0 + 1e-6, 2.0, 3.0, 10.0, 50.0, 1e4])
 
+    def grid(self):
+        q, _ = outcome_probs_grid(np.array([0.0, 1e-12, 0.01, 0.1, 1.0 / 3.0])[:, None, None],
+                                  np.array([0.0, 1e-5, 0.5, 1.0])[:, None])
+        return q
 
-def symmetric_measure_mp(mp, rows, a):
-    """R_a(B) + R_a(E) - R_a(B, E), the variant-2 measure, in bits."""
+    def test_array_orders_equal_scalar_calls_bit_for_bit(self):
+        q = self.grid()
+        for variant, closed_form in self.CLOSED_FORMS.items():
+            orders = np.append(self.ORDERS, math.inf) if variant == 1 else self.ORDERS
+            stacked = closed_form(orders, q)
+            assert stacked.shape == (5, 4, len(orders))
+            for k, a in enumerate(orders):
+                single = closed_form(a, q)
+                assert bits(single).tolist() == bits(stacked[..., k:k + 1]).tolist(), (variant, a)
+                assert bits(closed_form(Order(a), q)).tolist() == bits(single).tolist()
+                point = OutcomeProbs(*(float(f[2, 2, 0]) for f in (q.q_success, q.q_error, q.q_inconclusive)))
+                assert isinstance(closed_form(a, point), float)
+                assert bits(closed_form(a, point)) == bits(stacked[2, 2, k])
 
-    def renyi(ps):
-        return mp.log(mp.fsum(x ** a for x in ps if x > 0), 2) / (1 - a)
+    def test_point_calls_equal_grid_calls_bit_for_bit(self):
+        # On 0-d operands numpy's power runs another kernel: at orders 2 and
+        # 0.5 about 5 % of its powers differ from the array kernel's in the
+        # last bit.
+        rng = np.random.default_rng(9300)
+        q, _ = outcome_probs_grid(rng.uniform(0.0, 1.0 / 3.0, 100), rng.uniform(0.0, 1.0, 100))
+        fields = (q.q_success, q.q_error, q.q_inconclusive)
+        orders = np.array([0.5, 2.0, 3.0, 10.0])
+        for variant, closed_form in self.CLOSED_FORMS.items():
+            grid = closed_form(orders, OutcomeProbs(*(f[:, None] for f in fields)))
+            for i in range(100):
+                point = OutcomeProbs(*(float(f[i]) for f in fields))
+                assert bits(closed_form(orders, point)).tolist() == bits(grid[i]).tolist(), (variant, i)
+                for k, a in enumerate(orders):
+                    assert bits(closed_form(a, point)) == bits(grid[i, k]), (variant, i, a)
 
-    cols = [rows[0][k] + rows[1][k] for k in range(3)]
-    return renyi([mp.fsum(r) for r in rows]) + renyi(cols) - renyi(rows[0] + rows[1])
+    def test_fields_of_different_shapes_broadcast(self):
+        q = OutcomeProbs(np.array([0.6, 0.5]), 0.1, np.array([[0.3, 0.4]]))
+        for variant, closed_form in self.CLOSED_FORMS.items():
+            v = closed_form(np.array([[2.0], [3.0]]), q)
+            assert v.shape == (2, 2)
+            for i, a in enumerate((2.0, 3.0)):
+                for k, (qs, qq) in enumerate(((0.6, 0.3), (0.5, 0.4))):
+                    assert bits(v[i, k]) == bits(closed_form(a, OutcomeProbs(qs, 0.1, qq))), (variant, a, k)
+
+    def test_rejected_orders(self):
+        q = OutcomeProbs(0.6, 0.1, 0.3)
+        for closed_form in self.CLOSED_FORMS.values():
+            for bad in (np.array([2.0, 1.0]), [2.0, 1.0 + 1e-10], 0.0, -1.0, np.nan, [[2.0], [np.nan]], True, "2"):
+                with pytest.raises(ValueError):
+                    closed_form(bad, q)
+        for closed_form in (closed_form_i2, closed_form_i4):
+            for bad in (math.inf, [2.0, math.inf], Order.min_entropy()):
+                with pytest.raises(ValueError):
+                    closed_form(bad, q)
+
+    def test_fully_inconclusive_is_zero_at_every_order(self):
+        q = OutcomeProbs(0.0, 0.0, 1.0)
+        for closed_form in self.CLOSED_FORMS.values():
+            assert (closed_form(self.ORDERS, q) == 0.0).all()
+
+    def test_huge_orders_stay_finite(self):
+        q = self.grid()
+        for closed_form in self.CLOSED_FORMS.values():
+            v = closed_form(np.array([1e3, 1e6, 1e300]), q)
+            assert np.isfinite(v).all() and (v >= 0.0).all() and (v <= 1.0).all()
+
+    def test_i2_at_order_ten_has_no_noise_at_small_values(self):
+        """The table path subtracts O(1) entropies: on this grid it gives 92
+        negative values and up to 22 maxima over xi in the rows below
+        P_E = 0.02.  The closed form gives none, and one maximum per row."""
+        p_e = np.linspace(0.005, 1.0 / 3.0, 400)
+        q, _ = outcome_probs_grid(p_e[:, None], np.linspace(0.0, 1.0, 401))
+        v = closed_form_i2(10.0, q)
+        assert (v >= 0.0).all()
+        ends = np.full((len(p_e), 1), -np.inf)
+        padded = np.concatenate([ends, v, ends], axis=1)
+        maxima = (padded[:, 1:-1] > padded[:, :-2]) & (padded[:, 1:-1] >= padded[:, 2:])
+        assert (maxima[p_e < 0.02].sum(axis=1) <= 1).all()
+
+    def test_property_matches_the_table_path(self):
+        """Random (P_E, xi, order): the closed forms stay within 16 ulp of the table path.
+
+        Both divide a rounding error by |1 - order|, so the bound grows as
+        1 / |1 - order| below |1 - order| = 1.
+        """
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        orders = st.floats(0.01, 100.0).filter(lambda a: abs(a - 1.0) > 1e-3)
+
+        @hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
+        @hypothesis.given(st.floats(0.0, 1.0 / 3.0), st.floats(0.0, 1.0), orders, st.sampled_from((1, 2, 4)))
+        def check(p_e, xi, a, variant):
+            q = outcome_probs(DiscriminationConfig.from_error_rate(p_e, xi))
+            table = alpha_mutual_information(joint_from_outcome_probs(q), a, variant)
+            bound = 16 * 2.0 ** -52 * max(1.0, abs(table)) * max(1.0, 1.0 / abs(1.0 - a))
+            assert abs(self.CLOSED_FORMS[variant](a, q) - table) <= bound
+
+        check()
 
 
 class TestBornRuleOracle:
@@ -598,22 +673,23 @@ class TestBornRuleOracle:
     """
 
     def test_symmetric_measure_and_crossings(self):
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(50):
+        oracle = pytest.importorskip("oracle")
+        mp = oracle.mp
+        with mp.workdps(oracle.DPS):
             for p_e in np.linspace(0.02, 0.3, 15):
                 for xi in (0.75, 1.0):
-                    rows = born_joint_mp(mp, float(p_e), xi)
+                    rows = oracle.born_joint_mp(float(p_e), xi)
                     j = fpb_joint(float(p_e), xi)
                     for a in (2, 3):
-                        ref = float(symmetric_measure_mp(mp, rows, a))
+                        ref = float(oracle.symmetric_measure_mp(rows, a))
                         assert alpha_mutual_information(j, a, 2) == pytest.approx(
                             ref, rel=1e-12
                         )
 
             for a, quoted in ((2, 0.130521334793), (3, 0.107993720717)):
                 oracle_root = float(mp.findroot(
-                    lambda p: symmetric_measure_mp(mp, born_joint_mp(mp, p, 1.0), a)
-                    - symmetric_measure_mp(mp, born_joint_mp(mp, p, 0.75), a),
+                    lambda p: oracle.symmetric_measure_mp(oracle.born_joint_mp(p, 1.0), a)
+                    - oracle.symmetric_measure_mp(oracle.born_joint_mp(p, 0.75), a),
                     (0.02, 0.3),
                     solver="anderson",
                 ))

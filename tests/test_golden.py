@@ -10,10 +10,15 @@ differences of entropies make a relative bound meaningless near 0.
 cli_digests.json holds the length and SHA-256 of stdout for 16 `curves`
 and `bounds` argvs (defaults, the cases above, edge grids), written by
 the per-value `f"{v:.17g}"` writer that preceded the array kernel.
-Those outputs must match byte for byte.  The two `--order 1.0000001`
-entries differ from that writer's output in the order label only: its
-v1/v2/v4 rows used to read '1', the Shannon label, and now read
-'1.0000001'; every other byte is the same.
+Those outputs must match byte for byte.  The nine `bounds` digests are
+still that writer's.  The seven `curves` digests were recaptured when
+`curves` moved from the 2x3 table path to the closed forms of `entropy`:
+last bits of std, v1, v2, v4 and v1_inf moved, by at most 1.9e-15 at
+orders away from 1 and by up to 1.1e-8 at order 1.0000001, where the
+table path was that far off.  Before the recapture every moved cell was
+checked against the 50-digit oracle of tests/oracle.py on the same
+triple: each lies within 16 * 2**-52 * max(1, |truth|) of it, and on
+the default grid within 1e-12 relative.
 
 simulate_digests.json holds the length and SHA-256 of `simulate` stdout
 for six argvs (2**22 + 4321 rounds, the four corners P_E in {0, 1/3} x
