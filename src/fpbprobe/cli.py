@@ -219,9 +219,6 @@ def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
 def cmd_curves(args) -> int:
     xis = _given(args.xi, DEFAULT_XI)
     measures = _given(args.measure, DEFAULT_MEASURES)
-    for m in measures:
-        if m not in MEASURES:
-            raise ValueError(f"unknown measure {m!r}; choose from {MEASURES}")
     orders = [Order.parse(tok) for tok in _given(args.order, DEFAULT_ORDERS)]
     if any(o.is_infinite for o in orders) and any(m in ("v2", "v4") for m in measures):
         raise ValueError("measures v2 and v4 are undefined at infinite order; drop 'inf' or the measure")
@@ -401,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_curves.add_argument("--xi", type=float, action="append", default=None)
     p_curves.add_argument("--order", type=str, action="append", default=None,
                           help="Renyi order for v1/v2/v4 (repeatable; accepts 1, finite reals, inf)")
-    p_curves.add_argument("--measure", type=str, action="append", default=None,
-                          help=f"measure to emit (repeatable; one of {MEASURES})")
+    p_curves.add_argument("--measure", type=str, action="append", choices=MEASURES, default=None,
+                          help="measure to emit (repeatable)")
     p_curves.set_defaults(func=cmd_curves)
 
     p_bounds = sub.add_parser("bounds", parents=[common], help="uncertainty bounds over an eta or P_E grid")

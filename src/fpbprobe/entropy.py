@@ -231,11 +231,13 @@ def _conditional(t: np.ndarray, o: Order, variant: int) -> np.ndarray:
     if variant == 2:
         return _renyi(t.reshape(t.shape[:-2] + (-1,)), o) - _renyi(_fold(np.add, np.swapaxes(t, -1, -2)), o)
     # Variant 4: factor out the largest conditional so the inner powers
-    # cannot underflow collectively.
+    # cannot underflow collectively.  Empty columns are zeroed, so they add
+    # nothing at any order (their point mass over the peak would overflow).
     alpha = o.value
     py, cond, empty = _columns(t)
-    peak = _fold(np.maximum, _fold(np.maximum, np.where(empty[..., None], 0.0, cond)))
-    inner = _fold(np.add, py * _fold(np.add, (cond / peak[..., None, None]) ** alpha))
+    live = np.where(empty[..., None], 0.0, cond)
+    peak = _fold(np.maximum, _fold(np.maximum, live))
+    inner = _fold(np.add, py * _fold(np.add, (live / peak[..., None, None]) ** alpha))
     return (alpha * np.log2(peak) + np.log2(inner)) / (1.0 - alpha)
 
 

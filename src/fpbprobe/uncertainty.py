@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from ._checks import HUGE, TINY, integer, real, scalar
+from ._checks import HUGE, real, scalar
 from .discrimination import OutcomeProbs, _measurement_vectors
 from .entropy import (
     Distribution,
@@ -31,8 +31,6 @@ from .entropy import (
 )
 
 TWO_PI = 2.0 * math.pi
-DEFAULT_GRID = 720
-DEFAULT_REFINE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -64,8 +62,8 @@ class MajorizationData:
     omega_prime: Distribution
 
 
-def _bases(gamma: float, phases) -> np.ndarray:
-    """Extension bases at angle gamma over an array of phases, shape (..., 3, 3).
+def _bases(gamma: float, phase: float) -> np.ndarray:
+    """Extension basis at angle gamma and ancilla phase `phase`, shape (3, 3).
 
     Rows are (w_plus, w_minus, w_inconclusive); the phase enters only the
     third column, so a shift of both phases leaves every overlap modulus
@@ -73,11 +71,9 @@ def _bases(gamma: float, phases) -> np.ndarray:
     """
     v, eta = _measurement_vectors(gamma)
     root = math.sqrt(1.0 + eta)
-    e = np.exp(1j * np.asarray(phases, dtype=float))
-    b = np.zeros(e.shape + (3, 3), dtype=complex)
-    b[..., :2] = v / root
-    b[..., :2, 2] = (math.sqrt(eta) / root) * e[..., None]
-    b[..., 2, 2] = (-math.sqrt(1.0 - eta) / root) * e
+    b = np.zeros((3, 3), dtype=complex)
+    b[:, :2] = v / root
+    b[:, 2] = np.array([math.sqrt(eta), math.sqrt(eta), -math.sqrt(1.0 - eta)]) / root * np.exp(1j * phase)
     return b
 
 
@@ -111,43 +107,36 @@ def s_second(w) -> float:
     return float(mods[-2])
 
 
-def optimize_s_max(
-    eta: float,
-    grid_points: int = DEFAULT_GRID,
-    refine_tol: float = DEFAULT_REFINE_TOL,
-) -> tuple[float, tuple[float, float]]:
-    """Minimize the peak overlap over the two free extension phases.
+def optimize_s_max(eta: float) -> tuple[float, tuple[float, float]]:
+    """Minimize the peak overlap over the two free extension phases, exactly.
 
     The overlap moduli depend only on the phase difference delta, so the
-    search fixes the first phase at 0 and scans delta on grid_points
-    points, then refines by 1-D descent down to a step of refine_tol.
-    Returns the minimized peak overlap and the phase pair (0, delta*).
-    The optimum certifies the closed form: it equals 1 / mu_factor(eta).
+    first phase is fixed at 0.  There the basis is real, with rows
+    w_i = (h_i, c_i): h_i its first two components and c_i its third.
+    The basis at phase delta differs only in its third column, c_i e^{i delta},
+    so W_ij(delta) = A_ij + c_i c_j e^{i delta} with A_ij = h_i . h_j, and
+
+        |W_ij|^2 = A_ij^2 + c_i^2 c_j^2 + 2 A_ij c_i c_j cos(delta)
+
+    is affine in u = cos(delta).  The squared peak overlap is the upper
+    envelope of these nine lines on u in [-1, 1], a convex piecewise-linear
+    function, so its minimum lies at u = +-1 or where two lines cross.  The
+    envelope is evaluated at both ends and at the 36 pairwise crossings
+    that fall inside.  Returns the minimized peak overlap and the phase
+    pair (0, delta*) with delta* = arccos(u*) in [0, pi].  The optimum
+    certifies the closed form: it equals 1 / mu_factor(eta).
     """
     eta = scalar("eta", eta, 0.0, 1.0)
-    grid_points = integer("grid_points", grid_points, 2, math.inf)
-    refine_tol = scalar("refine_tol", refine_tol, TINY, HUGE)
-    gamma = 0.5 * math.acos(eta)
-    origin = _bases(gamma, 0.0).conj()
-
-    def peaks(deltas: np.ndarray) -> np.ndarray:
-        overlaps = np.einsum("ik,njk->nij", origin, _bases(gamma, deltas))
-        return np.abs(overlaps).max(axis=(1, 2))
-
-    step = TWO_PI / grid_points
-    grid = np.arange(grid_points) * step
-    scan = peaks(grid)
-    k = int(np.argmin(scan))
-    best, best_val = float(grid[k]), float(scan[k])
-    while step > refine_tol:
-        trials = np.array([best + step, best - step])
-        vals = peaks(trials)
-        j = int(np.argmin(vals))
-        if vals[j] < best_val - 1e-15:
-            best, best_val = float(trials[j]), float(vals[j])
-        else:
-            step *= 0.5
-    return best_val, (0.0, best % TWO_PI)
+    b = _bases(0.5 * math.acos(eta), 0.0).real
+    a, c = b[:, :2] @ b[:, :2].T, np.outer(b[:, 2], b[:, 2])
+    offset, slope = (a * a + c * c).ravel(), (2.0 * a * c).ravel()
+    p, q = np.triu_indices(offset.size, 1)
+    rise, run = offset[q] - offset[p], slope[p] - slope[q]
+    cross = rise[run != 0.0] / run[run != 0.0]
+    u = np.concatenate(([-1.0, 1.0], cross[np.abs(cross) <= 1.0]))
+    peaks = (offset + slope * u[:, None]).max(axis=1)
+    k = int(np.argmin(peaks))
+    return math.sqrt(peaks[k]), (0.0, math.acos(u[k]))
 
 
 def _eta_array(eta) -> np.ndarray:

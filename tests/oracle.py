@@ -9,7 +9,9 @@ definitions, so that it shares no code with the package:
   exactly, so that a closed form and its reference see the same input;
 * `measure` evaluates std, v1, v2, v4 or v1_inf on any table, as
   R_a(X) - R_a(X|Y) of rows X given columns Y with the variant's
-  conditional entropy, and `measure_grid` does so over arrays of triples.
+  conditional entropy, and `measure_grid` does so over arrays of triples;
+* `mu_mp` is the phase-optimized factor mu(eta) of the uncertainty
+  bounds, from the extension bases at gamma = acos(eta) / 2.
 
 `grid` gives the (P_E, xi) box that the accuracy gates sweep, and
 `assert_exact` is their one gate.  Importing this module skips the
@@ -128,6 +130,39 @@ def measure_grid(name: str, q, orders=None) -> np.ndarray:
             for k, a in enumerate(orders):
                 out[idx + (k,)] = float(measure(name, rows, a))
     return out if name in ("v1", "v2", "v4") else out[..., 0]
+
+
+def mu_mp(eta):
+    """mu(eta), the reciprocal of the smallest peak overlap of two extension bases.
+
+    At phase 0 the basis rows are (sin gamma, +/- cos gamma, sqrt(eta)) and
+    (sqrt(2 eta), 0, -sqrt(1 - eta)), over sqrt(1 + eta).  The other basis
+    carries e^{i delta} on its third column, so each squared overlap modulus
+    is a line a + b cos(delta), and the squared peak is the upper envelope
+    of nine lines on [-1, 1].  Its minimum is at an end or where two lines
+    cross; the envelope is evaluated there, at DPS digits.
+    """
+    with mp.workdps(DPS):
+        e = mp.mpf(float(eta))
+        gamma = mp.acos(e) / 2
+        root = mp.sqrt(1 + e)
+        rows = [
+            [mp.sin(gamma) / root, mp.cos(gamma) / root, mp.sqrt(e) / root],
+            [mp.sin(gamma) / root, -mp.cos(gamma) / root, mp.sqrt(e) / root],
+            [mp.sqrt(2 * e) / root, mp.mpf(0), -mp.sqrt(1 - e) / root],
+        ]
+        lines = []
+        for wi in rows:
+            for wj in rows:
+                head, c = wi[0] * wj[0] + wi[1] * wj[1], wi[2] * wj[2]
+                lines.append((head ** 2 + c ** 2, 2 * head * c))
+        points = [mp.mpf(-1), mp.mpf(1)]
+        for k, (a1, b1) in enumerate(lines):
+            for a2, b2 in lines[k + 1:]:
+                if b1 != b2 and abs(a2 - a1) <= abs(b1 - b2):
+                    points.append((a2 - a1) / (b1 - b2))
+        peak = min(max(a + b * u for a, b in lines) for u in points)
+        return float(1 / mp.sqrt(peak))
 
 
 def assert_exact(got, truth, rel: float, floor: float, what: str = "value") -> None:

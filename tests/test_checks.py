@@ -65,8 +65,7 @@ REAL_ROWS = {
     "shor_preskill_rate": ("delta", shor_preskill_rate, 0.125, 0, 0.75),
     "naimark_basis.gamma": ("gamma", naimark_basis, 0.5, 0, 1.0),
     "naimark_basis.phase": ("phase", lambda v: naimark_basis(0.5, v), 2.5, 3, None),
-    "optimize_s_max.eta": ("eta", lambda v: optimize_s_max(v, 16), 0.25, 1, 1.5),
-    "optimize_s_max.refine_tol": ("refine_tol", lambda v: optimize_s_max(0.25, 16, v), 0.125, 1, 0.0),
+    "optimize_s_max.eta": ("eta", optimize_s_max, 0.25, 1, 1.5),
     "mu_factor": ("eta", mu_factor, 0.25, 1, 1.5),
     "mutual_info_upper_bound": ("eta", lambda v: mutual_info_upper_bound(Q, v), 0.25, 1, -0.5),
     "SessionConfig.error_rate": ("error_rate", lambda v: SessionConfig(10, v, 0.5, 1), 0.125, 0, 0.5),
@@ -80,7 +79,6 @@ INFINITE_ORDERS = {"Order", "alpha_mutual_information.order"}  # inf is the min-
 ONE_NUMBER = {
     "xi_to_phi.xi", "xi_to_phi.theta", "error_lower_bound.theta", "error_lower_bound.q_inconclusive",
     "shor_preskill_rate", "naimark_basis.gamma", "naimark_basis.phase", "optimize_s_max.eta",
-    "optimize_s_max.refine_tol",
 }
 
 # id: (parameter, call, a valid value, a value out of range)
@@ -91,7 +89,6 @@ INTEGER_ROWS = {
     "alpha_mutual_information.variant@1": ("variant", lambda v: alpha_mutual_information(JOINT, 1.0, v), 4, 3),
     "alpha_mutual_information.variant@2": ("variant", lambda v: alpha_mutual_information(JOINT, 2.0, v), 2, 3),
     "conditional_renyi.variant": ("variant", lambda v: conditional_renyi(JOINT, 2.0, v), 4, 0),
-    "optimize_s_max.grid_points": ("grid_points", lambda v: optimize_s_max(0.25, v), 16, 1),
     "SessionConfig.rounds": ("rounds", lambda v: SessionConfig(v, 0.125, 0.5, 1), 10, 0),
     "SessionConfig.seed": ("seed", lambda v: SessionConfig(10, 0.125, 0.5, v), 2**64 - 1, 2**64),
 }

@@ -142,9 +142,12 @@ class TestCurves:
             elif measure != "std" and float(p_e) < 0.3:  # at P_E = 1/3 every measure is 1
                 assert value != std[p_e]
 
-    def test_rejects_unknown_measure(self, capsys):
-        code, _ = run_cli(["curves", "--measure", "bogus"], capsys)
-        assert code == 2
+    def test_rejects_unknown_measure(self, tmp_path, capsys):
+        assert exit_and_stdout(["curves", "--measure", "bogus"], capsys) == (2, "")
+        # the flag's choices apply to a config value too
+        conf = tmp_path / "run.conf"
+        conf.write_text("measure=std,bogus\n")
+        assert exit_and_stdout(["curves", "--config", str(conf)], capsys) == (2, "")
 
     def test_rejects_infinite_order_for_v2(self, capsys):
         code, out = run_cli(

@@ -1,4 +1,4 @@
-"""The closed forms of std, v1, v2, v4 and v1_inf against the 50-digit oracle.
+"""The closed forms of std, v1, v2, v4, v1_inf and mu(eta) against the 50-digit oracle.
 
 The reference is each measure's definition evaluated on the same float
 triple (Q_S, Q_E, Q_?) that the closed form sees, so these gates measure
@@ -20,10 +20,13 @@ from fpbprobe.entropy import (
     closed_form_i_std,
     joint_from_outcome_probs,
 )
+from fpbprobe.uncertainty import mu_factor, optimize_s_max
 
 ULP16 = 16 * 2.0 ** -52
 BOX_ORDERS = (0.05, 0.5, 2.0, 3.0, 10.0, 50.0)
 NEAR_ONE = (1 - 1e-3, 1 - 1e-6, 1 + 1e-6, 1 + 1e-3)
+# Both ends, near 0, and each knot of mu(eta) with a point 1e-9 to either side.
+MU_ETAS = (0.0, 1e-6, 0.1, 0.2 - 1e-9, 0.2, 0.2 + 1e-9, 0.35, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.8, 1.0)
 CLOSED_FORMS = {"v1": (closed_form_i1, 1), "v2": (closed_form_i2, 2), "v4": (closed_form_i4, 4)}
 
 
@@ -74,3 +77,23 @@ class TestAccuracyGate:
         table = np.stack([alpha_mutual_information(joint, a, variant) for a in NEAR_ONE], axis=-1)
         err = np.abs(closed_form(np.array(NEAR_ONE), q_axis) - truth)
         assert (err <= np.maximum(np.abs(table - truth), ULP16 * np.maximum(1.0, np.abs(truth)))).all()
+
+
+class TestMuOracle:
+    """mu_factor and optimize_s_max against the 50-digit nine-line envelope.
+
+    The oracle runs the optimizer's own argument in exact arithmetic, so
+    these gates check the closed form and the float rounding of both; the
+    dense delta scan in test_uncertainty checks the argument itself.
+    """
+
+    @pytest.fixture(scope="class")
+    def truth(self):
+        return np.array([oracle.mu_mp(eta) for eta in MU_ETAS])
+
+    def test_mu_factor(self, truth):
+        oracle.assert_exact(mu_factor(np.array(MU_ETAS)), truth, 1e-15, 0.0, "mu_factor")
+
+    def test_optimize_s_max(self, truth):
+        got = [optimize_s_max(eta)[0] for eta in MU_ETAS]
+        oracle.assert_exact(got, 1.0 / truth, 0.0, 1e-15, "optimize_s_max")

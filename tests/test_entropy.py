@@ -435,6 +435,16 @@ class TestAlphaMutualInformation:
             with pytest.raises(ValueError):
                 alpha_mutual_information(j, a, 3)
 
+    @pytest.mark.parametrize("q", [(0.0, 0.0, 1.0), (0.5, 0.5, 0.0), (0.75, 0.25, 0.0)],
+                             ids=["two_empty", "one_empty", "one_empty_peak_3_4"])
+    def test_variant4_empty_columns_at_high_orders(self, q):
+        # an empty column's point mass over the live peak (1/2, or 3/4 in the
+        # last case) overflowed from order 1024 (or ~2467) on, and 0 * inf gave nan
+        q = OutcomeProbs(*q)
+        j = joint_from_outcome_probs(q)
+        for a in (2.0, 1023.0, 1024.0, 1075.0, 5000.0):
+            assert alpha_mutual_information(j, a, 4) == pytest.approx(closed_form_i4(a, q), rel=1e-15, abs=1e-15)
+
     def test_variant2_symmetric(self, rng):
         for _ in range(20):
             j = random_joint(rng)
