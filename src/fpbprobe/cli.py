@@ -220,28 +220,21 @@ def cmd_curves(args) -> int:
     xis = _given(args.xi, DEFAULT_XI)
     measures = _given(args.measure, DEFAULT_MEASURES)
     orders = [Order.parse(tok) for tok in _given(args.order, DEFAULT_ORDERS)]
-    if any(o.is_infinite for o in orders) and any(m in ("v2", "v4") for m in measures):
-        raise ValueError("measures v2 and v4 are undefined at infinite order; drop 'inf' or the measure")
     if not xis:
         raise ValueError("at least one xi is needed")
     grid = _grid(_given(args.p_e_min, DEFAULT_PE_MIN), _given(args.p_e_max, DEFAULT_PE_MAX),
                  _given(args.steps, DEFAULT_PE_STEPS))
 
     # Every column over the whole (P_E, xi) grid first, from the closed
-    # forms; bad grid input fails here, before the output is opened.  The
-    # grid has a last axis of length 1, against which the orders broadcast.
+    # forms: bad input fails here, before the output is opened.  The grid
+    # has a last axis of length 1, against which the orders broadcast.
     q, _ = outcome_probs_grid(grid[:, None, None], np.asarray(xis, dtype=float)[:, None])
-    i_std = closed_form_i_std(q)
-    shannon = np.array([o.is_shannon for o in orders], dtype=bool)
-    # A Shannon order has no variant-specific closed form: it gets 2 in the
-    # call, and the standard measure in the output.
-    alphas = np.where(shannon, 2.0, [o.value for o in orders])
     closed_forms = {"v1": closed_form_i1, "v2": closed_form_i2, "v4": closed_form_i4}
     labels, columns = [], []
     for measure in measures:
         if measure == "std":
             labels.append("std,1")
-            columns.append(i_std)
+            columns.append(closed_form_i_std(q))
         elif measure == "v1_inf":
             labels.append("v1_inf,inf")
             columns.append(closed_form_i1(math.inf, q))
@@ -251,7 +244,7 @@ def cmd_curves(args) -> int:
             columns.append(np.divide(q.q_success, rem, out=np.full_like(rem, 0.5), where=rem > 0.0))
         elif orders:
             labels += [f"{measure},{order}" for order in orders]
-            columns.append(np.where(shannon, i_std, closed_forms[measure](alphas, q)))
+            columns.append(closed_forms[measure](np.array([o.value for o in orders]), q))
     if not columns:
         raise ValueError("no rows selected: give a measure, and an order for v1, v2 and v4")
     values = np.concatenate(columns, axis=-1)[..., None]

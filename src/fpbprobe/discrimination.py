@@ -23,8 +23,6 @@ from .probe import MAX_ERROR_RATE, ProbeConfig, theta_from_error_rate, theta_gri
 QUARTER_PI = 0.25 * math.pi
 PHI_SLACK = 1e-12
 
-_EVE_OUTCOMES = ("plus", "minus", "inconclusive")
-
 
 @dataclass(frozen=True)
 class DiscriminationConfig:

@@ -15,16 +15,20 @@ whose docstrings give the formulas.  They take an OutcomeProbs of arrays
 and an order that is a scalar or an array broadcasting against it, and
 build no table.  They avoid two cancellations of the table path: the
 difference of O(1) entropies that leaves a small variant-2 value as
-noise, and the O(1) numerator over 1 - a near order 1.  The generic
-table path stays for arbitrary tables and the simulator's empirical one.
+noise, and the O(1) numerator over 1 - a near order 1.  At order 1 each
+gives closed_form_i_std, the limit of every variant (Fehr and Berens,
+IEEE TIT 60, 2014).  The generic table path stays for arbitrary tables
+and the simulator's empirical one.
 
 The table axes are short (2, 3 or 6), and numpy runs a reduction over such
-an axis as one inner loop per stack member: on a 334 x 5 stack of 2 x 3
-tables, .sum and .max over the last axis take 4-16x as long as one ufunc
-call per slice.  The measures therefore fold those axes slice by slice
-(`_fold`), in the order numpy reduces them, so the bits do not change.  `_checked` and `_mutual_information` keep numpy's reductions: the
-simulator runs them on one table per session, where a fold's extra ufunc
-calls cost more than the loop they save.
+an axis as one inner loop per stack member: on the (501, 3) vectors of
+`bounds`, .sum(axis=-1) takes 13.2 us and .max(axis=-1) 30.9 us, against
+6.6 us and 4.9 us for one ufunc call per slice (numpy 2.4.6, 2-core
+Xeon, best of 7 timeit runs).  The measures therefore fold those axes
+slice by slice (`_fold`), in the order numpy reduces them, so the bits
+do not change.  `_checked` and `_mutual_information` keep numpy's
+reductions: the simulator runs them on one table per session, where a
+fold's extra ufunc calls cost more than the loop they save.
 """
 
 from __future__ import annotations
@@ -46,11 +50,11 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class Order:
-    """Entropic order: finite alpha > 0, with alpha ~ 1 meaning Shannon.
+    """Entropic order: alpha > 0, with math.inf selecting the min-entropy.
 
-    Values within 1e-9 of 1 take the Shannon branch, which avoids the
-    catastrophic cancellation of the generic formula near alpha = 1.
-    math.inf selects the min-entropy.
+    On the table path, orders within SHANNON_WINDOW of 1 take the Shannon
+    branch, which avoids the catastrophic cancellation of the generic
+    formula near alpha = 1.  The closed forms need no such window.
     """
 
     value: float
@@ -311,31 +315,33 @@ def joint_from_outcome_probs(q: OutcomeProbs) -> JointDistribution:
     return JointDistribution(0.5 * np.stack(rows, axis=-2))
 
 
-def _operands(a, q: OutcomeProbs, finite: bool) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple]:
-    """The orders of a closed form, its triple (Q_S, Q_E, Q_?), and the result's shape.
+def _operands(a, q: OutcomeProbs, variant: int) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple]:
+    """The orders of a closed form, its triple (Q_S, Q_E, Q_?), and what `_result` needs.
 
-    `a` is an Order, a scalar or an array.  Orders within SHANNON_WINDOW of
-    1 are rejected (closed_form_i_std is the measure there), and so is the
-    infinite order if `finite`.  The triple is clipped at 0 (OutcomeProbs
-    allows -1e-12) and keeps its own shape; each closed form computes what
-    depends on it alone in that shape.  The orders come back laid out in
-    full in the result's shape.  Both have at least one dimension, and
-    the closed form reshapes its result: numpy runs its transcendental
-    functions through other code, with other last bits, on 0-d operands.
+    `a` is an Order, a scalar or an array; variants 2 and 4 reject the
+    infinite order.  Order 1 becomes a placeholder 2, replaced in `_result`.
+    The triple is clipped at 0 (OutcomeProbs allows -1e-12) and keeps its
+    own shape; each closed form computes what depends on it alone in that
+    shape.  The orders come back laid out in full in the result's shape.
+    Both have at least one dimension, and `_result` reshapes: numpy runs
+    its transcendental functions through other code, with other last
+    bits, on 0-d operands.
     """
     alpha = np.asarray(real("order", a.value if isinstance(a, Order) else a, TINY, math.inf))
-    if (np.abs(alpha - 1.0) <= SHANNON_WINDOW).any():
-        raise ValueError("order 1 has no variant-specific closed form; use closed_form_i_std")
-    if finite and (alpha == math.inf).any():
-        raise ValueError("this variant is undefined at infinite order")
-    fields = (q.q_success, q.q_error, q.q_inconclusive)
-    try:  # one array of the three, when their shapes agree
-        triple = np.maximum(fields, 0.0, dtype=float)
-    except ValueError:
-        triple = np.maximum(np.broadcast_arrays(*fields), 0.0, dtype=float)
-    shape = np.broadcast(alpha, triple[0]).shape
-    alpha = _pow_base(alpha, shape).reshape(shape or (1,))
-    return alpha, tuple(triple.reshape((3,) + (triple.shape[1:] or (1,)))), shape
+    if variant != 1 and (alpha == math.inf).any():
+        raise ValueError(f"variant {variant} is undefined at infinite order")
+    at_one = alpha == 1.0
+    triple = np.maximum(np.broadcast_arrays(q.q_success, q.q_error, q.q_inconclusive), 0.0, dtype=float)
+    shape = np.broadcast_shapes(alpha.shape, triple.shape[1:])
+    alpha = _pow_base(np.where(at_one, 2.0, alpha), shape).reshape(shape or (1,))
+    return alpha, tuple(triple.reshape((3,) + (triple.shape[1:] or (1,)))), (shape, at_one, q)
+
+
+def _result(value: np.ndarray, ends: tuple) -> float | np.ndarray:
+    """A closed form's values in the result's shape, closed_form_i_std where the order is 1."""
+    shape, at_one, q = ends
+    value = value.reshape(shape)
+    return _float_or_array(np.where(at_one, closed_form_i_std(q), value) if at_one.any() else value)
 
 
 def _pow_base(x: np.ndarray, shape: tuple) -> np.ndarray:
@@ -385,13 +391,13 @@ def closed_form_i1(a, q: OutcomeProbs) -> float | np.ndarray:
     r (1 - (log1p(t) - G / (a - 1)) / ln 2), which is also the limit
     r (1 - log2(1 + t)) at the infinite order.  The order `a` is a scalar
     or an array that broadcasts against the triple; every order must be
-    positive, and none may lie within SHANNON_WINDOW of 1 (use
-    closed_form_i_std there).  A fully inconclusive measurement gives 0.
+    positive.  Order 1 gives closed_form_i_std, the limit of the formula.
+    A fully inconclusive measurement gives 0.
     """
-    alpha, (qs, qe, _), shape = _operands(a, q, finite=False)
+    alpha, (qs, qe, _), ends = _operands(a, q, 1)
     r, t = _split(qs, qe)
     g = np.log1p(_pow_gap(t, _log(t), alpha)[1] / (1.0 + t))
-    return _float_or_array((r * (1.0 - (np.log1p(t) - g / (alpha - 1.0)) / _LN2)).reshape(shape))
+    return _result(r * (1.0 - (np.log1p(t) - g / (alpha - 1.0)) / _LN2), ends)
 
 
 def closed_form_i2(a, q: OutcomeProbs) -> float | np.ndarray:
@@ -409,9 +415,9 @@ def closed_form_i2(a, q: OutcomeProbs) -> float | np.ndarray:
     relative accuracy, where the difference of entropies in
     alpha_mutual_information keeps only an absolute one.  ln N comes from
     logs, since both of its terms underflow at orders in the thousands.
-    The order `a` is as for closed_form_i1, but finite.
+    The order `a` is as for closed_form_i1 (order 1 included), but finite.
     """
-    alpha, (qs, qe, qq), shape = _operands(a, q, finite=True)
+    alpha, (qs, qe, qq), ends = _operands(a, q, 2)
     m = np.maximum(np.maximum(qs, qe), qq)
     ys, ye, yr, yq = qs / m, qe / m, (qs + qe) / (2.0 * m), qq / m
     ls, le, lr, lq = _log(ys), _log(ye), _log(yr), _log(yq)
@@ -422,7 +428,7 @@ def closed_form_i2(a, q: OutcomeProbs) -> float | np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):  # -inf * a at y = 0, and the branch np.where drops
         ln_n = np.logaddexp(_LN2 + alpha * lr, alpha * lq)
         ln = np.where(np.abs(d) < 0.5 * s, np.log1p(d / s), ln_n - np.log(s))
-    return _float_or_array((ln / ((1.0 - alpha) * _LN2)).reshape(shape))
+    return _result(ln / ((1.0 - alpha) * _LN2) + 0.0, ends)  # +0.0 avoids -0.0
 
 
 def closed_form_i4(a, q: OutcomeProbs) -> float | np.ndarray:
@@ -436,15 +442,15 @@ def closed_form_i4(a, q: OutcomeProbs) -> float | np.ndarray:
     argument's log is log1p(r expm1(ln c)); where c is large, it is
     ln c + ln(r + Q_? / c).  r is never raised to a power, so r = 0, the
     fully inconclusive case, gives 0 at every order.  The order `a` is as
-    for closed_form_i2.
+    for closed_form_i2, order 1 included.
     """
-    alpha, (qs, qe, qq), shape = _operands(a, q, finite=True)
+    alpha, (qs, qe, qq), ends = _operands(a, q, 4)
     r, t = _split(qs, qe)
     rr = np.where(r > 0.0, r, 1.0)
     ln_c = (alpha - 1.0) * np.log1p(np.abs(qs - qe) / rr) + np.log1p(_pow_gap(t, _log(t), alpha)[1] / (1.0 + t))
     with np.errstate(over="ignore"):  # exp in the branch np.where drops
         ln_arg = np.where(ln_c < 1.0, np.log1p(rr * np.expm1(ln_c)), ln_c + np.log(rr + qq / np.exp(ln_c)))
-    return _float_or_array(np.where(r > 0.0, ln_arg / ((alpha - 1.0) * _LN2), 0.0).reshape(shape))
+    return _result(np.where(r > 0.0, ln_arg / ((alpha - 1.0) * _LN2), 0.0), ends)
 
 
 def closed_form_i_std(q: OutcomeProbs) -> float | np.ndarray:

@@ -31,6 +31,7 @@ from .entropy import (
 )
 
 TWO_PI = 2.0 * math.pi
+UNITARY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -229,23 +230,24 @@ def _class_masks(d: int) -> tuple[np.ndarray, np.ndarray]:
     return masks, starts
 
 
-def zeta_coefficients(w, tol: float = 1e-8) -> np.ndarray:
+def zeta_coefficients(w) -> np.ndarray:
     """Max spectral norm over submatrices of class k, for k = 1..d.
 
     Submatrices of class k are the r x r' blocks with r + r' = k + 1;
     enumeration is brute force (d <= 4) and all their norms come from
-    one batched SVD.  Unitarity forces the last coefficient to 1.
+    one batched SVD.  Unitarity forces the last coefficient to 1; w must
+    be unitary, and zeta_d within 1, to UNITARY_TOL.
     """
     mat = linalg.as_matrix(w)
     d = mat.shape[0]
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("overlap matrix must be square")
-    if not linalg.is_unitary(mat, tol=tol):
+    if not linalg.is_unitary(mat, tol=UNITARY_TOL):
         raise ValueError("overlap matrix is not unitary within tolerance")
     masks, starts = _class_masks(d)
     norms = np.linalg.svd(np.where(masks, mat, 0.0), compute_uv=False)[:, 0]
     z = np.maximum.accumulate(np.minimum(np.maximum.reduceat(norms, starts), 1.0))
-    if abs(z[-1] - 1.0) > tol:
+    if abs(z[-1] - 1.0) > UNITARY_TOL:
         raise ValueError(f"zeta_d = {z[-1]} differs from 1; matrix not unitary enough")
     z[-1] = 1.0
     return z
@@ -299,7 +301,7 @@ def majorization_bound_direct_sum(md: MajorizationData, a) -> float | np.ndarray
         return 0.5 * renyi_entropy(md.omega, o)
     alpha = o.value
     powers = _fold(np.add, p ** alpha)
-    return _float_or_array(np.log2(0.5 + 0.5 * powers) / (1.0 - alpha))
+    return _float_or_array(np.log2(0.5 + 0.5 * powers) / (1.0 - alpha) + 0.0)  # +0.0 avoids -0.0
 
 
 def majorization_entropy_bound(md: MajorizationData, a) -> float | np.ndarray:

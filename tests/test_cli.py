@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from fpbprobe import cli, entropy
-from fpbprobe.discrimination import DiscriminationConfig, outcome_probs, xi_to_phi
-from fpbprobe.entropy import closed_form_i_std
+from fpbprobe.discrimination import DiscriminationConfig, outcome_probs, outcome_probs_grid, xi_to_phi
+from fpbprobe.entropy import closed_form_i1, closed_form_i2, closed_form_i4, closed_form_i_std
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -132,15 +132,23 @@ class TestCurves:
         assert {r[4] for r in rows if r[0] == "0.33333333333333331"} == {"1"}
 
     def test_shannon_orders_print_the_standard_measure(self, capsys):
+        # Order 1 prints the standard measure, the limit of every variant; an
+        # order 1e-10 away prints its own closed-form value.
         _, out = run_cli(["curves", "--steps", "4", "--xi", "0.5", "--order", "1", "--order", "1.0000000001",
                           "--order", "2"] + [a for m in ("std", "v1", "v2", "v4") for a in ("--measure", m)], capsys)
         _, rows = parse_csv(out)
         std = {r[0]: r[4] for r in rows if r[2] == "std"}
+        p_es = np.array([float(p) for p in std])
+        q, _ = outcome_probs_grid(p_es, 0.5)
+        near = {m: dict(zip(std, f(1.0000000001, q))) for m, f in
+                (("v1", closed_form_i1), ("v2", closed_form_i2), ("v4", closed_form_i4))}
         for p_e, _, measure, order, value in rows:
-            if order in ("1", "1.0000000001"):
-                assert value == std[p_e], (measure, order)
-            elif measure != "std" and float(p_e) < 0.3:  # at P_E = 1/3 every measure is 1
-                assert value != std[p_e]
+            if order == "1":
+                assert value == std[p_e], measure
+            elif order == "1.0000000001":
+                assert float(value) == near[measure][p_e], (measure, p_e)
+            if order != "1" and measure != "std" and float(p_e) < 0.3:  # at P_E = 1/3 every measure is 1
+                assert value != std[p_e], (measure, order, p_e)
 
     def test_rejects_unknown_measure(self, tmp_path, capsys):
         assert exit_and_stdout(["curves", "--measure", "bogus"], capsys) == (2, "")

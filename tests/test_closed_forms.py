@@ -23,8 +23,8 @@ from fpbprobe.entropy import (
 from fpbprobe.uncertainty import mu_factor, optimize_s_max
 
 ULP16 = 16 * 2.0 ** -52
-BOX_ORDERS = (0.05, 0.5, 2.0, 3.0, 10.0, 50.0)
-NEAR_ONE = (1 - 1e-3, 1 - 1e-6, 1 + 1e-6, 1 + 1e-3)
+BOX_ORDERS = (0.05, 0.5, 1 - 1e-10, 1 + 1e-10, 2.0, 3.0, 10.0, 50.0)
+NEAR_ONE = (1 - 1e-3, 1 - 1e-6, 1 - 1e-10, 1 - 1e-15, 1 + 1e-15, 1 + 1e-10, 1 + 1e-6, 1 + 1e-3)
 # Both ends, near 0, and each knot of mu(eta) with a point 1e-9 to either side.
 MU_ETAS = (0.0, 1e-6, 0.1, 0.2 - 1e-9, 0.2, 0.2 + 1e-9, 0.35, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.8, 1.0)
 CLOSED_FORMS = {"v1": (closed_form_i1, 1), "v2": (closed_form_i2, 2), "v4": (closed_form_i4, 4)}

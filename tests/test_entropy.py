@@ -540,10 +540,27 @@ class TestClosedForms:
     def test_i1_degenerate_inconclusive(self):
         assert closed_form_i1(2.0, OutcomeProbs(0.0, 0.0, 1.0)) == 0.0
 
-    def test_i1_rejects_shannon_order(self):
-        q = OutcomeProbs(0.6, 0.1, 0.3)
-        with pytest.raises(ValueError):
-            closed_form_i1(1.0, q)
+    def test_zero_i2_is_positive_zero(self):
+        # I_2 = 0 at orders above 1 is a zero over a negative 1 - a; `curves` printed it as -0.
+        for q in (OutcomeProbs(0.5, 0.5, 0.0), OutcomeProbs(0.0, 0.0, 1.0)):
+            for a in (2.0, 50.0):
+                v = closed_form_i2(a, q)
+                assert v == 0.0 and math.copysign(1.0, v) == 1.0, (q, a)
+
+    def test_order_one_is_the_standard_measure(self):
+        """Every variant tends to the standard measure as the order tends to 1,
+        and at order 1 each closed form gives closed_form_i_std's bits."""
+        grid, _ = outcome_probs_grid(np.array([0.0, 1e-12, 0.1, 1.0 / 3.0])[:, None], np.array([0.0, 0.5, 1.0]))
+        points = (OutcomeProbs(0.6, 0.1, 0.3), OutcomeProbs(0.0, 0.0, 1.0), OutcomeProbs(0.5, 0.5, 0.0))
+        for closed_form in (closed_form_i1, closed_form_i2, closed_form_i4):
+            for one in (1, 1.0, np.float64(1), Order(1.0)):
+                for q in (grid,) + points:
+                    std = bits(closed_form_i_std(q))
+                    assert bits(closed_form(one, q)).tolist() == std.tolist(), (closed_form, one)
+                    value = one.value if isinstance(one, Order) else one
+                    inside = closed_form(np.array([2.0, value, 3.0]), OutcomeProbs(
+                        *(np.asarray(f)[..., None] for f in (q.q_success, q.q_error, q.q_inconclusive))))
+                    assert bits(inside[..., 1]).tolist() == std.tolist(), (closed_form, one)
 
     def test_i_std_endpoints(self):
         q0 = outcome_probs(DiscriminationConfig.from_error_rate(0.0, 1.0))
@@ -573,7 +590,7 @@ class TestClosedFormOrders:
     """Orders as scalars, Order instances or arrays that broadcast against the triple."""
 
     CLOSED_FORMS = {1: closed_form_i1, 2: closed_form_i2, 4: closed_form_i4}
-    ORDERS = np.array([0.05, 0.5, 1.0 - 1e-6, 1.0 + 1e-6, 2.0, 3.0, 10.0, 50.0, 1e4])
+    ORDERS = np.array([0.05, 0.5, 1.0 - 1e-6, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 1.0 + 1e-6, 2.0, 3.0, 10.0, 50.0, 1e4])
 
     def grid(self):
         q, _ = outcome_probs_grid(np.array([0.0, 1e-12, 0.01, 0.1, 1.0 / 3.0])[:, None, None],
@@ -622,7 +639,7 @@ class TestClosedFormOrders:
     def test_rejected_orders(self):
         q = OutcomeProbs(0.6, 0.1, 0.3)
         for closed_form in self.CLOSED_FORMS.values():
-            for bad in (np.array([2.0, 1.0]), [2.0, 1.0 + 1e-10], 0.0, -1.0, np.nan, [[2.0], [np.nan]], True, "2"):
+            for bad in (0.0, -1.0, np.nan, [[2.0], [np.nan]], True, "2"):
                 with pytest.raises(ValueError):
                     closed_form(bad, q)
         for closed_form in (closed_form_i2, closed_form_i4):

@@ -380,6 +380,12 @@ class TestMajorizationBounds:
         assert majorization_bound_direct_sum(md, 1e6) == pytest.approx(0.0, abs=1e-4)
         assert majorization_bound_tensor(md, 1e6) == pytest.approx(expected, abs=1e-4)
 
+    def test_zero_direct_sum_bound_is_positive_zero(self):
+        # At eta in {0, 1}, order 2, the bound is a zero over 1 - 2; `bounds` printed it as -0.
+        for eta in (0.0, 1.0):
+            v = majorization_bound_direct_sum(majorization_data(zeta_closed_form(eta)), 2.0)
+            assert v == 0.0 and math.copysign(1.0, v) == 1.0, eta
+
     def test_eta_grid_equals_each_eta_alone_bit_for_bit(self):
         eta = np.linspace(0.0, 1.0, 41)
         md = majorization_data(zeta_closed_form(eta))
