@@ -135,26 +135,35 @@ def _write_csv(fh, header: str, keys, values: np.ndarray, tail: str = "\n") -> N
     axis, the last varying fastest.  `values` has shape
     ``(len(k) for k in keys) + (m,)``: the m float cells that follow the
     keys on each line.  `tail` ends each line.  Floats print as
-    ``'%.17g'``.  Lines are built in blocks of at most `BLOCK_VALUES`
-    float cells, as byte matrices whose NULs are dropped before the write.
+    ``'%.17g'``.  A block of lines is whole rows of the first key axis,
+    at most `BLOCK_VALUES` float cells but at least one row, built in one
+    byte buffer whose NULs are dropped before the write.
     """
     key_cells = [_key_cells(key) for key in keys]
     fh.write(header + "\n")
-    grid_shape = tuple(len(c) for c in key_cells)
+    shape = tuple(len(c) for c in key_cells)
     m = values.shape[-1]
-    values = values.reshape(-1, m)
+    values = values.reshape(shape[0], -1)
     tail_bytes = np.frombuffer(tail.encode(), np.uint8)
-    step = max(1, BLOCK_VALUES // m)
-    for start in range(0, len(values), step):
-        lines = np.arange(start, min(start + step, len(values)))
-        n = len(lines)
-        cells = np.empty((n, m, WIDTH + 1), np.uint8)
-        cells[:, :, :WIDTH] = format_g17(values[start:start + n]).reshape(n, m, WIDTH)
-        cells[:, :, WIDTH] = ord(",")
-        cells[:, -1, WIDTH] = 0
-        parts = [c[i] for c, i in zip(key_cells, np.unravel_index(lines, grid_shape))]
-        parts += [cells.reshape(n, -1), np.broadcast_to(tail_bytes, (n, len(tail_bytes)))]
-        fh.write(np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode("ascii"))
+    col = sum(c.shape[1] for c in key_cells)  # where the values start
+    line = col + m * (WIDTH + 1) - 1 + len(tail_bytes)
+    step = max(1, BLOCK_VALUES // values.shape[1])  # first-axis rows per block
+    for start in range(0, shape[0], step):
+        rows = min(step, shape[0] - start)
+        buf = bytearray(rows * math.prod(shape[1:]) * line)
+        lines = np.frombuffer(buf, np.uint8).reshape(rows, *shape[1:], line)
+        at = 0
+        for axis, c in enumerate(key_cells):
+            c = c[start:start + rows] if axis == 0 else c
+            lines[..., at:at + c.shape[1]] = np.expand_dims(c, tuple(range(1, len(shape) - axis)))
+            at += c.shape[1]
+        flat = lines.reshape(-1, line)
+        # Each value and its ','; the tail then overwrites the last ','.
+        cells = flat[:, col:col + m * (WIDTH + 1)].reshape(-1, m, WIDTH + 1)
+        cells[..., :WIDTH] = format_g17(values[start:start + rows]).reshape(-1, m, WIDTH)
+        cells[..., WIDTH] = ord(",")
+        flat[:, line - len(tail_bytes):] = tail_bytes
+        fh.write(buf.translate(None, b"\0").decode("ascii"))
 
 
 def _load_config_file(path: str) -> dict[str, str]:

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 import os
@@ -197,6 +198,54 @@ class TestCurves:
         for row in rows:
             for tok in (row[0], row[1], row[4]):
                 assert format(float(tok), ".17g") == tok, row
+
+
+def reference_csv(header, keys, values, tail):
+    """What `_write_csv` writes, one Python '%' per float."""
+    texts = [[k if isinstance(k, str) else "%.17g" % k for k in key] for key in keys]
+    lines = [header + "\n"]
+    for index in np.ndindex(*values.shape[:-1]):
+        cells = [texts[axis][i] for axis, i in enumerate(index)] + ["%.17g" % v for v in values[index].tolist()]
+        lines.append(",".join(cells) + tail)
+    return "".join(lines)
+
+
+class TestWriteCsv:
+    LABELS = ["std,1", "v1_inf,inf", "v2,0.5", "cond_prob,", "v4,10"]  # unequal lengths
+
+    @staticmethod
+    def values(shape, seed):
+        """Random values, a fifth of them drawn from every form the writer prints."""
+        forms = [-0.5, 0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308, 1e-7,
+                 1.0, -1.0, np.nextafter(10.0, 0.0), 10.0, 12.5, -123456.75, 1e16, 1e17, 1e300,
+                 1e-4, 9.5e-5, 0.1, 0.25, 3.0, -7.125]
+        for edge in (1e-6, 1e-5, 1.0, 10.0):
+            forms += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-8, 2, shape)
+        pick = rng.random(shape) < 0.2
+        values[pick] = rng.choice(forms, int(pick.sum()))
+        return values
+
+    @staticmethod
+    def check(keys, values, tail):
+        out = io.StringIO()
+        cli._write_csv(out, "a,b", keys, values, tail)
+        assert out.getvalue() == reference_csv("a,b", keys, values, tail)
+
+    @pytest.mark.parametrize("m", [1, 9])
+    @pytest.mark.parametrize("tail", ["\n", ",,\n"])
+    def test_one_two_and_three_key_axes(self, m, tail):
+        xis = np.array([0.0, 1e-5, 0.3, 1.0])
+        for seed, inner in enumerate([[], [self.LABELS], [xis, self.LABELS]]):
+            step = cli.BLOCK_VALUES // (math.prod(map(len, inner)) * m)
+            keys = [np.linspace(0.001, 1 / 3, 2 * step + 3)] + inner  # three blocks, the last partial
+            self.check(keys, self.values(tuple(map(len, keys)) + (m,), seed), tail)
+
+    def test_inner_grid_larger_than_a_block(self):
+        inner = (cli.BLOCK_VALUES // len(self.LABELS) + 1, len(self.LABELS))  # one row per block
+        keys = [np.array([0.5, 2.0, 1e-9]), np.arange(inner[0]) / 7.0, self.LABELS]
+        self.check(keys, self.values((3,) + inner + (1,), 99), "\n")
 
 
 class TestBounds:

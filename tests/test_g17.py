@@ -67,15 +67,29 @@ def test_random_bit_patterns():
     assert_matches_python(bits.view(np.float64))
 
 
+def decimal_exponents(values):
+    """The decimal exponent each value prints with at 17 digits."""
+    return {int(("%.16e" % v).split("e")[1]) for v in np.asarray(values, dtype=float).tolist()}
+
+
 def test_random_magnitudes_through_the_array_path():
     rng = np.random.default_rng(7)
     x = rng.uniform(1.0, 10.0, 50_000) * 10.0 ** rng.integers(E_MIN, E_MAX + 1, 50_000)
+    assert decimal_exponents(x) == set(range(E_MIN, E_MAX + 1))
     assert_matches_python(x)
+
+
+def test_random_magnitudes_above_the_array_path():
+    # [10, 1e17), both signs: these go through Python's '%' one at a time.
+    rng = np.random.default_rng(17)
+    x = rng.uniform(1.0, 10.0, 50_000) * 10.0 ** rng.integers(E_MAX + 1, 17, 50_000)
+    assert decimal_exponents(x) == set(range(E_MAX + 1, 17))
+    assert_matches_python(x * rng.choice([-1.0, 1.0], x.size))
 
 
 def test_near_ties():
     # (2D + 1) / 2 * 10**-k rounded to a double sits within an ulp of a
-    # 17-digit tie.  For 0 <= k <= 22 it takes the array path, where
+    # 17-digit tie.  For 16 <= k <= 22 it takes the array path, where
     # 10**k is exact; other k go through Python.
     rng = np.random.default_rng(11)
     vals = []
@@ -84,6 +98,7 @@ def test_near_ties():
             d, k = int(rng.integers(10**16, 10**17)), int(rng.integers(k_lo, k_hi))
             num, den = (2 * d + 1, 2 * 10**k) if k >= 0 else ((2 * d + 1) * 10**-k, 2)
             vals += ulp_neighbours(num / den, 1)
+    assert set(range(E_MIN, E_MAX + 1)) <= decimal_exponents(vals)
     assert_matches_python(vals)
 
 

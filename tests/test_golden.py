@@ -120,6 +120,25 @@ def test_output_bytes_match_digest(case, capsys):
     assert (len(out), hashlib.sha256(out).hexdigest()) == (case["bytes"], case["sha256"])
 
 
+# The benchmark's curves_grid size: 334 P_E steps, five xi, orders 2, 3
+# and 10, all six measures, 20 040 values.
+CURVES_GRID = (["curves", "--xi", "0", "--xi", "0.25", "--xi", "0.5", "--xi", "0.75", "--xi", "1",
+                "--order", "2", "--order", "3", "--order", "10"] + ALL_MEASURES)
+
+
+@pytest.mark.parametrize("argv", [c["argv"] for c in DIGEST_CASES] + [CURVES_GRID],
+                         ids=[f"{c['argv'][0]}{i:02d}" for i, c in enumerate(DIGEST_CASES)] + ["curves_grid"])
+def test_printed_values_stay_below_ten(argv, capsys):
+    """The array path of fpbprobe._g17 prints magnitudes in [1e-6, 10);
+    larger ones go through Python's '%' one at a time.  That path is sized
+    to this traffic, so no printed measure or bound may reach 10."""
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    first = 4 if argv[0] == "curves" else 1  # the value cells follow the key columns
+    values = [float(cell) for line in lines[1:] for cell in line.split(",")[first:] if cell]
+    assert values and not [v for v in values if 10.0 <= abs(v) < 1e17]
+
+
 SIMULATE_CASES = json.loads((DATA / "simulate_digests.json").read_text())
 
 
