@@ -1,9 +1,9 @@
 """Run a seeded Monte-Carlo session and check it against the analytics.
 
 Every probability in the analytic pipeline is also observable as a
-frequency in simulated sessions; this script plays one million rounds
-and compares the empirical (b', e') table against the closed forms,
-cell by cell, in multinomial standard errors.
+frequency in simulated sessions; this script draws the tally of one
+million rounds and compares the empirical (b', e') table against the
+closed forms, cell by cell, in multinomial standard errors.
 """
 
 import math

@@ -169,11 +169,13 @@ class TestCurves:
         ["curves", "--xi", "0.5", "--xi", "1.5", "--steps", "3"],
         ["bounds", "--variable", "p-e", "--max", "0.5"],
         ["bounds", "--variable", "eta", "--max", "1.5"],
+        ["simulate", "--rounds", str(2**63)],  # numpy's multinomial takes a C long
     ])
     def test_bad_grid_point_writes_nothing(self, argv, tmp_path, capsys):
-        code, out = run_cli(argv, capsys)
-        assert code == 2
-        assert out == ""
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ")
         path = tmp_path / "out.csv"
         code, out = run_cli(argv + ["--out", str(path)], capsys)
         assert code == 2
@@ -329,18 +331,28 @@ class TestSimulate:
         code, _ = run_cli(["simulate", "--p-e", "0.9"], capsys)
         assert code == 2
 
-    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-    def test_one_round_session(self, seed, capsys):
-        # seeds 2-4 leave no error-free sifted round, so there is no empirical table
+    ONE_ROUND_SEEDS = (1, 2, 3, 4)
+
+    @staticmethod
+    def one_round_report(seed, capsys):
         code, out = run_cli(["simulate", "--rounds", "1", "--seed", str(seed)], capsys)
         assert code == 0
-        report = json.loads(out)
+        return json.loads(out)
+
+    @pytest.mark.parametrize("seed", ONE_ROUND_SEEDS)
+    def test_one_round_session(self, seed, capsys):
+        # a round that is not sifted and error-free leaves no empirical table
+        report = self.one_round_report(seed, capsys)
         _, healthy = run_cli(self.ARGS, capsys)
         assert sorted(report) == sorted(json.loads(healthy))
-        empty = report["restricted_rounds"] == 0
-        assert empty == (seed != 1)
+        empty = sum(report["tally"]["counts"][1][1], []) == [0] * 6
+        assert (report["restricted_rounds"] == 0) == empty
         assert (report["empirical_joint"] is None) == empty
         assert (report["mutual_information"]["empirical"] is None) == empty
+
+    def test_one_round_seeds_cover_both_branches(self, capsys):
+        reports = [self.one_round_report(seed, capsys) for seed in self.ONE_ROUND_SEEDS]
+        assert {r["empirical_joint"] is None for r in reports} == {True, False}
 
 
 class TestPovm:

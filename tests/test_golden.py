@@ -26,9 +26,15 @@ instead, and no other byte moved.
 
 simulate_digests.json holds the length and SHA-256 of `simulate` stdout
 for six argvs (2**22 + 4321 rounds, the four corners P_E in {0, 1/3} x
-xi in {0, 1}, and seed 2**64 - 1), written by the kernel that drew float
-uniforms, before the one that reads raw Philox words.  Tallies and the
-report must match byte for byte.
+xi in {0, 1}, and seed 2**64 - 1).  They were recaptured when a session
+became one multinomial draw over its 24 tally cells, under the numpy
+version the file records: the tallies depend on numpy's binomial sampler,
+which numpy may change between releases.  In every recaptured report the
+keys the sampler does not touch (config, analytic_joint,
+mutual_information.analytic, tally.index_order and tally.eve_outcomes)
+were checked byte-identical to the per-round kernel's report, and every
+report still has all cells within 4 sigma.  Tallies and the report must
+match byte for byte.
 
 povm.json holds one `povm` JSON report per (theta, xi) pair, written by
 the implementation that built each element from complex kets.  Keys and
@@ -39,6 +45,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fpbprobe import cli
@@ -139,11 +146,13 @@ def test_printed_values_stay_below_ten(argv, capsys):
     assert values and not [v for v in values if 10.0 <= abs(v) < 1e17]
 
 
-SIMULATE_CASES = json.loads((DATA / "simulate_digests.json").read_text())
+SIMULATE = json.loads((DATA / "simulate_digests.json").read_text())
+SIMULATE_CASES = SIMULATE["cases"]
 
 
 @pytest.mark.parametrize("case", SIMULATE_CASES, ids=[f"simulate{i:02d}" for i in range(len(SIMULATE_CASES))])
 def test_simulate_bytes_match_digest(case, capsys):
     assert cli.main(case["argv"]) == 0
     out = capsys.readouterr().out.encode()
-    assert (len(out), hashlib.sha256(out).hexdigest()) == (case["bytes"], case["sha256"])
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (case["bytes"], case["sha256"]), \
+        f"captured with numpy {SIMULATE['numpy']}, running numpy {np.__version__}"
