@@ -63,29 +63,22 @@ class MajorizationData:
     omega_prime: Distribution
 
 
-def _bases(gamma: float, phase: float) -> np.ndarray:
-    """Extension basis at angle gamma and ancilla phase `phase`, shape (3, 3).
+def naimark_basis(gamma: float, phase: float = 0.0) -> NaimarkExtension:
+    """Extension basis for the POVM at angle gamma, ancilla phase `phase`.
 
     Rows are (w_plus, w_minus, w_inconclusive); the phase enters only the
     third column, so a shift of both phases leaves every overlap modulus
-    unchanged.
+    unchanged.  gamma = 0 (eta = 1) is included so the eta grid can reach
+    both ends.
     """
+    gamma = scalar("gamma", gamma, 0.0, 0.25 * math.pi + 1e-12)
+    phase = scalar("phase", phase, -HUGE, HUGE) % TWO_PI
     v, eta = _measurement_vectors(gamma)
     root = math.sqrt(1.0 + eta)
     b = np.zeros((3, 3), dtype=complex)
     b[:, :2] = v / root
     b[:, 2] = np.array([math.sqrt(eta), math.sqrt(eta), -math.sqrt(1.0 - eta)]) / root * np.exp(1j * phase)
-    return b
-
-
-def naimark_basis(gamma: float, phase: float = 0.0) -> NaimarkExtension:
-    """Extension basis for the POVM at angle gamma, ancilla phase `phase`.
-
-    gamma = 0 (eta = 1) is included so the eta grid can reach both ends.
-    """
-    gamma = scalar("gamma", gamma, 0.0, 0.25 * math.pi + 1e-12)
-    phase = scalar("phase", phase, -HUGE, HUGE) % TWO_PI
-    return NaimarkExtension(gamma=gamma, phase=phase, basis=_bases(gamma, phase))
+    return NaimarkExtension(gamma=gamma, phase=phase, basis=b)
 
 
 def overlap_matrix(e1: NaimarkExtension, e2: NaimarkExtension) -> np.ndarray:
@@ -109,35 +102,31 @@ def s_second(w) -> float:
 
 
 def optimize_s_max(eta: float) -> tuple[float, tuple[float, float]]:
-    """Minimize the peak overlap over the two free extension phases, exactly.
+    """The smallest peak overlap over the two free extension phases, in closed form.
 
-    The overlap moduli depend only on the phase difference delta, so the
-    first phase is fixed at 0.  There the basis is real, with rows
-    w_i = (h_i, c_i): h_i its first two components and c_i its third.
-    The basis at phase delta differs only in its third column, c_i e^{i delta},
-    so W_ij(delta) = A_ij + c_i c_j e^{i delta} with A_ij = h_i . h_j, and
+    The moduli depend only on the phase difference delta, so the first
+    phase is 0.  With u = cos(delta) and (1 + eta)^2 |W_ij|^2 written L_ij:
 
-        |W_ij|^2 = A_ij^2 + c_i^2 c_j^2 + 2 A_ij c_i c_j cos(delta)
+        L_00 = L_11 = 1 + eta^2 + 2 eta u                   (rising)
+        L_01 = L_10 = 2 eta^2 (1 - u)
+        L_02 = L_12 = L_20 = L_21 = 2 eta (1 - eta) (1 - u)
+        L_22 = 4 eta^2 + (1 - eta)^2 + 4 eta (1 - eta) u   (rising)
 
-    is affine in u = cos(delta).  The squared peak overlap is the upper
-    envelope of these nine lines on u in [-1, 1], a convex piecewise-linear
-    function, so its minimum lies at u = +-1 or where two lines cross.  The
-    envelope is evaluated at both ends and at the 36 pairwise crossings
-    that fall inside.  Returns the minimized peak overlap and the phase
-    pair (0, delta*) with delta* = arccos(u*) in [0, pi].  The optimum
-    certifies the closed form: it equals 1 / mu_factor(eta).
+    The squared peak s^2 is their upper envelope, convex in u.  For
+    eta <= 0.2 L_00 is the peak at u = -1 and rises, so delta* = pi and
+    s^2 = ((1 - eta) / (1 + eta))^2.  Above, L_00 meets L_02 (eta <= 0.5,
+    s^2 = (1 - eta) / (2 - eta)) and L_22 meets L_01 (eta >= 0.5,
+    s^2 = eta / (2 - eta)) at the same u* = -(3 eta^2 - 2 eta + 1) / (2 eta (2 - eta)),
+    where u* + 1 = (1 - eta)(5 eta - 1) / (2 eta (2 - eta)) >= 0.  Each s^2
+    is mu_factor(eta)^-2.  Returns 1 / mu_factor(eta) and the phases
+    (0, delta*), delta* = arccos(u*) in [0, pi].
     """
     eta = scalar("eta", eta, 0.0, 1.0)
-    b = _bases(0.5 * math.acos(eta), 0.0).real
-    a, c = b[:, :2] @ b[:, :2].T, np.outer(b[:, 2], b[:, 2])
-    offset, slope = (a * a + c * c).ravel(), (2.0 * a * c).ravel()
-    p, q = np.triu_indices(offset.size, 1)
-    rise, run = offset[q] - offset[p], slope[p] - slope[q]
-    cross = rise[run != 0.0] / run[run != 0.0]
-    u = np.concatenate(([-1.0, 1.0], cross[np.abs(cross) <= 1.0]))
-    peaks = (offset + slope * u[:, None]).max(axis=1)
-    k = int(np.argmin(peaks))
-    return math.sqrt(peaks[k]), (0.0, math.acos(u[k]))
+    if eta <= 0.2:
+        delta = math.pi
+    else:  # u* from u* + 1 >= 0, which holds after rounding too
+        delta = math.acos((1.0 - eta) * (5.0 * eta - 1.0) / (2.0 * eta * (2.0 - eta)) - 1.0)
+    return 1.0 / mu_factor(eta), (0.0, delta)
 
 
 def _eta_array(eta) -> np.ndarray:

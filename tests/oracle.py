@@ -10,8 +10,10 @@ definitions, so that it shares no code with the package:
 * `measure` evaluates std, v1, v2, v4 or v1_inf on any table, as
   R_a(X) - R_a(X|Y) of rows X given columns Y with the variant's
   conditional entropy, and `measure_grid` does so over arrays of triples;
-* `mu_mp` is the phase-optimized factor mu(eta) of the uncertainty
-  bounds, from the extension bases at gamma = acos(eta) / 2.
+* `envelope_mp` writes the squared overlaps of two extension bases at
+  gamma = acos(eta) / 2 as lines in u = cos(delta) and finds the u that
+  minimizes their peak, cos(delta*); `mu_mp` and `zeta_mp` read the
+  phase-optimized mu(eta) and zeta(eta) off it.
 
 `grid` gives the (P_E, xi) box that the accuracy gates sweep, and
 `assert_exact` is their one gate.  Importing this module skips the
@@ -19,6 +21,8 @@ importing test module when mpmath is not installed.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -132,15 +136,18 @@ def measure_grid(name: str, q, orders=None) -> np.ndarray:
     return out if name in ("v1", "v2", "v4") else out[..., 0]
 
 
-def mu_mp(eta):
-    """mu(eta), the reciprocal of the smallest peak overlap of two extension bases.
+def envelope_mp(eta):
+    """The nine squared overlaps of two extension bases as lines in u, and the u minimizing their peak.
 
     At phase 0 the basis rows are (sin gamma, +/- cos gamma, sqrt(eta)) and
-    (sqrt(2 eta), 0, -sqrt(1 - eta)), over sqrt(1 + eta).  The other basis
-    carries e^{i delta} on its third column, so each squared overlap modulus
-    is a line a + b cos(delta), and the squared peak is the upper envelope
-    of nine lines on [-1, 1].  Its minimum is at an end or where two lines
-    cross; the envelope is evaluated there, at DPS digits.
+    (sqrt(2 eta), 0, -sqrt(1 - eta)), over sqrt(1 + eta), with
+    gamma = acos(eta) / 2.  The other basis carries e^{i delta} on its
+    third column, so |W_ij|^2 = a + b u with u = cos(delta); `lines` maps
+    (i, j) to (a, b).  The squared peak is the upper envelope of the nine
+    lines on [-1, 1]; its minimum is at an end or where two lines cross,
+    and the envelope is searched there.  Where it is flat (eta = 0 and
+    eta = 1) the smallest minimizing u is returned.  The values are mpf
+    at DPS digits; do arithmetic on them inside mp.workdps(DPS).
     """
     with mp.workdps(DPS):
         e = mp.mpf(float(eta))
@@ -151,18 +158,43 @@ def mu_mp(eta):
             [mp.sin(gamma) / root, -mp.cos(gamma) / root, mp.sqrt(e) / root],
             [mp.sqrt(2 * e) / root, mp.mpf(0), -mp.sqrt(1 - e) / root],
         ]
-        lines = []
-        for wi in rows:
-            for wj in rows:
+        lines = {}
+        for i, wi in enumerate(rows):
+            for j, wj in enumerate(rows):
                 head, c = wi[0] * wj[0] + wi[1] * wj[1], wi[2] * wj[2]
-                lines.append((head ** 2 + c ** 2, 2 * head * c))
+                lines[i, j] = (head ** 2 + c ** 2, 2 * head * c)
         points = [mp.mpf(-1), mp.mpf(1)]
-        for k, (a1, b1) in enumerate(lines):
-            for a2, b2 in lines[k + 1:]:
+        coeffs = list(lines.values())
+        for k, (a1, b1) in enumerate(coeffs):
+            for a2, b2 in coeffs[k + 1:]:
                 if b1 != b2 and abs(a2 - a1) <= abs(b1 - b2):
                     points.append((a2 - a1) / (b1 - b2))
-        peak = min(max(a + b * u for a, b in lines) for u in points)
-        return float(1 / mp.sqrt(peak))
+        peaks = [max(a + b * u for a, b in coeffs) for u in points]
+        low = min(peaks)
+        u = min(u for u, peak in zip(points, peaks) if peak - low <= mp.mpf(10) ** (10 - DPS))
+        return lines, u
+
+
+def mu_mp(eta) -> float:
+    """mu(eta), the reciprocal of the smallest peak overlap of two extension bases."""
+    with mp.workdps(DPS):
+        lines, u = envelope_mp(eta)
+        return float(1 / mp.sqrt(max(a + b * u for a, b in lines.values())))
+
+
+def zeta_mp(eta) -> tuple[float, float, float]:
+    """(zeta_1, zeta_2, zeta_3) of the overlap matrix at the envelope's minimum.
+
+    zeta_1 is the peak modulus.  zeta_2 is the largest spectral norm of a
+    1x2 or 2x1 block, the Euclidean norm of two entries in one row or one
+    column; zeta_3 = 1 by unitarity.
+    """
+    with mp.workdps(DPS):
+        lines, u = envelope_mp(eta)
+        sq = {ij: a + b * u for ij, (a, b) in lines.items()}
+        pairs = [sq[i, j] + sq[i, k] for i in range(3) for j, k in combinations(range(3), 2)]
+        pairs += [sq[j, i] + sq[k, i] for i in range(3) for j, k in combinations(range(3), 2)]
+        return float(mp.sqrt(max(sq.values()))), float(mp.sqrt(max(pairs))), 1.0
 
 
 def assert_exact(got, truth, rel: float, floor: float, what: str = "value") -> None:

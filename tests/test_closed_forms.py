@@ -1,4 +1,4 @@
-"""The closed forms of std, v1, v2, v4, v1_inf and mu(eta) against the 50-digit oracle.
+"""The closed forms of the measures and of mu, delta* and zeta(eta) against the 50-digit oracle.
 
 The reference is each measure's definition evaluated on the same float
 triple (Q_S, Q_E, Q_?) that the closed form sees, so these gates measure
@@ -20,13 +20,20 @@ from fpbprobe.entropy import (
     closed_form_i_std,
     joint_from_outcome_probs,
 )
-from fpbprobe.uncertainty import mu_factor, optimize_s_max
+from fpbprobe.uncertainty import mu_factor, optimize_s_max, zeta_closed_form
 
 ULP16 = 16 * 2.0 ** -52
 BOX_ORDERS = (0.05, 0.5, 1 - 1e-10, 1 + 1e-10, 2.0, 3.0, 10.0, 50.0)
 NEAR_ONE = (1 - 1e-3, 1 - 1e-6, 1 - 1e-10, 1 - 1e-15, 1 + 1e-15, 1 + 1e-10, 1 + 1e-6, 1 + 1e-3)
 # Both ends, near 0, and each knot of mu(eta) with a point 1e-9 to either side.
 MU_ETAS = (0.0, 1e-6, 0.1, 0.2 - 1e-9, 0.2, 0.2 + 1e-9, 0.35, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.8, 1.0)
+ETA_GRID = tuple(np.linspace(0.0, 1.0, 101).tolist())
+# The overlap lines |W_ij|^2 that meet at the optimum: eta <= 0.2, 0.2 < eta <= 0.5, eta > 0.5.
+PEAK_LINES = (
+    {(0, 0), (1, 1)},
+    {(0, 0), (1, 1), (0, 2), (1, 2), (2, 0), (2, 1)},
+    {(2, 2), (0, 1), (1, 0)},
+)
 CLOSED_FORMS = {"v1": (closed_form_i1, 1), "v2": (closed_form_i2, 2), "v4": (closed_form_i4, 4)}
 
 
@@ -80,11 +87,12 @@ class TestAccuracyGate:
 
 
 class TestMuOracle:
-    """mu_factor and optimize_s_max against the 50-digit nine-line envelope.
+    """mu_factor, optimize_s_max and zeta_closed_form against the 50-digit nine-line envelope.
 
-    The oracle runs the optimizer's own argument in exact arithmetic, so
-    these gates check the closed form and the float rounding of both; the
-    dense delta scan in test_uncertainty checks the argument itself.
+    The oracle searches the envelope's ends and crossings at 50 digits,
+    while optimize_s_max takes delta* from its closed form, so these gates
+    check the closed forms, the derivation and the float rounding; the
+    dense delta scan in test_uncertainty checks the envelope argument.
     """
 
     @pytest.fixture(scope="class")
@@ -97,3 +105,31 @@ class TestMuOracle:
     def test_optimize_s_max(self, truth):
         got = [optimize_s_max(eta)[0] for eta in MU_ETAS]
         oracle.assert_exact(got, 1.0 / truth, 0.0, 1e-15, "optimize_s_max")
+
+    @pytest.fixture(scope="class")
+    def envelopes(self):
+        return {eta: oracle.envelope_mp(eta) for eta in sorted(set(MU_ETAS) | set(ETA_GRID))}
+
+    def test_optimal_phase(self, envelopes):
+        got = [math.cos(optimize_s_max(eta)[1][1]) for eta in envelopes]
+        truth = [float(u) for _, u in envelopes.values()]
+        oracle.assert_exact(got, truth, 0.0, 1e-15, "cos delta*")
+
+    def test_named_lines_are_the_peak_at_the_optimum(self, envelopes):
+        # The lines that optimize_s_max's derivation names meet at the
+        # oracle's u* as the envelope's maximum, and the other lines lie
+        # strictly below it, except at eta = 0, 0.2 and 0.5, where more meet.
+        tiny = oracle.mp.mpf(10) ** -40
+        for eta in ETA_GRID:
+            named = PEAK_LINES[0] if eta <= 0.2 else PEAK_LINES[1] if eta <= 0.5 else PEAK_LINES[2]
+            with oracle.mp.workdps(oracle.DPS):
+                lines, u = envelopes[eta]
+                sq = {ij: a + b * u for ij, (a, b) in lines.items()}
+                top = max(sq.values())
+                assert all(top - sq[ij] <= tiny for ij in named), eta
+                if min(abs(eta - knot) for knot in (0.0, 0.2, 0.5)) > 1e-12:
+                    assert all(top - v > 1e10 * tiny for ij, v in sq.items() if ij not in named), eta
+
+    def test_zeta_closed_form(self):
+        truth = [oracle.zeta_mp(eta) for eta in MU_ETAS]
+        oracle.assert_exact(zeta_closed_form(np.array(MU_ETAS)), truth, 0.0, 1e-15, "zeta_closed_form")

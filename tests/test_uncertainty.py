@@ -98,7 +98,7 @@ class TestOverlapMatrix:
             np.testing.assert_allclose(overlap_matrix(a, b), overlap_matrix(b, a).conj().T, atol=1e-12)
 
     def test_moduli_depend_only_on_phase_difference(self, rng):
-        # optimize_s_max fixes the first phase at 0 on the strength of this invariance
+        # optimize_s_max's derivation fixes the first phase at 0 on the strength of this
         for eta in (0.0, 0.1, 0.3, 0.5, 0.8, 1.0):
             gamma = 0.5 * math.acos(eta)
             for _ in range(60):
@@ -110,7 +110,7 @@ class TestOverlapMatrix:
                 assert np.abs(np.abs(shifted) - np.abs(w)).max() <= 1e-14
 
     def test_squared_moduli_affine_in_cos_delta(self, rng):
-        # optimize_s_max rests on this: |W_ij(delta)|^2 = a_ij + b_ij cos(delta),
+        # optimize_s_max's derivation starts here: |W_ij(delta)|^2 = a_ij + b_ij cos(delta),
         # with a + b and a - b read off at delta = 0 and delta = pi
         for eta in (0.0, 0.1, 0.3, 0.5, 0.8, 1.0):
             gamma = 0.5 * math.acos(eta)
@@ -207,6 +207,36 @@ class TestOptimizeSMax:
             turned[:, :, 2] *= np.exp(1j * deltas)[:, None]  # the phase enters only the third column
             peaks = np.abs(np.einsum("ik,njk->nij", origin.conj(), turned)).max(axis=(1, 2))
             assert peaks.min() >= optimize_s_max(eta)[0] - 1e-15, eta
+
+    def test_derivation(self):
+        # The closed form in optimize_s_max's docstring, symbolically: its
+        # nine lines (1 + eta)^2 |W_ij|^2 are those of the phase-0 basis rows,
+        # each named pair crosses at u*, where u* + 1 has the sign of
+        # 5 eta - 1, the crossing is mu_factor's branch there, and below
+        # eta = 0.2 the rising peak line starts from mu_factor^-2 at u = -1.
+        sp = pytest.importorskip("sympy")
+        eta, u = sp.symbols("eta", positive=True), sp.Symbol("u", real=True)
+        s, c = sp.sqrt(1 - eta) / sp.sqrt(2), sp.sqrt(1 + eta) / sp.sqrt(2)
+        rows = ((s, c, sp.sqrt(eta)), (s, -c, sp.sqrt(eta)), (sp.sqrt(2 * eta), 0, -sp.sqrt(1 - eta)))
+        table = {
+            (0, 0): 1 + eta**2 + 2 * eta * u,
+            (0, 1): 2 * eta**2 * (1 - u),
+            (0, 2): 2 * eta * (1 - eta) * (1 - u),
+            (2, 2): 4 * eta**2 + (1 - eta) ** 2 + 4 * eta * (1 - eta) * u,
+        }
+        table.update({(1, 1): table[0, 0], (1, 0): table[0, 1], (1, 2): table[0, 2],
+                      (2, 0): table[0, 2], (2, 1): table[0, 2]})
+        for (i, j), line in table.items():
+            head, tail = rows[i][0] * rows[j][0] + rows[i][1] * rows[j][1], rows[i][2] * rows[j][2]
+            assert sp.expand(head**2 + tail**2 + 2 * head * tail * u - line) == 0, (i, j)
+        u_star = -(3 * eta**2 - 2 * eta + 1) / (2 * eta * (2 - eta))
+        assert sp.cancel(u_star + 1 - (1 - eta) * (5 * eta - 1) / (2 * eta * (2 - eta))) == 0
+        for rising, falling, mu_squared in (((0, 0), (0, 2), (2 - eta) / (1 - eta)),
+                                            ((2, 2), (0, 1), (2 - eta) / eta)):
+            (cross,) = sp.solve(table[rising] - table[falling], u)
+            assert sp.cancel(cross - u_star) == 0
+            assert sp.cancel(table[rising].subs(u, u_star) / (1 + eta) ** 2 - 1 / mu_squared) == 0
+        assert sp.cancel(table[0, 0].subs(u, -1) / (1 + eta) ** 2 - ((1 - eta) / (1 + eta)) ** 2) == 0
 
     def test_s_max_invariant_under_global_rephasing(self, rng):
         gamma = 0.5 * math.acos(0.3)
