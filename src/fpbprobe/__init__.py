@@ -55,8 +55,10 @@ from .simulator import (
     run_session,
 )
 from .uncertainty import (
+    BOUNDS_COLUMNS,
     MajorizationData,
     NaimarkExtension,
+    bounds_table,
     coles_piani_bound,
     majorization_bound_direct_sum,
     majorization_bound_tensor,

@@ -49,8 +49,6 @@ from .entropy import (
     closed_form_i4,
     closed_form_i_std,
     joint_from_outcome_probs,
-    renyi_entropy,
-    shannon_entropy,
 )
 from .probe import MAX_ERROR_RATE
 from .simulator import (
@@ -59,15 +57,7 @@ from .simulator import (
     empirical_mutual_information,
     run_session,
 )
-from .uncertainty import (
-    coles_piani_bound,
-    majorization_bound_direct_sum,
-    majorization_bound_tensor,
-    majorization_data,
-    mu_bound,
-    mutual_info_upper_bound,
-    zeta_closed_form,
-)
+from .uncertainty import BOUNDS_COLUMNS, bounds_table
 
 MEASURES = ("std", "v1", "v2", "v4", "v1_inf", "cond_prob")
 DEFAULT_MEASURES = ("std", "v1", "v2", "v4", "v1_inf")
@@ -118,13 +108,16 @@ def _open_out(path):
 def _key_cells(column) -> np.ndarray:
     """One row of ASCII bytes per cell, NUL-padded, then ','.
 
-    Floats print as '%.17g', strings as given.
+    Floats print as '%.17g' through the kernel, without the byte columns
+    that are NUL in every row; strings print as given.
     """
     column = np.asarray(column)
     if column.dtype.kind == "f":
-        column = np.array([b"%.17g" % v for v in column.tolist()])
-    column = column.astype(bytes)
-    packed = column.view(np.uint8).reshape(column.size, column.itemsize)
+        packed = format_g17(column)
+        packed = packed[:, packed.any(axis=0)]
+    else:
+        column = column.astype(bytes)
+        packed = column.view(np.uint8).reshape(column.size, column.itemsize)
     return np.concatenate([packed, np.full((len(packed), 1), ord(","), np.uint8)], axis=1)
 
 
@@ -248,9 +241,12 @@ def cmd_curves(args) -> int:
             labels.append("v1_inf,inf")
             columns.append(closed_form_i1(math.inf, q))
         elif measure == "cond_prob":
-            rem = 1.0 - q.q_inconclusive
+            # Q_S / (Q_S + Q_E) cannot exceed 1, and does not cancel where Q_? nears 1
+            # or is a rounding residue, as Q_S / (1 - Q_?) would.
+            conclusive = q.q_success + q.q_error
             labels.append("cond_prob,")
-            columns.append(np.divide(q.q_success, rem, out=np.full_like(rem, 0.5), where=rem > 0.0))
+            columns.append(np.divide(q.q_success, conclusive, out=np.full_like(conclusive, 0.5),
+                                     where=conclusive > 0.0))
         elif orders:
             labels += [f"{measure},{order}" for order in orders]
             columns.append(closed_forms[measure](np.array([o.value for o in orders]), q))
@@ -269,27 +265,13 @@ def cmd_bounds(args) -> int:
     grid = _grid(_given(args.min, DEFAULT_PE_MIN if sweep_pe else 0.0),
                  _given(args.max, DEFAULT_PE_MAX if sweep_pe else 1.0),
                  _given(args.steps, DEFAULT_PE_STEPS if sweep_pe else DEFAULT_ETA_STEPS))
-    eta, pe_columns = grid, []
     if sweep_pe:
         q, eta = outcome_probs_grid(grid, _given(args.xi, 1.0))
-        pe_columns = [closed_form_i_std(q), mutual_info_upper_bound(q, eta)]
-    md = majorization_data(zeta_closed_form(eta))
-    # Outcome distribution of the maximally mixed state I/2 under the
-    # phi = 0 measurement at this eta.
-    half = 0.5 / (1.0 + eta)
-    rho_star = np.stack([half, half, eta / (1.0 + eta)], axis=-1)
-    columns = [
-        mu_bound(eta),
-        coles_piani_bound(eta),
-        0.5 * shannon_entropy(md.omega),
-        majorization_bound_tensor(md, 2.0),
-        majorization_bound_direct_sum(md, 2.0),
-        shannon_entropy(rho_star),
-        renyi_entropy(rho_star, 2.0),
-    ] + pe_columns
-    header = "x,mu_bound,coles_piani,maj_shannon,maj_alpha2_a,maj_alpha2_b,rho_star_H,rho_star_R2,i_std,i_upper"
+        table = bounds_table(eta, q)
+    else:
+        table = bounds_table(grid)
     with _open_out(args.out) as fh:
-        _write_csv(fh, header, [grid], np.stack(columns, axis=-1), tail="\n" if sweep_pe else ",,\n")
+        _write_csv(fh, "x," + ",".join(BOUNDS_COLUMNS), [grid], table, tail="\n" if sweep_pe else ",,\n")
     return EXIT_OK
 
 

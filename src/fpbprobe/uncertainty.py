@@ -26,6 +26,7 @@ from .entropy import (
     _float_or_array,
     _fold,
     binary_entropy,
+    closed_form_i_std,
     renyi_entropy,
     shannon_entropy,
 )
@@ -133,6 +134,10 @@ def _eta_array(eta) -> np.ndarray:
     return np.asarray(real("eta", eta, 0.0, 1.0))
 
 
+# The closed forms in eta, one helper each.  The public functions below
+# and bounds_table share them; each takes a checked eta array.
+
+
 def _mu(e: np.ndarray) -> np.ndarray:
     # Every branch is evaluated; the ones outside their range may divide by 0.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -143,6 +148,12 @@ def _mu(e: np.ndarray) -> np.ndarray:
         )
 
 
+def _coles_piani(e: np.ndarray, log2_mu: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        correction = (e / (2.0 * (1.0 + e))) * np.log2((1.0 - e) / (4.0 * e))
+    return log2_mu + np.where((e > 0.0) & (e < 0.2), correction, 0.0)
+
+
 def _zeta2(e: np.ndarray) -> np.ndarray:
     return np.where(
         e <= 0.2,
@@ -151,8 +162,26 @@ def _zeta2(e: np.ndarray) -> np.ndarray:
     )
 
 
-def _zeta(e: np.ndarray) -> np.ndarray:
-    return np.stack([1.0 / _mu(e), _zeta2(e), np.ones_like(e)], axis=-1)
+def _zeta(e: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    return np.stack([1.0 / mu, _zeta2(e), np.ones_like(e)], axis=-1)
+
+
+def _rho_star(e: np.ndarray) -> Distribution:
+    """Outcome distribution of the maximally mixed state I/2 under the
+    phi = 0 measurement at eta."""
+    half = 0.5 / (1.0 + e)
+    return Distribution(np.stack([half, half, e / (1.0 + e)], axis=-1))
+
+
+def _maj_shannon(md: MajorizationData) -> np.ndarray:
+    return 0.5 * shannon_entropy(md.omega)
+
+
+def _i_upper(q: OutcomeProbs, coles_piani, maj_shannon) -> np.ndarray:
+    """H(E') = 1 - Q_? + h(Q_?) minus the stronger of the two Shannon floors."""
+    qq = np.asarray(q.q_inconclusive, dtype=float)
+    h_e = 1.0 - qq + binary_entropy(np.clip(qq, 0.0, 1.0))
+    return h_e - np.maximum(coles_piani, maj_shannon)
 
 
 def mu_factor(eta) -> float | np.ndarray:
@@ -178,9 +207,7 @@ def coles_piani_bound(eta) -> float | np.ndarray:
     the knot itself.
     """
     e = _eta_array(eta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        correction = (e / (2.0 * (1.0 + e))) * np.log2((1.0 - e) / (4.0 * e))
-    return _float_or_array(np.log2(_mu(e)) + np.where((e > 0.0) & (e < 0.2), correction, 0.0))
+    return _float_or_array(_coles_piani(e, np.log2(_mu(e))))
 
 
 def zeta2_closed_form(eta) -> float | np.ndarray:
@@ -193,7 +220,8 @@ def zeta_closed_form(eta) -> tuple[float, float, float] | np.ndarray:
 
     An array of eta values gives an (..., 3) array.
     """
-    z = _zeta(_eta_array(eta))
+    e = _eta_array(eta)
+    z = _zeta(e, _mu(e))
     return tuple(z.tolist()) if z.ndim == 1 else z
 
 
@@ -242,6 +270,19 @@ def zeta_coefficients(w) -> np.ndarray:
     return z
 
 
+def _steps(x: np.ndarray) -> np.ndarray:
+    """np.diff(x, axis=-1, prepend=0.0), one ufunc call per step.
+
+    numpy would run one inner loop per stack member over the short last
+    axis (see entropy._fold); slices give the same bits.
+    """
+    out = np.empty(x.shape)
+    out[..., 0] = x[..., 0]  # x - 0.0 is x, -0.0 included
+    for k in range(1, x.shape[-1]):
+        np.subtract(x[..., k], x[..., k - 1], out=out[..., k])
+    return out
+
+
 def majorization_data(zeta) -> MajorizationData:
     """Probability vectors omega and omega_prime from a zeta sequence.
 
@@ -250,22 +291,22 @@ def majorization_data(zeta) -> MajorizationData:
     z = np.asarray(zeta, dtype=float)
     if z.ndim < 1 or z.size < 1:
         raise ValueError("zeta must be a nonempty sequence")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("zeta entries must be finite")
-    if np.any(np.diff(z, axis=-1) < -1e-9):
+    if (_steps(z)[..., 1:] < -1e-9).any():
         raise ValueError("zeta must be nondecreasing")
     last = np.abs(z[..., -1] - 1.0)
-    if np.any(last > 1e-8):
+    if (last > 1e-8).any():
         raise ValueError(f"last zeta must be 1, got {z[..., -1][last > 1e-8][0]}")
-    z = np.minimum(np.maximum.accumulate(z, axis=-1), 1.0)
+    z = np.array(z)  # running maximum in place, max(previous, current) as np.maximum.accumulate takes it
+    for k in range(1, z.shape[-1]):
+        np.maximum(z[..., k - 1], z[..., k], out=z[..., k])
+    np.minimum(z, 1.0, out=z)
     z[..., -1] = 1.0
-    omega = np.diff(z, axis=-1, prepend=0.0)
-    xi = ((1.0 + z) ** 2) / 4.0
-    omega_prime = np.diff(xi, axis=-1, prepend=0.0)
     return MajorizationData(
         zeta=tuple(z.tolist()) if z.ndim == 1 else z,
-        omega=Distribution(omega),
-        omega_prime=Distribution(omega_prime),
+        omega=Distribution(_steps(z)),
+        omega_prime=Distribution(_steps(((1.0 + z) ** 2) / 4.0)),
     )
 
 
@@ -318,9 +359,45 @@ def mutual_info_upper_bound(q: OutcomeProbs, eta) -> float | np.ndarray:
     one discrimination configuration; array fields and an eta array of
     the same shape give an array.
     """
-    qq = np.asarray(q.q_inconclusive, dtype=float)
-    h_e = 1.0 - qq + binary_entropy(np.clip(qq, 0.0, 1.0))
     e = _eta_array(eta)
-    md = majorization_data(_zeta(e))
-    floor = np.maximum(coles_piani_bound(e), 0.5 * shannon_entropy(md.omega))
-    return _float_or_array(h_e - floor)
+    mu = _mu(e)
+    md = majorization_data(_zeta(e, mu))
+    return _float_or_array(_i_upper(q, _coles_piani(e, np.log2(mu)), _maj_shannon(md)))
+
+
+BOUNDS_COLUMNS = ("mu_bound", "coles_piani", "maj_shannon", "maj_alpha2_a", "maj_alpha2_b",
+                  "rho_star_H", "rho_star_R2", "i_std", "i_upper")
+
+
+def bounds_table(eta, q: OutcomeProbs | None = None) -> np.ndarray:
+    """Every bound at each eta, one column per name in BOUNDS_COLUMNS.
+
+    The columns are mu_bound, coles_piani_bound, half the Shannon entropy
+    of omega, the tensor-product and direct-sum majorization bounds at
+    order 2, and the Shannon and order-2 Renyi entropies of the maximally
+    mixed state's outcomes (rho*).  With the outcome triples q of the
+    configurations that give eta (fields of eta's shape), two more follow:
+    closed_form_i_std(q) and mutual_info_upper_bound(q, eta), which is
+    H(E') - max(coles_piani, maj_shannon) row by row.  eta is checked once
+    and mu, zeta, omega and rho* are built once; each column has the bits
+    of its own public function.  Returns an eta.shape + (7,) or (9,) array.
+    """
+    e = _eta_array(eta)
+    mu = _mu(e)
+    log2_mu = np.log2(mu)
+    coles_piani = _coles_piani(e, log2_mu)
+    md = majorization_data(_zeta(e, mu))
+    maj_shannon = _maj_shannon(md)
+    rho = _rho_star(e)
+    columns = [
+        2.0 * log2_mu,
+        coles_piani,
+        maj_shannon,
+        majorization_bound_tensor(md, 2.0),
+        majorization_bound_direct_sum(md, 2.0),
+        shannon_entropy(rho),
+        renyi_entropy(rho, 2.0),
+    ]
+    if q is not None:
+        columns += [closed_form_i_std(q), _i_upper(q, coles_piani, maj_shannon)]
+    return np.stack(columns, axis=-1)

@@ -28,6 +28,7 @@ from fpbprobe import (
     SessionConfig,
     alpha_mutual_information,
     binary_entropy,
+    bounds_table,
     cnot_action,
     conditional_renyi,
     error_lower_bound,
@@ -68,6 +69,7 @@ REAL_ROWS = {
     "optimize_s_max.eta": ("eta", optimize_s_max, 0.25, 1, 1.5),
     "mu_factor": ("eta", mu_factor, 0.25, 1, 1.5),
     "mutual_info_upper_bound": ("eta", lambda v: mutual_info_upper_bound(Q, v), 0.25, 1, -0.5),
+    "bounds_table": ("eta", lambda v: bounds_table(v, Q), 0.25, 1, 1.5),
     "SessionConfig.error_rate": ("error_rate", lambda v: SessionConfig(10, v, 0.5, 1), 0.125, 0, 0.5),
     "SessionConfig.xi": ("xi", lambda v: SessionConfig(10, 0.125, v, 1), 0.5, 1, 1.5),
     "conditional_probe_state.error_rate":

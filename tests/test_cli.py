@@ -169,6 +169,8 @@ class TestCurves:
         ["curves", "--xi", "0.5", "--xi", "1.5", "--steps", "3"],
         ["bounds", "--variable", "p-e", "--max", "0.5"],
         ["bounds", "--variable", "eta", "--max", "1.5"],
+        ["bounds", "--variable", "eta", "--min", "-0.1"],
+        ["bounds", "--variable", "p-e", "--xi", "1.5"],
         ["simulate", "--rounds", str(2**63)],  # numpy's multinomial takes a C long
     ])
     def test_bad_grid_point_writes_nothing(self, argv, tmp_path, capsys):
@@ -202,6 +204,26 @@ class TestCurves:
                 assert format(float(tok), ".17g") == tok, row
 
 
+class TestCondProb:
+    # P_E from 0 and from 1e-12 up to 1/3, xi at both schemes, near 0 and inside.
+    EDGE_XI = ["--xi", "0", "--xi", "1e-05", "--xi", "0.3333333333333333", "--xi", "1"]
+
+    @pytest.mark.parametrize("p_e_min", ["0", "1e-12"])
+    def test_edge_grid_cells_are_probabilities(self, p_e_min, capsys):
+        _, out = run_cli(["curves", "--p-e-min", p_e_min, "--steps", "41", "--measure", "cond_prob"]
+                         + self.EDGE_XI, capsys)
+        _, rows = parse_csv(out)
+        assert len(rows) == 41 * 4
+        assert all(0.0 <= float(row[4]) <= 1.0 for row in rows), [r for r in rows if not 0 <= float(r[4]) <= 1]
+
+    def test_ends_print_exactly(self, capsys):
+        # Q_S / (1 - Q_?) printed 1.0000000000000002 at P_E = 1/3 and
+        # 0.49999999999999994 at P_E = 0, xi = 1: there Q_? is a rounding residue.
+        _, out = run_cli(["curves", "--steps", "2", "--p-e-min", "0", "--xi", "0", "--xi", "1",
+                          "--measure", "cond_prob"], capsys)
+        assert [row[4] for row in parse_csv(out)[1]] == ["0.5", "0.5", "1", "1"]
+
+
 def reference_csv(header, keys, values, tail):
     """What `_write_csv` writes, one Python '%' per float."""
     texts = [[k if isinstance(k, str) else "%.17g" % k for k in key] for key in keys]
@@ -214,19 +236,20 @@ def reference_csv(header, keys, values, tail):
 
 class TestWriteCsv:
     LABELS = ["std,1", "v1_inf,inf", "v2,0.5", "cond_prob,", "v4,10"]  # unequal lengths
+    # Every form the writer prints: zeros, inf, nan, subnormals, both
+    # notations of the kernel, values that Python formats, and each edge.
+    FORMS = [-0.5, 0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308, 1e-7,
+             1.0, -1.0, np.nextafter(10.0, 0.0), 10.0, 12.5, -123456.75, 1e16, 1e17, 1e300,
+             1e-4, 9.5e-5, 0.1, 0.25, 3.0, -7.125]
+    FORMS += [v for edge in (1e-6, 1e-5, 1.0, 10.0) for v in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))]
 
-    @staticmethod
-    def values(shape, seed):
-        """Random values, a fifth of them drawn from every form the writer prints."""
-        forms = [-0.5, 0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308, 1e-7,
-                 1.0, -1.0, np.nextafter(10.0, 0.0), 10.0, 12.5, -123456.75, 1e16, 1e17, 1e300,
-                 1e-4, 9.5e-5, 0.1, 0.25, 3.0, -7.125]
-        for edge in (1e-6, 1e-5, 1.0, 10.0):
-            forms += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
+    @classmethod
+    def values(cls, shape, seed):
+        """Random values, a fifth of them drawn from FORMS."""
         rng = np.random.default_rng(seed)
         values = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-8, 2, shape)
         pick = rng.random(shape) < 0.2
-        values[pick] = rng.choice(forms, int(pick.sum()))
+        values[pick] = rng.choice(cls.FORMS, int(pick.sum()))
         return values
 
     @staticmethod
@@ -243,6 +266,13 @@ class TestWriteCsv:
             step = cli.BLOCK_VALUES // (math.prod(map(len, inner)) * m)
             keys = [np.linspace(0.001, 1 / 3, 2 * step + 3)] + inner  # three blocks, the last partial
             self.check(keys, self.values(tuple(map(len, keys)) + (m,), seed), tail)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_float_keys_in_every_form(self, axis):
+        # The key cells go through the same kernel as the values.
+        inner = [np.array(self.FORMS), self.LABELS]
+        keys = [np.array([0.5, 2.0, 1e-9])] + inner if axis else inner
+        self.check(keys, self.values(tuple(map(len, keys)) + (2,), 7 + axis), "\n")
 
     def test_inner_grid_larger_than_a_block(self):
         inner = (cli.BLOCK_VALUES // len(self.LABELS) + 1, len(self.LABELS))  # one row per block

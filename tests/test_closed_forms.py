@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import oracle
+from fpbprobe import cli
 from fpbprobe.discrimination import OutcomeProbs, outcome_probs_grid
 from fpbprobe.entropy import (
     alpha_mutual_information,
@@ -133,3 +134,23 @@ class TestMuOracle:
     def test_zeta_closed_form(self):
         truth = [oracle.zeta_mp(eta) for eta in MU_ETAS]
         oracle.assert_exact(zeta_closed_form(np.array(MU_ETAS)), truth, 0.0, 1e-15, "zeta_closed_form")
+
+
+class TestCondProb:
+    """`curves --measure cond_prob`, Q_S / (Q_S + Q_E), against the Born-rule table at 50 digits."""
+
+    def test_edge_grid(self, capsys):
+        p_e = [0.0, 1e-12, 1e-6, 0.001, 0.1, 0.2, 0.3, 1.0 / 3.0]
+        argv = ["curves", "--measure", "cond_prob", "--steps", "2"]
+        got, truth = [], []
+        for lo, hi in zip(p_e, p_e[1:]):
+            assert cli.main(argv + ["--p-e-min", repr(lo), "--p-e-max", repr(hi)]
+                            + [a for xi in oracle.XI_BOX for a in ("--xi", repr(xi))]) == 0
+            for line in capsys.readouterr().out.splitlines()[1:]:
+                p, xi, *_, value = line.split(",")
+                with oracle.mp.workdps(oracle.DPS):
+                    rows = oracle.born_joint_mp(float(p), float(xi))
+                    conclusive = rows[0][0] + rows[0][1]
+                    truth.append(float(rows[0][0] / conclusive) if conclusive else 0.5)
+                got.append(float(value))
+        oracle.assert_exact(got, truth, 4 * 2.0 ** -52, 0.0, "cond_prob")

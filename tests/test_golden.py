@@ -22,7 +22,12 @@ the default grid within 1e-12 relative.  Seven digests (bounds01,
 bounds03, bounds12, bounds14, curves06, curves08, curves10) were
 recaptured once more when zero values of closed_form_i2 and
 majorization_bound_direct_sum stopped printing as -0: 29 cells read 0
-instead, and no other byte moved.
+instead, and no other byte moved.  The five digests with `--measure
+cond_prob` (curves06, curves08 to curves11) were recaptured when
+cond_prob became Q_S / (Q_S + Q_E) instead of Q_S / (1 - Q_?): 521
+cond_prob cells moved and no other byte.  Each moved cell lies within
+2.6e-16 relative of the 50-digit Born-rule value of tests/oracle.py;
+the old ones were up to 3.3e-5 off, and 68 of them exceeded 1.
 
 simulate_digests.json holds the length and SHA-256 of `simulate` stdout
 for six argvs (2**22 + 4321 rounds, the four corners P_E in {0, 1/3} x

@@ -4,9 +4,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from fpbprobe.discrimination import DiscriminationConfig, born_probs, build_povm, outcome_probs
+from fpbprobe.discrimination import DiscriminationConfig, born_probs, build_povm, outcome_probs, outcome_probs_grid
 from fpbprobe.entropy import binary_entropy, renyi_entropy, shannon_entropy
 from fpbprobe.uncertainty import (
+    BOUNDS_COLUMNS,
+    bounds_table,
     coles_piani_bound,
     majorization_bound_direct_sum,
     majorization_bound_tensor,
@@ -355,6 +357,22 @@ class TestMajorizationData:
             md.omega_prime.probs, [9 / 16, 49 / 64 - 9 / 16, 1 - 49 / 64], atol=1e-15
         )
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_stack_matches_numpy_reductions_bit_for_bit(self, d, rng):
+        # Nondecreasing stacks with ties, dips within the 1e-9 slack and a
+        # last entry near 1, against numpy's accumulate and diff.
+        z = np.sort(rng.uniform(0.0, 1.0, (300, d)), axis=-1)
+        z[::3, :-1] = z[::3, :1]  # ties
+        z[1::3, 1:-1] = z[1::3, :1] - rng.uniform(0.0, 1e-9, (100, 1))  # dips below the first entry
+        z[2::3, :-1] = 1.0  # ones ahead of a last entry just below 1
+        z[:, -1] = 1.0 + rng.uniform(-1e-9, 1e-8, 300)
+        md = majorization_data(z)
+        ref = np.minimum(np.maximum.accumulate(z, axis=-1), 1.0)
+        ref[..., -1] = 1.0
+        assert np.array_equal(md.zeta, ref)
+        assert np.array_equal(md.omega.probs, np.diff(ref, axis=-1, prepend=0.0))
+        assert np.array_equal(md.omega_prime.probs, np.diff((1.0 + ref) ** 2 / 4.0, axis=-1, prepend=0.0))
+
     def test_zeta2_branch_junctions_agree(self):
         at_02 = (math.sqrt(1 + 2 * 0.2 - 3 * 0.04) / 1.2, math.sqrt((2 - 0.4) / 1.8))
         assert abs(at_02[0] - at_02[1]) <= 1e-12
@@ -512,3 +530,58 @@ class TestMutualInfoUpperBound:
         h_e = 1 - q.q_inconclusive + binary_entropy(q.q_inconclusive)
         floor = max(coles_piani_bound(eta), 0.5 * shannon_entropy(md.omega))
         assert mutual_info_upper_bound(q, eta) == pytest.approx(h_e - floor, abs=1e-12)
+
+
+class TestBoundsTable:
+    """The one-pass table against each public closed form, bit for bit."""
+
+    # Both ends and both knots of mu(eta), with points to either side of each knot.
+    ETAS = np.unique(np.concatenate([np.linspace(0.0, 1.0, 101), [0.2 - 1e-9, 0.2 + 1e-9, 0.5 - 1e-9, 0.5 + 1e-9]]))
+
+    @staticmethod
+    def columns(eta):
+        md = majorization_data(zeta_closed_form(eta))
+        half = 0.5 / (1.0 + eta)
+        rho_star = np.stack([half, half, eta / (1.0 + eta)], axis=-1)
+        return [
+            mu_bound(eta),
+            coles_piani_bound(eta),
+            0.5 * shannon_entropy(md.omega),
+            majorization_bound_tensor(md, 2.0),
+            majorization_bound_direct_sum(md, 2.0),
+            shannon_entropy(rho_star),
+            renyi_entropy(rho_star, 2.0),
+        ]
+
+    @staticmethod
+    def assert_same_bits(table, columns):
+        assert table.shape[-1] == len(columns)
+        for k, column in enumerate(columns):
+            assert np.array_equal(table[..., k], column), BOUNDS_COLUMNS[k]
+
+    def test_eta_grid(self):
+        assert {0.0, 0.2, 0.5, 1.0} <= set(self.ETAS.tolist())
+        self.assert_same_bits(bounds_table(self.ETAS), self.columns(self.ETAS))
+
+    @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
+    def test_pe_sweep(self, xi):
+        q, eta = outcome_probs_grid(np.linspace(0.0, 1.0 / 3.0, 41), xi)
+        columns = self.columns(eta) + [closed_form_i_std(q), mutual_info_upper_bound(q, eta)]
+        self.assert_same_bits(bounds_table(eta, q), columns)
+
+    def test_i_upper_is_h_e_minus_the_stronger_floor(self):
+        q, eta = outcome_probs_grid(np.linspace(0.0, 1.0 / 3.0, 41), 0.5)
+        table = bounds_table(eta, q)
+        h_e = 1.0 - q.q_inconclusive + binary_entropy(q.q_inconclusive)
+        assert np.array_equal(table[:, 8], h_e - np.maximum(table[:, 1], table[:, 2]))
+
+    def test_one_eta_gives_one_row(self):
+        for eta in (0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0):
+            row = bounds_table(eta)
+            assert row.shape == (len(BOUNDS_COLUMNS) - 2,)
+            assert np.array_equal(row, self.columns(eta)), eta
+
+    @pytest.mark.parametrize("eta", [-0.1, 1.5, math.nan, [0.5, 2.0]])
+    def test_rejects_bad_eta(self, eta):
+        with pytest.raises(ValueError, match=r"\beta\b"):
+            bounds_table(eta)
