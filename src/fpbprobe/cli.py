@@ -7,8 +7,9 @@ Subcommands:
 * ``simulate``  JSON report of one Monte-Carlo session vs the analytic values
 * ``povm``      JSON dump of one measurement (operators, outcome triple, bound)
 
-Output is byte-identical across runs for identical flags and seed.
-Numbers are printed with 17 significant digits and LF line endings.
+Output is byte-identical across runs for identical flags and seed, with
+LF line endings.  CSV cells are exactly ``'%.17g' % v``, and JSON numbers
+are Python's shortest round-trip ``repr``; both read back to the same float.
 Exit codes: 0 success, 2 argument error, 3 I/O error.
 
 Every subcommand takes ``--config FILE`` and ``--out PATH``.  The file

@@ -13,12 +13,14 @@ On that table every measure is also a closed form in (Q_S, Q_E, Q_?):
 closed_form_i_std, closed_form_i1, closed_form_i2 and closed_form_i4,
 whose docstrings give the formulas.  They take an OutcomeProbs of arrays
 and an order that is a scalar or an array broadcasting against it, and
-build no table.  They avoid two cancellations of the table path: the
-difference of O(1) entropies that leaves a small variant-2 value as
-noise, and the O(1) numerator over 1 - a near order 1.  At order 1 each
-gives closed_form_i_std, the limit of every variant (Fehr and Berens,
-IEEE TIT 60, 2014).  The generic table path stays for arbitrary tables
-and the simulator's empirical one.
+build no table.  They avoid the table path's difference of O(1)
+entropies, which leaves a small variant-2 value as noise.  At order 1
+each gives closed_form_i_std, the limit of every variant (Fehr and
+Berens, IEEE TIT 60, 2014).  The generic table path stays for arbitrary
+tables and the simulator's empirical one.  It takes the same limit:
+every Renyi quantity it computes goes through one power-sum kernel
+(`_power_sum`), exact as the order nears 1, and order 1 means exactly 1
+on both paths.
 
 The table axes are short (2, 3 or 6), and numpy runs a reduction over such
 an axis as one inner loop per stack member: on the (501, 3) vectors of
@@ -41,7 +43,6 @@ import numpy as np
 from ._checks import TINY, integer, real, scalar
 from .discrimination import OutcomeProbs
 
-SHANNON_WINDOW = 1e-9
 DIST_TOL = 1e-10
 
 _VARIANTS = (1, 2, 4)
@@ -52,9 +53,8 @@ _LN2 = math.log(2.0)
 class Order:
     """Entropic order: alpha > 0, with math.inf selecting the min-entropy.
 
-    On the table path, orders within SHANNON_WINDOW of 1 take the Shannon
-    branch, which avoids the catastrophic cancellation of the generic
-    formula near alpha = 1.  The closed forms need no such window.
+    Order 1 is the Shannon order, and only 1.0 itself is: the orders
+    next to it take the Renyi formulas, which tend to Shannon's.
     """
 
     value: float
@@ -64,7 +64,7 @@ class Order:
 
     @property
     def is_shannon(self) -> bool:
-        return abs(self.value - 1.0) <= SHANNON_WINDOW
+        return self.value == 1.0
 
     @property
     def is_infinite(self) -> bool:
@@ -84,10 +84,7 @@ class Order:
 
     @classmethod
     def parse(cls, token: str) -> "Order":
-        t = token.strip().lower()
-        if t in ("inf", "infinity"):
-            return cls.min_entropy()
-        return cls(float(t))
+        return cls(float(token))
 
     def __str__(self) -> str:
         """'%g' when it reads back as this order, else the shortest repr.
@@ -193,17 +190,33 @@ def _shannon(p: np.ndarray) -> np.ndarray:
     return -_fold(np.add, _xlog2x(p)) + 0.0  # +0.0 avoids -0.0
 
 
+def _power_sum(x: np.ndarray, a: float, w=1.0) -> np.ndarray:
+    """log2(sum w x**a) / (1 - a) over the last axis of x >= 0, for a finite order a != 1.
+
+    w weighs the terms; a weight of 1 leaves the bits of the unweighted sum.
+    Within |a - 1| < 1 the sum is S + G, with S = sum w x and
+    G = sum w (x**a - x) from _pow_gap, and the value is
+    (ln S + log1p(G / S) / (1 - a)) / ln 2: the entropy of x / S, exact as
+    a nears 1.  By Jensen, S + G >= S / n for n terms, so log1p never
+    nears -1, even where a tiny weight carries the peak.  Further out,
+    the peak m of x is factored out, so that x**a never underflows the
+    whole sum: (a log2 m + log2 sum w (x / m)**a) / (1 - a).
+    """
+    if abs(a - 1.0) < 1.0:
+        s, g = _fold(np.add, w * x), _fold(np.add, w * _pow_gap(x, _log(x), np.full(x.shape, a))[1])
+        return (np.log(s) + np.log1p(g / s) / (1.0 - a)) / _LN2 + 0.0
+    m = _fold(np.maximum, x)
+    s = _fold(np.add, w * (x / m[..., None]) ** a)
+    return (a * np.log2(m) + np.log2(s)) / (1.0 - a) + 0.0  # +0.0 avoids -0.0
+
+
 def _renyi(p: np.ndarray, order: Order) -> np.ndarray:
     """Renyi entropy over the last axis of nonzero probability vectors."""
     if order.is_shannon:
         return _shannon(p)
-    m = _fold(np.maximum, p)
     if order.is_infinite:
-        return -np.log2(m) + 0.0
-    a = order.value
-    # Factor out the peak so p**a never underflows the whole sum.
-    s = _fold(np.add, (p / m[..., None]) ** a)
-    return (a * np.log2(m) + np.log2(s)) / (1.0 - a) + 0.0
+        return -np.log2(_fold(np.maximum, p)) + 0.0
+    return _power_sum(p, order.value)
 
 
 def _columns(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -234,15 +247,13 @@ def _conditional(t: np.ndarray, o: Order, variant: int) -> np.ndarray:
         raise ValueError(f"variant {variant} is undefined at infinite order")
     if variant == 2:
         return _renyi(t.reshape(t.shape[:-2] + (-1,)), o) - _renyi(_fold(np.add, np.swapaxes(t, -1, -2)), o)
-    # Variant 4: factor out the largest conditional so the inner powers
-    # cannot underflow collectively.  Empty columns are zeroed, so they add
-    # nothing at any order (their point mass over the peak would overflow).
-    alpha = o.value
+    # Variant 4: one power sum over every (column, row) cell, each cell
+    # weighted by its column's weight.  Empty columns are zeroed, so they add
+    # nothing at any order (their point mass over the peak could overflow).
     py, cond, empty = _columns(t)
     live = np.where(empty[..., None], 0.0, cond)
-    peak = _fold(np.maximum, _fold(np.maximum, live))
-    inner = _fold(np.add, py * _fold(np.add, (live / peak[..., None, None]) ** alpha))
-    return (alpha * np.log2(peak) + np.log2(inner)) / (1.0 - alpha)
+    flat = live.shape[:-2] + (-1,)
+    return _power_sum(live.reshape(flat), o.value, np.repeat(py, live.shape[-1], axis=-1))
 
 
 def shannon_entropy(d) -> float | np.ndarray:

@@ -23,6 +23,7 @@ from .discrimination import OutcomeProbs, _measurement_vectors
 from .entropy import (
     Distribution,
     Order,
+    _LN2,
     _float_or_array,
     _fold,
     binary_entropy,
@@ -321,7 +322,10 @@ def majorization_bound_direct_sum(md: MajorizationData, a) -> float | np.ndarray
     Half the entropy of omega for orders <= 1; for finite orders above 1
     the bound is log2(1/2 + sum(omega^alpha)/2) / (1 - alpha).  Its
     alpha -> inf limit is 0 (the argument of the log tends to 1/2 while
-    the prefactor vanishes), so the infinite order returns 0.
+    the prefactor vanishes), so the infinite order returns 0.  Below
+    order 2 the sum is 2**((1 - alpha) R_alpha(omega)), and the argument
+    of the log is 1 + expm1(ln sum) / 2, so the bound keeps its relative
+    accuracy as alpha nears 1, where it tends to H(omega) / 2.
     """
     o = Order.coerce(a)
     p = md.omega.probs
@@ -330,6 +334,9 @@ def majorization_bound_direct_sum(md: MajorizationData, a) -> float | np.ndarray
     if o.is_shannon or o.value < 1.0:
         return 0.5 * renyi_entropy(md.omega, o)
     alpha = o.value
+    if alpha < 2.0:
+        scale = (1.0 - alpha) * _LN2
+        return _float_or_array(np.log1p(0.5 * np.expm1(scale * renyi_entropy(md.omega, o))) / scale + 0.0)
     powers = _fold(np.add, p ** alpha)
     return _float_or_array(np.log2(0.5 + 0.5 * powers) / (1.0 - alpha) + 0.0)  # +0.0 avoids -0.0
 

@@ -172,8 +172,17 @@ class TestCurves:
         ["bounds", "--variable", "eta", "--min", "-0.1"],
         ["bounds", "--variable", "p-e", "--xi", "1.5"],
         ["simulate", "--rounds", str(2**63)],  # numpy's multinomial takes a C long
+        ["bounds", "--min", "0.5", "--max", "0.1"],
+        ["curves", "--steps", "1"],
+        ["curves", "--config", "xi="],
+        ["curves", "--config", "order=", "--measure", "v1"],
     ])
     def test_bad_grid_point_writes_nothing(self, argv, tmp_path, capsys):
+        if "--config" in argv:  # the token after it is the file's text
+            at = argv.index("--config") + 1
+            conf = tmp_path / "run.conf"
+            conf.write_text(argv[at] + "\n")
+            argv = argv[:at] + [str(conf)] + argv[at + 1:]
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")

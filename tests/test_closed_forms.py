@@ -2,7 +2,8 @@
 
 The reference is each measure's definition evaluated on the same float
 triple (Q_S, Q_E, Q_?) that the closed form sees, so these gates measure
-the closed forms alone, not the triple.
+the closed forms alone, not the triple.  The table path and the
+majorization bounds are gated the same way at orders next to 1.
 """
 
 import math
@@ -19,13 +20,23 @@ from fpbprobe.entropy import (
     closed_form_i2,
     closed_form_i4,
     closed_form_i_std,
+    conditional_renyi,
     joint_from_outcome_probs,
+    renyi_entropy,
 )
-from fpbprobe.uncertainty import mu_factor, optimize_s_max, zeta_closed_form
+from fpbprobe.uncertainty import (
+    majorization_bound_direct_sum,
+    majorization_data,
+    mu_factor,
+    optimize_s_max,
+    zeta_closed_form,
+)
 
 ULP16 = 16 * 2.0 ** -52
 BOX_ORDERS = (0.05, 0.5, 1 - 1e-10, 1 + 1e-10, 2.0, 3.0, 10.0, 50.0)
 NEAR_ONE = (1 - 1e-3, 1 - 1e-6, 1 - 1e-10, 1 - 1e-15, 1 + 1e-15, 1 + 1e-10, 1 + 1e-6, 1 + 1e-3)
+# The table path's orders next to 1: 2e-9 sat just outside its old Shannon window of 1e-9.
+TABLE_NEAR_ONE = tuple(1.0 + sign * d for d in (1e-15, 1e-12, 2e-9, 1e-7, 1e-6, 1e-3) for sign in (-1, 1))
 # Both ends, near 0, and each knot of mu(eta) with a point 1e-9 to either side.
 MU_ETAS = (0.0, 1e-6, 0.1, 0.2 - 1e-9, 0.2, 0.2 + 1e-9, 0.35, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.8, 1.0)
 ETA_GRID = tuple(np.linspace(0.0, 1.0, 101).tolist())
@@ -85,6 +96,70 @@ class TestAccuracyGate:
         table = np.stack([alpha_mutual_information(joint, a, variant) for a in NEAR_ONE], axis=-1)
         err = np.abs(closed_form(np.array(NEAR_ONE), q_axis) - truth)
         assert (err <= np.maximum(np.abs(table - truth), ULP16 * np.maximum(1.0, np.abs(truth)))).all()
+
+
+def oracle_over_tables(q, orders, f) -> np.ndarray:
+    """f(rows, a) at DPS digits on the table of each triple in q, one order per entry of a new last axis."""
+    fields = np.broadcast_arrays(q.q_success, q.q_error, q.q_inconclusive)
+    out = np.empty(fields[0].shape + (len(orders),))
+    with oracle.mp.workdps(oracle.DPS):
+        for idx in np.ndindex(fields[0].shape):
+            rows = oracle.table_mp(*(field[idx] for field in fields))
+            for k, a in enumerate(orders):
+                out[idx + (k,)] = float(f(rows, oracle.mp.mpf(a)))
+    return out
+
+
+class TestTablePathNearOne:
+    """The table path and the direct-sum bound within 16 ulp of max(1, |truth|) next to order 1.
+
+    Order 1 is exactly 1 there too, so these orders take the Renyi
+    formulas, through the one power-sum kernel.
+    """
+
+    @pytest.fixture(scope="class")
+    def joint(self, box):
+        return joint_from_outcome_probs(box[0])
+
+    def gate(self, got_at, truth, what):
+        got = np.stack([got_at(a) for a in TABLE_NEAR_ONE], axis=-1)
+        oracle.assert_exact(got, truth, ULP16, ULP16, what)
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_alpha_mutual_information(self, box, joint, name):
+        _, variant = CLOSED_FORMS[name]
+        truth = oracle.measure_grid(name, box[0], TABLE_NEAR_ONE)
+        self.gate(lambda a: alpha_mutual_information(joint, a, variant), truth, name)
+
+    def test_renyi_entropy_of_the_table(self, box, joint):
+        truth = oracle_over_tables(box[0], TABLE_NEAR_ONE, lambda rows, a: oracle.renyi(rows[0] + rows[1], a))
+        flat = joint.table.reshape(joint.table.shape[:-2] + (6,))
+        self.gate(lambda a: renyi_entropy(flat, a), truth, "renyi")
+
+    @pytest.mark.parametrize("variant", [1, 2, 4])
+    def test_conditional_renyi(self, box, joint, variant):
+        truth = oracle_over_tables(box[0], TABLE_NEAR_ONE, lambda rows, a: oracle.conditional(rows, a, variant))
+        self.gate(lambda a: conditional_renyi(joint, a, variant), truth, f"conditional v{variant}")
+
+    def test_majorization_bound_direct_sum(self, box):
+        # Each omega of the box sums to exactly 1, so the reference is well
+        # conditioned at every order: log2(1/2 + sum omega^a / 2) / (1 - a)
+        # above 1, and half the Renyi entropy of omega below it.
+        mp = oracle.mp
+        _, eta = outcome_probs_grid(*oracle.grid())
+        md = majorization_data(zeta_closed_form(eta))
+        omega = md.omega.probs
+        truth = np.empty(omega.shape[:-1] + (len(TABLE_NEAR_ONE),))
+        with mp.workdps(oracle.DPS):
+            for idx in np.ndindex(omega.shape[:-1]):
+                w = [mp.mpf(float(x)) for x in omega[idx]]
+                assert mp.fsum(w) == 1
+                for k, a in enumerate(TABLE_NEAR_ONE):
+                    a = mp.mpf(a)
+                    value = (mp.log((1 + mp.fsum(x ** a for x in w if x > 0)) / 2) / ((1 - a) * mp.ln2) if a > 1
+                             else oracle.renyi(w, a) / 2)
+                    truth[idx + (k,)] = float(value)
+        self.gate(lambda a: majorization_bound_direct_sum(md, a), truth, "direct sum")
 
 
 class TestMuOracle:

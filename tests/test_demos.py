@@ -19,5 +19,7 @@ def test_all_five_demos_found():
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120)
+    # -W error: a warning fails a demo, as filterwarnings = error fails an in-process test
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -157,6 +157,11 @@ class TestErrorLowerBound:
 
 
 class TestBornProbs:
+    def test_rejects_a_non_qubit_state(self):
+        povm = build_povm(DiscriminationConfig(theta=math.pi / 12, phi=math.pi / 12))
+        with pytest.raises(ValueError, match="2x2"):
+            born_probs(povm, np.eye(3) / 3)
+
     def test_maximally_mixed_at_gamma_pi_6(self):
         povm = build_povm(DiscriminationConfig(theta=math.pi / 12, phi=math.pi / 12))
         probs = born_probs(povm, 0.5 * np.eye(2))

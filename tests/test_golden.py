@@ -141,7 +141,7 @@ CURVES_GRID = (["curves", "--xi", "0", "--xi", "0.25", "--xi", "0.5", "--xi", "0
 @pytest.mark.parametrize("argv", [c["argv"] for c in DIGEST_CASES] + [CURVES_GRID],
                          ids=[f"{c['argv'][0]}{i:02d}" for i, c in enumerate(DIGEST_CASES)] + ["curves_grid"])
 def test_printed_values_stay_below_ten(argv, capsys):
-    """The array path of fpbprobe._g17 prints magnitudes in [1e-6, 10);
+    """The array path of fpbprobe._g17 prints magnitudes in [1e-4, 10);
     larger ones go through Python's '%' one at a time.  That path is sized
     to this traffic, so no printed measure or bound may reach 10."""
     assert cli.main(argv) == 0

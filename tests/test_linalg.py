@@ -26,6 +26,12 @@ class TestStructureChecks:
             )
             assert linalg.is_unitary(w, tol=1e-10)
 
+    def test_as_matrix_rejects_other_shapes(self):
+        with pytest.raises(ValueError, match="2-D"):
+            linalg.as_matrix(np.ones(3))
+        with pytest.raises(ValueError, match="outside"):
+            linalg.as_matrix(np.eye(5))
+
     def test_unitary_requires_square(self):
         with pytest.raises(ValueError):
             linalg.is_unitary(np.ones((2, 3)))

@@ -83,6 +83,17 @@ class TestSessionConfig:
         with pytest.raises(ValueError, match="rounds"):
             SessionConfig(rounds=2**63, error_rate=0.1, xi=0.5, seed=1)
 
+    def test_tally_rejects_malformed_counts(self):
+        counts = np.ones((2, 2, 2, 3), dtype=np.int64)
+        with pytest.raises(ValueError, match="shape"):
+            SessionTally(counts[0], 12)
+        negative = counts.copy()
+        negative[0, 0, 0, 0] = -1
+        with pytest.raises(ValueError, match="nonnegative"):
+            SessionTally(negative, 22)
+        with pytest.raises(ValueError, match="sum"):
+            SessionTally(counts, 23)
+
     def test_largest_round_count_is_drawn(self):
         assert MAX_ROUNDS == 2**63 - 1
         t = run_session(SessionConfig(rounds=MAX_ROUNDS, error_rate=0.1, xi=0.5, seed=1))

@@ -343,6 +343,10 @@ class TestZetaCoefficients:
         with pytest.raises(ValueError):
             zeta_coefficients(np.ones((3, 3)))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            zeta_coefficients(np.eye(3)[:2])
+
 
 class TestMajorizationData:
     def test_degenerate(self):
@@ -384,6 +388,10 @@ class TestMajorizationData:
             majorization_data([0.9, 0.5, 1.0])
         with pytest.raises(ValueError):
             majorization_data([0.3, 0.5, 0.9])
+        with pytest.raises(ValueError, match="nonempty"):
+            majorization_data([])
+        with pytest.raises(ValueError, match="finite"):
+            majorization_data([0.5, math.nan, 1.0])
 
     def test_omega_majorizes_omega_prime_for_low_orders(self, rng):
         # the ordering is a property of unitary-derived zeta sequences
@@ -437,7 +445,7 @@ class TestMajorizationBounds:
     def test_eta_grid_equals_each_eta_alone_bit_for_bit(self):
         eta = np.linspace(0.0, 1.0, 41)
         md = majorization_data(zeta_closed_form(eta))
-        for a in (0.5, 1.0, 2.0, 3.0, 10.0, math.inf):
+        for a in (0.5, 1.0, 1.0 + 1e-9, 1.5, 2.0, 3.0, 10.0, math.inf):
             for bound in (majorization_bound_direct_sum, majorization_entropy_bound):
                 grid = np.asarray(bound(md, a), dtype=float)
                 alone = [bound(majorization_data(zeta_closed_form(float(e))), a) for e in eta]
