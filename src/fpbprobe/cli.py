@@ -8,8 +8,10 @@ Subcommands:
 * ``povm``      JSON dump of one measurement (operators, outcome triple, bound)
 
 Output is byte-identical across runs for identical flags and seed, with
-LF line endings.  CSV cells are exactly ``'%.17g' % v``, and JSON numbers
-are Python's shortest round-trip ``repr``; both read back to the same float.
+LF line endings.  CSV cells are exactly ``'%.17g' % v``.  JSON output is
+exactly ``json.dumps(report, indent=2, sort_keys=True)`` plus LF, so JSON
+numbers are Python's shortest round-trip ``repr``; both read back to the
+same float.
 Exit codes: 0 success, 2 argument error, 3 I/O error.
 
 Every subcommand takes ``--config FILE`` and ``--out PATH``.  The file
@@ -24,13 +26,13 @@ defines is an argument error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 import tempfile
 from contextlib import contextmanager, suppress
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -49,15 +51,10 @@ from .entropy import (
     closed_form_i2,
     closed_form_i4,
     closed_form_i_std,
-    joint_from_outcome_probs,
+    mutual_information,
 )
 from .probe import MAX_ERROR_RATE
-from .simulator import (
-    SessionConfig,
-    empirical_joint,
-    empirical_mutual_information,
-    run_session,
-)
+from .simulator import SessionConfig, empirical_joint, run_session
 from .uncertainty import BOUNDS_COLUMNS, bounds_table
 
 MEASURES = ("std", "v1", "v2", "v4", "v1_inf", "cond_prob")
@@ -276,10 +273,68 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+# A subclass of a JSON type is written as json writes it: as its base.
+_JSON_BASES = ((str, str.__str__), (int, int.__int__), (float, float.__float__),
+               ((list, tuple), list), (dict, lambda d: dict(d.items())))
+
+
+def _put_json(v, indent: str, out: list) -> None:
+    """Append the text of json.dumps(v, indent=2, sort_keys=True) to `out`, in pieces.
+
+    `indent` is the line break and indentation of the line `v` ends on.
+    The type rules are json's: str; None, True, False; int and float
+    through int.__repr__ and float.__repr__, with NaN and +/-Infinity;
+    list and tuple; dict with str keys.  Anything else is a TypeError.
+    """
+    t = type(v)
+    if t is float:
+        out.append(float.__repr__(v) if math.isfinite(v) else "NaN" if v != v else "Infinity" if v > 0 else "-Infinity")
+    elif t is int:
+        out.append(int.__repr__(v))
+    elif t is list or t is tuple:
+        if not v:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for x in v:
+            out.append(sep)
+            _put_json(x, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif t is dict:
+        if not v:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for k, x in sorted(v.items()):
+            out.append(sep + _json_string(k) + ": ")  # a key that is no str raises TypeError here
+            _put_json(x, inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif t is str:
+        out.append(_json_string(v))
+    elif v is None or t is bool:
+        out.append("null" if v is None else "true" if v else "false")
+    else:
+        to_base = next((to for base, to in _JSON_BASES if isinstance(v, base)), None)
+        if to_base is None:
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+        _put_json(to_base(v), indent, out)
+
+
+def _json_text(v) -> str:
+    """json.dumps(v, indent=2, sort_keys=True), for the values _put_json takes."""
+    out: list[str] = []
+    _put_json(v, "\n", out)
+    return "".join(out)
+
+
 def _write_json(path, report: dict) -> None:
+    text = _json_text(report) + "\n"  # whole, so a value json cannot write fails before the output opens
     with _open_out(path) as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def cmd_simulate(args) -> int:
@@ -290,13 +345,19 @@ def cmd_simulate(args) -> int:
     cfg = SessionConfig(rounds=rounds, error_rate=p_e, xi=xi, seed=seed)
     tally = run_session(cfg)
     q = outcome_probs(cfg.discrimination())
-    analytic = joint_from_outcome_probs(q).table
-    restricted = int(tally.restricted_counts.sum())
+    # The table of joint_from_outcome_probs(q), bit for bit, without checking it again.
+    analytic = 0.5 * np.array([[q.q_success, q.q_error, q.q_inconclusive],
+                               [q.q_error, q.q_success, q.q_inconclusive]])
+    counts = tally.restricted_counts
+    restricted = int(counts.sum())
+    # null when no round is sifted and error-free, as can happen in short runs
+    joint = empirical_joint(tally) if restricted else None
 
-    sigma = np.sqrt(restricted * analytic * (1.0 - analytic))
-    deviation = np.abs(tally.restricted_counts - restricted * analytic)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pulls = np.where(sigma > 0, deviation / np.where(sigma > 0, sigma, 1.0), np.where(deviation > 0, np.inf, 0.0))
+    expected = restricted * analytic
+    sigma = np.sqrt(expected * (1.0 - analytic))
+    deviation = np.abs(counts - expected)
+    pulls = np.divide(deviation, sigma, out=np.where(deviation > 0, np.inf, 0.0), where=sigma > 0)
+    max_pull = float(pulls.max())
     matched = tally.matched_rounds
     sift_sigma = 0.5 * math.sqrt(rounds)
     sift_pull = abs(matched - 0.5 * rounds) / sift_sigma
@@ -311,13 +372,12 @@ def cmd_simulate(args) -> int:
             "pull_sigma": sift_pull,
         },
         "restricted_rounds": restricted,
-        # null when no round is sifted and error-free, as can happen in short runs
-        "empirical_joint": empirical_joint(tally).table.tolist() if restricted else None,
+        "empirical_joint": None if joint is None else joint.table.tolist(),
         "analytic_joint": analytic.tolist(),
-        "max_cell_pull_sigma": float(pulls.max()),
-        "cells_within_4_sigma": bool(pulls.max() <= 4.0),
+        "max_cell_pull_sigma": max_pull,
+        "cells_within_4_sigma": max_pull <= 4.0,
         "mutual_information": {
-            "empirical": empirical_mutual_information(tally) if restricted else None,
+            "empirical": None if joint is None else mutual_information(joint),
             "analytic": closed_form_i_std(q),
         },
     }

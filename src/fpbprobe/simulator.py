@@ -18,22 +18,29 @@ Multinomial(n, p_24), and run_session draws it once.
 The bit generator is Philox4x64 (numpy ``Philox``) keyed by the session
 seed, and a session is one ``Generator.multinomial`` draw over the 24
 cells, so n is at most 2**63 - 1 (numpy takes the trial count as a C
-long).  A tally depends on numpy's binomial sampler as well as on the
-Philox stream.  numpy guarantees only the streams of its bit generators
-across releases, so seeded tallies are pinned to the numpy version
-recorded with the golden tallies in tests/data.
+long).  Each thread keeps one ``Philox`` and its ``Generator``.  Before
+each draw the Philox state is set to key [seed, 0], counter 0 and an
+empty buffer, the state ``Philox(key=seed)`` starts in, so the stream is
+that of ``Generator(Philox(key=seed))``.  No generator is built per
+session (and no unused OS-entropy seed drawn for it), and sessions in
+different threads never share one.  A tally depends on numpy's binomial
+sampler as well as on the Philox stream.  numpy guarantees only the
+streams of its bit generators across releases, so seeded tallies are
+pinned to the numpy version recorded with the golden tallies in
+tests/data.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._checks import integer, real
 from .discrimination import DiscriminationConfig, _measurement_vectors
-from .entropy import JointDistribution, mutual_information
+from .entropy import JointDistribution, _mutual_information
 from .probe import MAX_ERROR_RATE, ProbeConfig, theta_from_error_rate
 
 # Used only by perfbench/workloads.py philox_fill_ns, which its selftest runs traced.
@@ -60,9 +67,11 @@ class SessionConfig:
         object.__setattr__(self, "error_rate", float(real("error_rate", self.error_rate, 0.0, MAX_ERROR_RATE)))
         object.__setattr__(self, "xi", float(real("xi", self.xi, 0.0, 1.0)))
         object.__setattr__(self, "seed", integer("seed", self.seed, 0, 2**64 - 1))
+        # Not a field: it is a function of the fields, computed once per config.
+        object.__setattr__(self, "_discrimination", DiscriminationConfig.from_error_rate(self.error_rate, self.xi))
 
     def discrimination(self) -> DiscriminationConfig:
-        return DiscriminationConfig.from_error_rate(self.error_rate, self.xi)
+        return self._discrimination
 
 
 @dataclass
@@ -73,14 +82,17 @@ class SessionTally:
     rounds: int
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
+        self.rounds = integer("rounds", self.rounds, 1, MAX_ROUNDS)
+        c = np.asarray(self.counts)
+        if c.dtype.kind not in "iu" or not np.can_cast(c.dtype, np.int64):
+            raise ValueError(f"counts must have an integer dtype that fits in int64, got {c.dtype}")
         if c.shape != (2, 2, 2, 3):
             raise ValueError(f"counts must have shape (2, 2, 2, 3), got {c.shape}")
         if c.min() < 0:
             raise ValueError("counts must be nonnegative")
         if int(c.sum()) != self.rounds:
             raise ValueError("counts must sum to the number of rounds")
-        self.counts = c
+        self.counts = c.astype(np.int64, copy=False)
 
     @property
     def matched_rounds(self) -> int:
@@ -156,6 +168,30 @@ def _case_probabilities(cfg: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
     return eve, p_correct
 
 
+_per_thread = threading.local()
+_ZEROS = (0, 0, 0, 0)
+
+
+def _keyed_generator(seed: int) -> np.random.Generator:
+    """This thread's Generator, in the state Generator(Philox(key=seed)) starts in.
+
+    Built once per thread from a fixed seed, so no OS entropy is drawn;
+    the state set here replaces all of it.
+    """
+    gen = getattr(_per_thread, "generator", None)
+    if gen is None:
+        gen = _per_thread.generator = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": (seed, 0)},
+        "buffer": _ZEROS,
+        "buffer_pos": 4,  # empty: the next draw starts a new Philox block
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
 def run_session(cfg: SessionConfig) -> SessionTally:
     """Tally of cfg.rounds rounds, drawn at once from its multinomial law.
 
@@ -168,8 +204,16 @@ def run_session(cfg: SessionConfig) -> SessionTally:
     eve, p_correct = _case_probabilities(cfg)
     bob = np.stack([1.0 - p_correct, p_correct], axis=1)  # (basis_match, bob_correct)
     p24 = 0.25 * bob[:, :, None, None] * eve.reshape(2, 2, 2, 3).transpose(1, 2, 0, 3)
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    return SessionTally(rng.multinomial(cfg.rounds, p24.ravel()).reshape(2, 2, 2, 3), cfg.rounds)
+    counts = _keyed_generator(cfg.seed).multinomial(cfg.rounds, p24.ravel())
+    return SessionTally(counts.reshape(2, 2, 2, 3), cfg.rounds)
+
+
+def _restricted_table(t: SessionTally) -> np.ndarray:
+    sub = t.restricted_counts
+    total = int(sub.sum())
+    if total == 0:
+        raise ValueError("no error-free sifted rounds in the tally")
+    return sub / total
 
 
 def empirical_joint(t: SessionTally) -> JointDistribution:
@@ -178,13 +222,13 @@ def empirical_joint(t: SessionTally) -> JointDistribution:
     Eve's outcomes map to bit guesses by their success/error labels:
     plus guesses 0, minus guesses 1, inconclusive stays inconclusive.
     """
-    sub = t.restricted_counts
-    total = int(sub.sum())
-    if total == 0:
-        raise ValueError("no error-free sifted rounds in the tally")
-    return JointDistribution(sub / total)
+    return JointDistribution(_restricted_table(t))
 
 
 def empirical_mutual_information(t: SessionTally) -> float:
-    """Plug-in mutual information of the empirical (b', e') table."""
-    return mutual_information(empirical_joint(t))
+    """Plug-in mutual information of the empirical (b', e') table.
+
+    The table is counts of a checked tally over their positive sum, so it
+    is a distribution by construction and is not checked again.
+    """
+    return float(_mutual_information(_restricted_table(t)))

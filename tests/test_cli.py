@@ -394,6 +394,85 @@ class TestSimulate:
         assert {r["empirical_joint"] is None for r in reports} == {True, False}
 
 
+JSON_LEAVES = (None, True, False, 0, -1, 2**64, -(2**64) - 1, 10**30, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+               1.5, math.inf, -math.inf, math.nan, "", "\x00\x1f\"\\/", "\u00e9\u6f22\U0001f600\ud800", [], {}, ())
+
+
+class TestJsonWriter:
+    """cli's writer gives json.dumps(v, indent=2, sort_keys=True) exactly."""
+
+    @staticmethod
+    def dumps(v):
+        return json.dumps(v, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("leaf", JSON_LEAVES, ids=repr)
+    def test_leaves_and_empty_containers(self, leaf):
+        for v in (leaf, [leaf], {"k": leaf}, (leaf, [leaf, {}])):
+            assert cli._json_text(v) == self.dumps(v)
+
+    def test_nested_with_odd_keys(self):
+        v = {"": [1, [2.5, []]], "\u00e9": {"z": None, "a": (True, {})}, "\n\t": "x", "B": -0.0}
+        assert cli._json_text(v) == self.dumps(v)
+
+    def test_subclasses_are_written_as_their_base(self):
+        import enum
+
+        class Flag(enum.IntEnum):
+            ON = 1
+
+        class Text(str):
+            def __str__(self):
+                return "other"
+
+        class Items(dict):
+            pass
+
+        v = Items({Text("b"): [np.float64(0.1), Flag.ON, Text("s")], "a": Items()})
+        assert cli._json_text(v) == self.dumps(v)
+
+    @pytest.mark.parametrize("bad", [np.int64(3), np.bool_(True), {"a": {(1,): 2}}, [1, {1, 2}], b"x",
+                                     complex(1, 2)], ids=repr)
+    def test_what_json_refuses_is_a_type_error(self, bad):
+        with pytest.raises(TypeError):
+            self.dumps(bad)
+        with pytest.raises(TypeError):
+            cli._json_text(bad)
+
+    @pytest.mark.parametrize("key", [1, 1.5, None, True], ids=repr)
+    def test_keys_other_than_str_are_a_type_error(self, key):
+        # json would print these as strings; no report has them
+        with pytest.raises(TypeError):
+            cli._json_text({key: 0})
+
+    def test_property_matches_json(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        leaves = (st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64 - 5, max_value=2**70)
+                  | st.integers(min_value=-(2**70), max_value=-(2**64) + 5) | st.floats()
+                  | st.floats(min_value=-1e-307, max_value=1e-307) | st.sampled_from([0.0, -0.0, 5e-324])
+                  | st.text())
+        keys = st.text() | st.sampled_from(["", "\x00", "\u2028", "\ud83d"])
+        values = st.recursive(
+            leaves,
+            lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+            | st.dictionaries(keys, inner, max_size=4),
+            max_leaves=30,
+        )
+
+        @hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
+        @hypothesis.given(values)
+        def check(v):
+            assert cli._json_text(v) == self.dumps(v)
+
+        check()
+
+    def test_simulate_and_povm_write_json_dumps_plus_lf(self, capsys):
+        for argv in (TestSimulate.ARGS, ["povm", "--theta", "0.3", "--xi", "0.5"]):
+            code, out = run_cli(argv, capsys)
+            assert code == 0
+            assert out == self.dumps(json.loads(out)) + "\n"
+
+
 class TestPovm:
     def test_helstrom_has_zero_inconclusive(self, capsys):
         code, out = run_cli(["povm", "--theta", "0.4", "--xi", "1"], capsys)
@@ -596,12 +675,25 @@ class TestOutputFiles:
 
     @staticmethod
     def fail_mid_write(monkeypatch):
-        def dump(obj, fh, **kwargs):
-            fh.write('{"config": ')
-            fh.flush()
-            raise OSError(28, "No space left on device")
+        """The report's one write lands half its text, then fails as a full disk does."""
+        fdopen = os.fdopen
 
-        monkeypatch.setattr(cli.json, "dump", dump)
+        class HalfFull:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "fdopen", lambda fd, *args, **kwargs: HalfFull(fdopen(fd, *args, **kwargs)))
 
     @pytest.mark.parametrize("existing", [b"previous report\n", None], ids=["existing", "absent"])
     def test_failed_write_leaves_target_untouched(self, existing, tmp_path, capsys, monkeypatch):

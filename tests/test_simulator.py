@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import random
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fpbprobe import simulator
 from fpbprobe.discrimination import DiscriminationConfig, born_probs, build_povm, outcome_probs
 from fpbprobe.entropy import joint_from_outcome_probs, mutual_information
 from fpbprobe.probe import BASES, DIAGONAL, RECTILINEAR, ProbeConfig, cnot_action
@@ -13,6 +17,7 @@ from fpbprobe.simulator import (
     SessionConfig,
     SessionTally,
     _case_probabilities,
+    _keyed_generator,
     conditional_probe_state,
     empirical_joint,
     empirical_mutual_information,
@@ -94,6 +99,41 @@ class TestSessionConfig:
         with pytest.raises(ValueError, match="sum"):
             SessionTally(counts, 23)
 
+    SHAPE = (2, 2, 2, 3)
+
+    def test_tally_rejects_fractional_counts(self):
+        # 24 cells of 1.9 would truncate to 24 ones, summing to 24
+        with pytest.raises(ValueError, match="integer dtype"):
+            SessionTally(np.full(self.SHAPE, 1.9), 24)
+
+    def test_tally_rejects_float_counts_of_whole_values(self):
+        with pytest.raises(ValueError, match="integer dtype"):
+            SessionTally(np.ones(self.SHAPE), 24)
+
+    def test_tally_rejects_bool_counts(self):
+        with pytest.raises(ValueError, match="integer dtype"):
+            SessionTally(np.ones(self.SHAPE, dtype=bool), 24)
+
+    def test_tally_rejects_counts_beyond_int64(self):
+        with pytest.raises(ValueError, match="integer dtype"):
+            SessionTally(np.ones(self.SHAPE, dtype=np.uint64), 24)
+
+    def test_tally_rejects_float_rounds(self):
+        with pytest.raises(ValueError, match="rounds"):
+            SessionTally(np.ones(self.SHAPE, dtype=np.int64), 24.0)
+
+    def test_tally_rejects_bool_rounds(self):
+        counts = np.zeros(self.SHAPE, dtype=np.int64)
+        counts[0, 0, 0, 0] = 1
+        with pytest.raises(ValueError, match="rounds"):
+            SessionTally(counts, True)
+
+    def test_tally_takes_any_int64_safe_integers(self):
+        for counts in (np.ones(self.SHAPE, dtype=np.int32), np.ones(self.SHAPE, dtype=np.uint8),
+                       np.ones(self.SHAPE, dtype=np.int64).tolist()):
+            t = SessionTally(counts, np.int64(24))
+            assert t.counts.dtype == np.int64 and type(t.rounds) is int and t.rounds == 24
+
     def test_largest_round_count_is_drawn(self):
         assert MAX_ROUNDS == 2**63 - 1
         t = run_session(SessionConfig(rounds=MAX_ROUNDS, error_rate=0.1, xi=0.5, seed=1))
@@ -112,6 +152,94 @@ class TestReproducibility:
         t1 = run_session(SessionConfig(seed=1, **base))
         t2 = run_session(SessionConfig(seed=2, **base))
         assert (t1.counts != t2.counts).any()
+
+
+def _entropy_draws_refused(monkeypatch):
+    """Make every OS-entropy draw raise: os.urandom, and the copy that
+    random (and so secrets and numpy's SeedSequence) took at import."""
+    def refuse(n):
+        raise AssertionError("OS entropy drawn")
+
+    monkeypatch.setattr(os, "urandom", refuse)
+    monkeypatch.setattr(random, "_urandom", refuse)
+
+
+SPREAD = [SessionConfig(rounds=r, error_rate=p, xi=x, seed=s)
+          for r, p, x, s in [(1, 0.0, 0.0, 0), (1000, 0.12, 0.37, 5), (65537, 1 / 3, 1.0, 2**63 - 1),
+                             (10**9, 0.2, 0.6, 2**64 - 1), (4321, 0.05, 0.9, 2**63)]]
+
+
+class TestKeyedGenerator:
+    """run_session draws from Generator(Philox(key=seed)) without building one per session."""
+
+    def test_reset_generator_is_a_fresh_keyed_philox(self):
+        for seed in (0, 1, 2**63 - 1, 2**63, 2**64 - 1):
+            gen = _keyed_generator(12345)
+            gen.integers(0, 2**32, size=3, dtype=np.uint32)  # leaves a buffered half word
+            gen.random(5)  # and part of a Philox block
+            gen = _keyed_generator(seed)
+            fresh = np.random.Generator(np.random.Philox(key=seed))
+            state, want = gen.bit_generator.state, fresh.bit_generator.state
+            assert state["state"]["key"].tolist() == want["state"]["key"].tolist() == [seed, 0]
+            assert state["state"]["counter"].tolist() == want["state"]["counter"].tolist()
+            assert {k: state[k] for k in ("buffer_pos", "has_uint32", "uinteger")} == \
+                {k: want[k] for k in ("buffer_pos", "has_uint32", "uinteger")}
+            assert gen.integers(0, 2**32, size=5, dtype=np.uint32).tolist() == \
+                fresh.integers(0, 2**32, size=5, dtype=np.uint32).tolist()
+            assert gen.random(7).tolist() == fresh.random(7).tolist()
+
+    def test_spread_of_sessions_matches_a_fresh_generator(self, monkeypatch):
+        expected = {}
+        for cfg in SPREAD:
+            expected[cfg] = run_session(cfg).counts.tolist()
+        # the same sessions with a fresh Generator(Philox(key=seed)) per draw, as before the reuse
+        monkeypatch.setattr(simulator, "_keyed_generator", lambda seed: np.random.Generator(np.random.Philox(key=seed)))
+        for cfg in SPREAD:
+            assert run_session(cfg).counts.tolist() == expected[cfg], cfg
+
+    def test_never_draws_os_entropy(self, monkeypatch):
+        _entropy_draws_refused(monkeypatch)
+        with pytest.raises(AssertionError, match="OS entropy"):
+            np.random.Philox(key=1)  # the refusal is in force
+        expected = [c["counts"] for c in GOLDEN_TALLIES[:6]]
+        got = []
+
+        def sessions():  # a new thread builds its generator under the refusal too
+            got.extend(run_session(SessionConfig(rounds=c["rounds"], error_rate=c["error_rate"], xi=c["xi"],
+                                                 seed=c["seed"])).counts.tolist() for c in GOLDEN_TALLIES[:6])
+
+        worker = threading.Thread(target=sessions)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        sessions()
+        assert got == expected * 2
+
+    def test_threads_interleaved_give_the_serial_tallies(self, monkeypatch):
+        configs = [SessionConfig(rounds=10**6 + k, error_rate=0.05 + 0.01 * k, xi=0.1 * (k % 10), seed=7919 * k)
+                   for k in range(24)]
+        serial = [run_session(cfg).counts.tolist() for cfg in configs]
+        keyed, step = _keyed_generator, threading.Barrier(2, timeout=30)
+
+        def keyed_then_wait(seed):
+            gen = keyed(seed)
+            step.wait()  # the other thread keys its generator before this one draws
+            return gen
+
+        monkeypatch.setattr(simulator, "_keyed_generator", keyed_then_wait)
+        halves = (configs[0::2], configs[1::2])
+        results = ([], [])
+
+        def work(i):
+            results[i].extend(run_session(cfg).counts.tolist() for cfg in halves[i])
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert results[0] == serial[0::2] and results[1] == serial[1::2]
 
 
 class TestGoldenTallies:
