@@ -62,3 +62,11 @@ def integer(name: str, x, lo, hi) -> int:
         if lo <= v <= hi:
             return v
     raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {x!r}")
+
+
+def trusted(cls, *values):
+    """cls(*values) for a dataclass, without __post_init__: for values computed from checked inputs."""
+    obj = object.__new__(cls)
+    for name, v in zip(cls.__match_args__, values, strict=True):
+        object.__setattr__(obj, name, v)
+    return obj

@@ -51,6 +51,7 @@ from .entropy import (
     closed_form_i2,
     closed_form_i4,
     closed_form_i_std,
+    joint_from_outcome_probs,
     mutual_information,
 )
 from .probe import MAX_ERROR_RATE
@@ -345,9 +346,7 @@ def cmd_simulate(args) -> int:
     cfg = SessionConfig(rounds=rounds, error_rate=p_e, xi=xi, seed=seed)
     tally = run_session(cfg)
     q = outcome_probs(cfg.discrimination())
-    # The table of joint_from_outcome_probs(q), bit for bit, without checking it again.
-    analytic = 0.5 * np.array([[q.q_success, q.q_error, q.q_inconclusive],
-                               [q.q_error, q.q_success, q.q_inconclusive]])
+    analytic = joint_from_outcome_probs(q).table
     counts = tally.restricted_counts
     restricted = int(counts.sum())
     # null when no round is sifted and error-free, as can happen in short runs

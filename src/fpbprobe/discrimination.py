@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from ._checks import real, scalar
-from .probe import MAX_ERROR_RATE, ProbeConfig, theta_from_error_rate, theta_grid
+from ._checks import real, scalar, trusted
+from .probe import MAX_ERROR_RATE, theta_grid
 
 QUARTER_PI = 0.25 * math.pi
 PHI_SLACK = 1e-12
@@ -44,8 +44,7 @@ class DiscriminationConfig:
     @classmethod
     def from_error_rate(cls, error_rate: float, xi: float) -> "DiscriminationConfig":
         """Measurement for a probe of given error rate at ratio xi."""
-        theta = theta_from_error_rate(ProbeConfig(error_rate))
-        return cls(theta, xi_to_phi(xi, theta))
+        return _from_error_rate(float(real("error_rate", error_rate, 0.0, MAX_ERROR_RATE)), scalar("xi", xi, 0.0, 1.0))
 
     @property
     def gamma(self) -> float:
@@ -102,6 +101,12 @@ class OutcomeProbs:
             raise ValueError(f"outcome probabilities sum to {total[off][0]}, not 1")
 
 
+def _from_error_rate(error_rate: float, xi: float) -> DiscriminationConfig:
+    """DiscriminationConfig.from_error_rate for a checked P_E and xi."""
+    theta = float(theta_grid(error_rate))
+    return trusted(DiscriminationConfig, theta, xi * (QUARTER_PI - theta))
+
+
 def _eta(gamma):
     # The phi slack can push gamma epsilon past pi/4; clamp cos(2 gamma).
     return np.maximum(np.cos(2.0 * gamma), 0.0)
@@ -146,7 +151,7 @@ def build_povm(cfg: DiscriminationConfig) -> Povm:
 
 def outcome_probs(cfg: DiscriminationConfig) -> OutcomeProbs:
     """Equal-prior averages (Q_S, Q_E, Q_?) for one configuration."""
-    return OutcomeProbs(*(float(v) for v in _outcome_triple(cfg.theta, cfg.phi, cfg.eta)))
+    return trusted(OutcomeProbs, *(float(v) for v in _outcome_triple(cfg.theta, cfg.phi, cfg.eta)))
 
 
 def outcome_probs_grid(error_rate, xi) -> tuple[OutcomeProbs, np.ndarray]:
@@ -161,7 +166,7 @@ def outcome_probs_grid(error_rate, xi) -> tuple[OutcomeProbs, np.ndarray]:
     theta = theta_grid(p)
     phi = x * (QUARTER_PI - theta)
     eta = _eta(theta + phi)
-    return OutcomeProbs(*_outcome_triple(theta, phi, eta)), eta
+    return trusted(OutcomeProbs, *_outcome_triple(theta, phi, eta)), eta
 
 
 def error_lower_bound(theta: float, q_inconclusive: float) -> float:

@@ -28,9 +28,9 @@ an axis as one inner loop per stack member: on the (501, 3) vectors of
 6.6 us and 4.9 us for one ufunc call per slice (numpy 2.4.6, 2-core
 Xeon, best of 7 timeit runs).  The measures therefore fold those axes
 slice by slice (`_fold`), in the order numpy reduces them, so the bits
-do not change.  `_checked` and `_mutual_information` keep numpy's
-reductions: the simulator runs them on one table per session, where a
-fold's extra ufunc calls cost more than the loop they save.
+do not change.  `_mutual_information` keeps numpy's reductions: the
+simulator runs it on one table per session, where a fold's extra ufunc
+calls cost more than the loop they save.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import TINY, integer, real, scalar
+from ._checks import TINY, integer, real, scalar, trusted
 from .discrimination import OutcomeProbs
 
 DIST_TOL = 1e-10
@@ -124,7 +124,7 @@ def _checked(x, ndim: int, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be finite")
     if p.min() < -1e-12:
         raise ValueError(f"negative entry {p.min()} in {what}")
-    sums = p.sum(axis=-1) if ndim == 1 else p.sum(axis=(-2, -1))
+    sums = _fold(np.add, p if ndim == 1 else p.reshape(p.shape[:-2] + (-1,)))
     off = abs(sums - 1.0) > DIST_TOL
     if off.any():
         raise ValueError(f"{what} sum to {np.ravel(sums)[np.ravel(off)][0]}, not 1")
@@ -162,7 +162,7 @@ class JointDistribution:
         return self.table.sum(axis=-2)
 
     def transposed(self) -> "JointDistribution":
-        return JointDistribution(np.swapaxes(self.table, -1, -2))
+        return trusted(JointDistribution, np.swapaxes(self.table, -1, -2))
 
 
 def _float_or_array(x):
@@ -319,11 +319,11 @@ def alpha_mutual_information(j, a, variant: int) -> float | np.ndarray:
 def joint_from_outcome_probs(q: OutcomeProbs) -> JointDistribution:
     """2x3 joint over (b', e') for a uniform bit and outcome triple q.
 
-    Array fields in q give a stack of tables, one per grid point.
+    Array fields in q give a stack of tables, one per grid point.  Entries clip at 0: OutcomeProbs allows -1e-12.
     """
     qs, qe, qq = np.broadcast_arrays(q.q_success, q.q_error, q.q_inconclusive)
     rows = (np.stack([qs, qe, qq], axis=-1), np.stack([qe, qs, qq], axis=-1))
-    return JointDistribution(0.5 * np.stack(rows, axis=-2))
+    return trusted(JointDistribution, np.maximum(0.5 * np.stack(rows, axis=-2), 0.0, dtype=float))
 
 
 def _operands(a, q: OutcomeProbs, variant: int) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple]:

@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import integer, real
-from .discrimination import DiscriminationConfig, _measurement_vectors
-from .entropy import JointDistribution, _mutual_information
+from ._checks import integer, real, trusted
+from .discrimination import DiscriminationConfig, _from_error_rate, _measurement_vectors
+from .entropy import JointDistribution, mutual_information
 from .probe import MAX_ERROR_RATE, ProbeConfig, theta_from_error_rate
 
 # Used only by perfbench/workloads.py philox_fill_ns, which its selftest runs traced.
@@ -67,14 +67,12 @@ class SessionConfig:
         object.__setattr__(self, "error_rate", float(real("error_rate", self.error_rate, 0.0, MAX_ERROR_RATE)))
         object.__setattr__(self, "xi", float(real("xi", self.xi, 0.0, 1.0)))
         object.__setattr__(self, "seed", integer("seed", self.seed, 0, 2**64 - 1))
-        # Not a field: it is a function of the fields, computed once per config.
-        object.__setattr__(self, "_discrimination", DiscriminationConfig.from_error_rate(self.error_rate, self.xi))
 
     def discrimination(self) -> DiscriminationConfig:
-        return self._discrimination
+        return _from_error_rate(self.error_rate, self.xi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SessionTally:
     """Counts indexed by (basis_match, bob_correct, alice_bit, eve_outcome)."""
 
@@ -82,7 +80,7 @@ class SessionTally:
     rounds: int
 
     def __post_init__(self):
-        self.rounds = integer("rounds", self.rounds, 1, MAX_ROUNDS)
+        object.__setattr__(self, "rounds", integer("rounds", self.rounds, 1, MAX_ROUNDS))
         c = np.asarray(self.counts)
         if c.dtype.kind not in "iu" or not np.can_cast(c.dtype, np.int64):
             raise ValueError(f"counts must have an integer dtype that fits in int64, got {c.dtype}")
@@ -92,7 +90,7 @@ class SessionTally:
             raise ValueError("counts must be nonnegative")
         if int(c.sum()) != self.rounds:
             raise ValueError("counts must sum to the number of rounds")
-        self.counts = c.astype(np.int64, copy=False)
+        object.__setattr__(self, "counts", c.astype(np.int64, copy=False))
 
     @property
     def matched_rounds(self) -> int:
@@ -162,7 +160,7 @@ def _case_probabilities(cfg: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
     """
     disc = cfg.discrimination()
     v, eta = _measurement_vectors(disc.gamma)
-    a, b = _probe_states(ProbeConfig(cfg.error_rate), disc.theta)[:, :, None]
+    a, b = _probe_states(trusted(ProbeConfig, cfg.error_rate), disc.theta)[:, :, None]
     eve = (a * v[:, 0] + b * v[:, 1]) ** 2 / (1.0 + eta)
     p_correct = np.array([(1.0 + 2.0 * cfg.error_rate) / 2.0, 1.0 - cfg.error_rate])
     return eve, p_correct
@@ -205,15 +203,7 @@ def run_session(cfg: SessionConfig) -> SessionTally:
     bob = np.stack([1.0 - p_correct, p_correct], axis=1)  # (basis_match, bob_correct)
     p24 = 0.25 * bob[:, :, None, None] * eve.reshape(2, 2, 2, 3).transpose(1, 2, 0, 3)
     counts = _keyed_generator(cfg.seed).multinomial(cfg.rounds, p24.ravel())
-    return SessionTally(counts.reshape(2, 2, 2, 3), cfg.rounds)
-
-
-def _restricted_table(t: SessionTally) -> np.ndarray:
-    sub = t.restricted_counts
-    total = int(sub.sum())
-    if total == 0:
-        raise ValueError("no error-free sifted rounds in the tally")
-    return sub / total
+    return trusted(SessionTally, counts.reshape(2, 2, 2, 3), cfg.rounds)
 
 
 def empirical_joint(t: SessionTally) -> JointDistribution:
@@ -222,13 +212,13 @@ def empirical_joint(t: SessionTally) -> JointDistribution:
     Eve's outcomes map to bit guesses by their success/error labels:
     plus guesses 0, minus guesses 1, inconclusive stays inconclusive.
     """
-    return JointDistribution(_restricted_table(t))
+    sub = t.restricted_counts
+    total = int(sub.sum())
+    if total == 0:
+        raise ValueError("no error-free sifted rounds in the tally")
+    return trusted(JointDistribution, sub / total)
 
 
 def empirical_mutual_information(t: SessionTally) -> float:
-    """Plug-in mutual information of the empirical (b', e') table.
-
-    The table is counts of a checked tally over their positive sum, so it
-    is a distribution by construction and is not checked again.
-    """
-    return float(_mutual_information(_restricted_table(t)))
+    """Plug-in mutual information of the empirical (b', e') table."""
+    return mutual_information(empirical_joint(t))

@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from ._checks import HUGE, real, scalar
+from ._checks import HUGE, real, scalar, trusted
 from .discrimination import OutcomeProbs, _measurement_vectors
 from .entropy import (
     Distribution,
@@ -167,13 +167,6 @@ def _zeta(e: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.stack([1.0 / mu, _zeta2(e), np.ones_like(e)], axis=-1)
 
 
-def _rho_star(e: np.ndarray) -> Distribution:
-    """Outcome distribution of the maximally mixed state I/2 under the
-    phi = 0 measurement at eta."""
-    half = 0.5 / (1.0 + e)
-    return Distribution(np.stack([half, half, e / (1.0 + e)], axis=-1))
-
-
 def _maj_shannon(md: MajorizationData) -> np.ndarray:
     return 0.5 * shannon_entropy(md.omega)
 
@@ -299,6 +292,10 @@ def majorization_data(zeta) -> MajorizationData:
     last = np.abs(z[..., -1] - 1.0)
     if (last > 1e-8).any():
         raise ValueError(f"last zeta must be 1, got {z[..., -1][last > 1e-8][0]}")
+    return _majorization(z)
+
+
+def _majorization(z: np.ndarray) -> MajorizationData:
     z = np.array(z)  # running maximum in place, max(previous, current) as np.maximum.accumulate takes it
     for k in range(1, z.shape[-1]):
         np.maximum(z[..., k - 1], z[..., k], out=z[..., k])
@@ -306,8 +303,8 @@ def majorization_data(zeta) -> MajorizationData:
     z[..., -1] = 1.0
     return MajorizationData(
         zeta=tuple(z.tolist()) if z.ndim == 1 else z,
-        omega=Distribution(_steps(z)),
-        omega_prime=Distribution(_steps(((1.0 + z) ** 2) / 4.0)),
+        omega=trusted(Distribution, _steps(z)),
+        omega_prime=trusted(Distribution, _steps(((1.0 + z) ** 2) / 4.0)),
     )
 
 
@@ -368,7 +365,7 @@ def mutual_info_upper_bound(q: OutcomeProbs, eta) -> float | np.ndarray:
     """
     e = _eta_array(eta)
     mu = _mu(e)
-    md = majorization_data(_zeta(e, mu))
+    md = _majorization(_zeta(e, mu))
     return _float_or_array(_i_upper(q, _coles_piani(e, np.log2(mu)), _maj_shannon(md)))
 
 
@@ -393,9 +390,10 @@ def bounds_table(eta, q: OutcomeProbs | None = None) -> np.ndarray:
     mu = _mu(e)
     log2_mu = np.log2(mu)
     coles_piani = _coles_piani(e, log2_mu)
-    md = majorization_data(_zeta(e, mu))
+    md = _majorization(_zeta(e, mu))
     maj_shannon = _maj_shannon(md)
-    rho = _rho_star(e)
+    half = 0.5 / (1.0 + e)  # rho*: the outcomes of I/2 under the phi = 0 measurement at eta
+    rho = trusted(Distribution, np.stack([half, half, e / (1.0 + e)], axis=-1))
     columns = [
         2.0 * log2_mu,
         coles_piani,

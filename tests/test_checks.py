@@ -22,15 +22,19 @@ import fpbprobe
 from fpbprobe import (
     RECTILINEAR,
     DiscriminationConfig,
+    Distribution,
+    JointDistribution,
     Order,
     OutcomeProbs,
     ProbeConfig,
     SessionConfig,
+    SessionTally,
     alpha_mutual_information,
     binary_entropy,
     bounds_table,
     cnot_action,
     conditional_renyi,
+    empirical_mutual_information,
     error_lower_bound,
     joint_from_outcome_probs,
     mu_factor,
@@ -38,9 +42,11 @@ from fpbprobe import (
     naimark_basis,
     optimize_s_max,
     outcome_probs_grid,
+    run_session,
     shor_preskill_rate,
     xi_to_phi,
 )
+from fpbprobe import cli
 from fpbprobe.simulator import conditional_probe_state
 
 Q = OutcomeProbs(0.6, 0.1, 0.3)
@@ -186,3 +192,34 @@ def test_bool_checks_live_in_one_module():
         if re.search(r"isinstance\(.*bool", line)
     ]
     assert hits == []
+
+
+def test_computed_values_are_not_checked_again(capsys, monkeypatch):
+    """What the package computes from checked input is built without a second check.
+
+    With the checks of every class below refusing to run, the default curves,
+    both default bounds sweeps, a simulate run and a session print and return
+    exactly what they do unpatched.  povm takes its DiscriminationConfig from
+    the caller's --theta, so that class checks there and nowhere else.
+    """
+    def run(argv):
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out
+
+    def session():
+        tally = run_session(SessionConfig(1000, 0.1, 0.5, 7))
+        return tally.counts.tolist(), tally.rounds, empirical_mutual_information(tally)
+
+    argvs = [["curves"], ["bounds"], ["bounds", "--variable", "p-e"], ["simulate", "--rounds", "1000"]]
+    povm = ["povm", "--theta", "0.3", "--xi", "0.5"]
+    expected = [run(argv) for argv in argvs], session(), run(povm)
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} checked a computed value")
+
+    checked = DiscriminationConfig.__post_init__
+    for cls in (OutcomeProbs, Distribution, JointDistribution, SessionTally, ProbeConfig, DiscriminationConfig):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    unchecked = [run(argv) for argv in argvs], session()
+    monkeypatch.setattr(DiscriminationConfig, "__post_init__", checked)
+    assert unchecked + (run(povm),) == expected

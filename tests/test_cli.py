@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpbprobe import cli, entropy
+from fpbprobe import _checks, cli, entropy
 from fpbprobe.discrimination import DiscriminationConfig, outcome_probs, outcome_probs_grid, xi_to_phi
 from fpbprobe.entropy import closed_form_i1, closed_form_i2, closed_form_i4, closed_form_i_std
 
@@ -115,6 +115,17 @@ class TestCurves:
         post_init = entropy.JointDistribution.__post_init__
         monkeypatch.setattr(entropy.JointDistribution, "__post_init__",
                             lambda self: built.append(1) or post_init(self))
+
+        trusted = _checks.trusted
+
+        def build(cls, *values):  # computed tables skip __post_init__, so count these too
+            if cls is entropy.JointDistribution:
+                built.append(1)
+            return trusted(cls, *values)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("fpbprobe.") and getattr(module, "trusted", None) is trusted:
+                monkeypatch.setattr(module, "trusted", build)
         args = ["curves", "--steps", "5", "--xi", "0", "--xi", "0.5", "--xi", "1",
                 "--order", "0.5", "--order", "1", "--order", "2", "--order", "10"]
         code, out = run_cli(args + [a for m in ("std", "v1", "v2", "v4", "v1_inf", "cond_prob")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -133,6 +134,17 @@ class TestSessionConfig:
                        np.ones(self.SHAPE, dtype=np.int64).tolist()):
             t = SessionTally(counts, np.int64(24))
             assert t.counts.dtype == np.int64 and type(t.rounds) is int and t.rounds == 24
+
+    def test_tally_is_frozen(self):
+        # The checks hold for the tally's life, for a drawn one and a built one alike.
+        drawn = run_session(SessionConfig(rounds=1000, error_rate=0.1, xi=0.5, seed=1))
+        for t in (drawn, SessionTally(np.ones(self.SHAPE, dtype=np.int64), 24)):
+            rounds, counts = t.rounds, t.counts
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                t.rounds = 2.5
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                t.counts = t.counts.astype(float) * 0.5
+            assert t.rounds == rounds and t.counts is counts and t.counts.dtype == np.int64
 
     def test_largest_round_count_is_drawn(self):
         assert MAX_ROUNDS == 2**63 - 1
