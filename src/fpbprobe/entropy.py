@@ -112,10 +112,14 @@ def _fold(ufunc, x: np.ndarray) -> np.ndarray:
 
 
 def _checked(x, ndim: int, what: str) -> np.ndarray:
-    """x as floats: probability vectors (ndim 1) or tables (ndim 2) on its last axes.
+    """x as floats: probability vectors (ndim 1) or tables (ndim 2) on its last axes, normalized.
 
     Leading axes index a stack; every member must be finite, nonnegative
-    within 1e-12 and sum to 1 within DIST_TOL.
+    within 1e-12 and sum to 1 within DIST_TOL.  Entries are clipped at 0
+    and each member is divided by its sum, so that every measure sees a
+    vector that sums to 1 up to rounding, whatever the slack in the
+    caller's sum: each Renyi entropy is then one function of the accepted
+    vector, and does not jump where its kernel changes formula.
     """
     p = np.asarray(x, dtype=float)
     if p.ndim < ndim or p.size == 0:
@@ -124,11 +128,12 @@ def _checked(x, ndim: int, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be finite")
     if p.min() < -1e-12:
         raise ValueError(f"negative entry {p.min()} in {what}")
+    p = np.maximum(p, 0.0)
     sums = _fold(np.add, p if ndim == 1 else p.reshape(p.shape[:-2] + (-1,)))
     off = abs(sums - 1.0) > DIST_TOL
     if off.any():
         raise ValueError(f"{what} sum to {np.ravel(sums)[np.ravel(off)][0]}, not 1")
-    return np.maximum(p, 0.0)
+    return p / sums.reshape(sums.shape + (1,) * ndim)
 
 
 @dataclass(frozen=True)
@@ -200,7 +205,10 @@ def _power_sum(x: np.ndarray, a: float, w=1.0) -> np.ndarray:
     a nears 1.  By Jensen, S + G >= S / n for n terms, so log1p never
     nears -1, even where a tiny weight carries the peak.  Further out,
     the peak m of x is factored out, so that x**a never underflows the
-    whole sum: (a log2 m + log2 sum w (x / m)**a) / (1 - a).
+    whole sum: (a log2 m + log2 sum w (x / m)**a) / (1 - a).  This branch
+    does not divide by S; the two agree, up to rounding, because every
+    vector and table a caller gives is normalized where it is accepted
+    (`_checked`), and what the package builds sums to 1 by construction.
     """
     if abs(a - 1.0) < 1.0:
         s, g = _fold(np.add, w * x), _fold(np.add, w * _pow_gap(x, _log(x), np.full(x.shape, a))[1])

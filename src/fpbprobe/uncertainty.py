@@ -26,7 +26,7 @@ from .entropy import (
     _LN2,
     _float_or_array,
     _fold,
-    binary_entropy,
+    _shannon,
     closed_form_i_std,
     renyi_entropy,
     shannon_entropy,
@@ -174,7 +174,8 @@ def _maj_shannon(md: MajorizationData) -> np.ndarray:
 def _i_upper(q: OutcomeProbs, coles_piani, maj_shannon) -> np.ndarray:
     """H(E') = 1 - Q_? + h(Q_?) minus the stronger of the two Shannon floors."""
     qq = np.asarray(q.q_inconclusive, dtype=float)
-    h_e = 1.0 - qq + binary_entropy(np.clip(qq, 0.0, 1.0))
+    x = np.clip(qq, 0.0, 1.0)  # OutcomeProbs allows -1e-12
+    h_e = 1.0 - qq + _shannon(np.stack([x, 1.0 - x], axis=-1))
     return h_e - np.maximum(coles_piani, maj_shannon)
 
 
@@ -319,23 +320,18 @@ def majorization_bound_direct_sum(md: MajorizationData, a) -> float | np.ndarray
     Half the entropy of omega for orders <= 1; for finite orders above 1
     the bound is log2(1/2 + sum(omega^alpha)/2) / (1 - alpha).  Its
     alpha -> inf limit is 0 (the argument of the log tends to 1/2 while
-    the prefactor vanishes), so the infinite order returns 0.  Below
-    order 2 the sum is 2**((1 - alpha) R_alpha(omega)), and the argument
-    of the log is 1 + expm1(ln sum) / 2, so the bound keeps its relative
-    accuracy as alpha nears 1, where it tends to H(omega) / 2.
+    the prefactor vanishes), so the infinite order returns 0.  The sum is
+    2**((1 - alpha) R_alpha(omega)), and the argument of the log is
+    1 + expm1(ln sum) / 2, so the bound keeps its relative accuracy as
+    alpha nears 1, where it tends to H(omega) / 2.
     """
     o = Order.coerce(a)
-    p = md.omega.probs
     if o.is_infinite:
-        return _float_or_array(np.zeros(p.shape[:-1]))
-    if o.is_shannon or o.value < 1.0:
+        return _float_or_array(np.zeros(md.omega.probs.shape[:-1]))
+    if o.value <= 1.0:
         return 0.5 * renyi_entropy(md.omega, o)
-    alpha = o.value
-    if alpha < 2.0:
-        scale = (1.0 - alpha) * _LN2
-        return _float_or_array(np.log1p(0.5 * np.expm1(scale * renyi_entropy(md.omega, o))) / scale + 0.0)
-    powers = _fold(np.add, p ** alpha)
-    return _float_or_array(np.log2(0.5 + 0.5 * powers) / (1.0 - alpha) + 0.0)  # +0.0 avoids -0.0
+    scale = (1.0 - o.value) * _LN2
+    return _float_or_array(np.log1p(0.5 * np.expm1(scale * renyi_entropy(md.omega, o))) / scale + 0.0)
 
 
 def majorization_entropy_bound(md: MajorizationData, a) -> float | np.ndarray:
@@ -347,7 +343,7 @@ def majorization_entropy_bound(md: MajorizationData, a) -> float | np.ndarray:
     min-entropy of omega_prime.
     """
     o = Order.coerce(a)
-    if o.is_shannon or (not o.is_infinite and o.value < 1.0):
+    if o.value <= 1.0:
         return 0.5 * renyi_entropy(md.omega, o)
     return _float_or_array(np.maximum(
         majorization_bound_tensor(md, o),
@@ -393,7 +389,8 @@ def bounds_table(eta, q: OutcomeProbs | None = None) -> np.ndarray:
     md = _majorization(_zeta(e, mu))
     maj_shannon = _maj_shannon(md)
     half = 0.5 / (1.0 + e)  # rho*: the outcomes of I/2 under the phi = 0 measurement at eta
-    rho = trusted(Distribution, np.stack([half, half, e / (1.0 + e)], axis=-1))
+    rho = np.stack([half, half, e / (1.0 + e)], axis=-1)
+    rho = trusted(Distribution, rho / _fold(np.add, rho)[..., None])  # as a Distribution normalizes it
     columns = [
         2.0 * log2_mu,
         coles_piani,

@@ -13,7 +13,11 @@ definitions, so that it shares no code with the package:
 * `envelope_mp` writes the squared overlaps of two extension bases at
   gamma = acos(eta) / 2 as lines in u = cos(delta) and finds the u that
   minimizes their peak, cos(delta*); `mu_mp` and `zeta_mp` read the
-  phase-optimized mu(eta) and zeta(eta) off it.
+  phase-optimized mu(eta) and zeta(eta) off it;
+* `bounds_row_mp` evaluates every value column of `bounds` at one float
+  eta, and at one float triple for the two P_E-sweep columns, from each
+  bound's definition.  It takes mu(eta) and zeta_2(eta) from their
+  derived closed forms at DPS digits; `mu_mp` and `zeta_mp` gate those.
 
 `grid` gives the (P_E, xi) box that the accuracy gates sweep, and
 `assert_exact` is their one gate.  Importing this module skips the
@@ -195,6 +199,49 @@ def zeta_mp(eta) -> tuple[float, float, float]:
         pairs = [sq[i, j] + sq[i, k] for i in range(3) for j, k in combinations(range(3), 2)]
         pairs += [sq[j, i] + sq[k, i] for i in range(3) for j, k in combinations(range(3), 2)]
         return float(mp.sqrt(max(sq.values()))), float(mp.sqrt(max(pairs))), 1.0
+
+
+def mu_zeta2_mp(e):
+    """mu(eta) and zeta_2(eta) from their three-branch closed forms, with knots at the floats 0.2 and 0.5."""
+    if e <= mp.mpf(0.2):
+        return (1 + e) / (1 - e), mp.sqrt(1 + 2 * e - 3 * e * e) / (1 + e)
+    if e <= mp.mpf(0.5):
+        return mp.sqrt((2 - e) / (1 - e)), mp.sqrt((2 - 2 * e) / (2 - e))
+    return mp.sqrt((2 - e) / e), 1 / mp.sqrt(2 - e)
+
+
+def bounds_row_mp(eta, triple=None) -> list[float]:
+    """The value columns of one `bounds` row, in `uncertainty.BOUNDS_COLUMNS` order.
+
+    At the float eta, taken exactly: 2 log2 mu, the Coles-Piani bound
+    log2 mu + eta / (2 (1 + eta)) log2((1 - eta) / (4 eta)) (the
+    correction for 0 < eta < 0.2 only), H(omega) / 2, R_2(omega') / 2, the
+    direct-sum bound -log2((1 + sum omega^2) / 2) at order 2, and H and
+    R_2 of rho* = (1, 1, 2 eta) / (2 (1 + eta)), where
+    omega = (zeta_1, zeta_2 - zeta_1, 1 - zeta_2) with zeta_1 = 1 / mu and
+    omega' is its image under zeta -> (1 + zeta)^2 / 4.  With the float
+    triple (Q_S, Q_E, Q_?), two more: the standard mutual information of
+    `table_mp`, and its cap H(E') - max(Coles-Piani, H(omega) / 2), with
+    H(E') the entropy of that table's column sums.
+    """
+    with mp.workdps(DPS):
+        e = mp.mpf(float(eta))
+        mu, z2 = mu_zeta2_mp(e)
+        log2_mu = mp.log(mu, 2)
+        coles_piani = log2_mu + (e / (2 * (1 + e)) * mp.log((1 - e) / (4 * e), 2) if 0 < e < mp.mpf(0.2) else 0)
+        zeta = [1 / mu, z2, mp.mpf(1)]
+        xi = [(1 + z) ** 2 / 4 for z in zeta]
+        omega = [zeta[0], zeta[1] - zeta[0], 1 - zeta[1]]
+        omega_prime = [xi[0], xi[1] - xi[0], 1 - xi[1]]
+        rho = [1 / (2 * (1 + e)), 1 / (2 * (1 + e)), e / (1 + e)]
+        maj_shannon = renyi(omega, 1) / 2
+        row = [2 * log2_mu, coles_piani, maj_shannon, renyi(omega_prime, 2) / 2,
+               -mp.log((1 + mp.fsum(w ** 2 for w in omega)) / 2, 2), renyi(rho, 1), renyi(rho, 2)]
+        if triple is not None:
+            rows = table_mp(*triple)
+            h_e = renyi([rows[0][k] + rows[1][k] for k in range(3)], 1)
+            row += [measure("std", rows), h_e - max(coles_piani, maj_shannon)]
+        return [float(v) for v in row]
 
 
 def assert_exact(got, truth, rel: float, floor: float, what: str = "value") -> None:

@@ -2,8 +2,10 @@
 
 The reference is each measure's definition evaluated on the same float
 triple (Q_S, Q_E, Q_?) that the closed form sees, so these gates measure
-the closed forms alone, not the triple.  The table path and the
-majorization bounds are gated the same way at orders next to 1.
+the closed forms alone, not the triple.  The table path is gated the same
+way at orders next to 1, the direct-sum majorization bound there and at
+orders up to 1e3, and every printed `bounds` column on the float eta and
+triple that the program computed.
 """
 
 import math
@@ -37,6 +39,8 @@ BOX_ORDERS = (0.05, 0.5, 1 - 1e-10, 1 + 1e-10, 2.0, 3.0, 10.0, 50.0)
 NEAR_ONE = (1 - 1e-3, 1 - 1e-6, 1 - 1e-10, 1 - 1e-15, 1 + 1e-15, 1 + 1e-10, 1 + 1e-6, 1 + 1e-3)
 # The table path's orders next to 1: 2e-9 sat just outside its old Shannon window of 1e-9.
 TABLE_NEAR_ONE = tuple(1.0 + sign * d for d in (1e-15, 1e-12, 2e-9, 1e-7, 1e-6, 1e-3) for sign in (-1, 1))
+# The direct-sum bound's orders away from 1, order 2 included, up to 1e3.
+DIRECT_SUM_FAR = (1.5, 2.0, 3.0, 10.0, 50.0, 1e3)
 # Both ends, near 0, and each knot of mu(eta) with a point 1e-9 to either side.
 MU_ETAS = (0.0, 1e-6, 0.1, 0.2 - 1e-9, 0.2, 0.2 + 1e-9, 0.35, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.8, 1.0)
 ETA_GRID = tuple(np.linspace(0.0, 1.0, 101).tolist())
@@ -114,15 +118,17 @@ class TestTablePathNearOne:
     """The table path and the direct-sum bound within 16 ulp of max(1, |truth|) next to order 1.
 
     Order 1 is exactly 1 there too, so these orders take the Renyi
-    formulas, through the one power-sum kernel.
+    formulas, through the one power-sum kernel.  The direct-sum bound is
+    one formula at every finite order above 1, so it is gated further out
+    as well.
     """
 
     @pytest.fixture(scope="class")
     def joint(self, box):
         return joint_from_outcome_probs(box[0])
 
-    def gate(self, got_at, truth, what):
-        got = np.stack([got_at(a) for a in TABLE_NEAR_ONE], axis=-1)
+    def gate(self, got_at, truth, what, orders=TABLE_NEAR_ONE):
+        got = np.stack([got_at(a) for a in orders], axis=-1)
         oracle.assert_exact(got, truth, ULP16, ULP16, what)
 
     @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
@@ -149,17 +155,47 @@ class TestTablePathNearOne:
         _, eta = outcome_probs_grid(*oracle.grid())
         md = majorization_data(zeta_closed_form(eta))
         omega = md.omega.probs
-        truth = np.empty(omega.shape[:-1] + (len(TABLE_NEAR_ONE),))
+        orders = TABLE_NEAR_ONE + DIRECT_SUM_FAR
+        truth = np.empty(omega.shape[:-1] + (len(orders),))
         with mp.workdps(oracle.DPS):
             for idx in np.ndindex(omega.shape[:-1]):
                 w = [mp.mpf(float(x)) for x in omega[idx]]
                 assert mp.fsum(w) == 1
-                for k, a in enumerate(TABLE_NEAR_ONE):
+                for k, a in enumerate(orders):
                     a = mp.mpf(a)
                     value = (mp.log((1 + mp.fsum(x ** a for x in w if x > 0)) / 2) / ((1 - a) * mp.ln2) if a > 1
                              else oracle.renyi(w, a) / 2)
                     truth[idx + (k,)] = float(value)
-        self.gate(lambda a: majorization_bound_direct_sum(md, a), truth, "direct sum")
+        self.gate(lambda a: majorization_bound_direct_sum(md, a), truth, "direct sum", orders)
+
+
+class TestBoundsAudit:
+    """Every value cell that `bounds` prints against `oracle.bounds_row_mp`, within 16 ulp of max(1, |truth|).
+
+    The oracle takes the program's own float eta and outcome triple, which
+    the P_E sweeps recompute from the printed P_E, so it checks the bounds
+    alone: eta itself is off by 6.1e-17 where it should be 0 (at xi = 1
+    and at P_E = 1/3), and the oracle does not see that.
+    """
+
+    @pytest.mark.parametrize("argv", [["bounds"], ["bounds", "--variable", "p-e"],
+                                      ["bounds", "--variable", "p-e", "--xi", "0"]], ids=" ".join)
+    def test_every_cell(self, argv, capsys):
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        head = lines[0].split(",")
+        cells = [line.split(",") for line in lines[1:]]
+        x = np.array([float(row[0]) for row in cells])
+        if "p-e" in argv:
+            q, eta = outcome_probs_grid(x, float(argv[argv.index("--xi") + 1]) if "--xi" in argv else 1.0)
+            truth = [oracle.bounds_row_mp(*args) for args in zip(eta, zip(q.q_success, q.q_error, q.q_inconclusive))]
+        else:
+            truth = [oracle.bounds_row_mp(e) for e in x]
+            assert all(row[8:] == ["", ""] for row in cells)
+        truth = np.array(truth)
+        got = np.array([[float(v) for v in row[1:1 + truth.shape[1]]] for row in cells])
+        for k in range(truth.shape[1]):
+            oracle.assert_exact(got[:, k], truth[:, k], ULP16, ULP16, head[1 + k])
 
 
 class TestMuOracle:

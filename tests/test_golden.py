@@ -10,9 +10,9 @@ differences of entropies make a relative bound meaningless near 0.
 cli_digests.json holds the length and SHA-256 of stdout for 16 `curves`
 and `bounds` argvs (defaults, the cases above, edge grids), written by
 the per-value `f"{v:.17g}"` writer that preceded the array kernel.
-Those outputs must match byte for byte.  The nine `bounds` digests are
-still that writer's.  The seven `curves` digests were recaptured when
-`curves` moved from the 2x3 table path to the closed forms of `entropy`:
+Those outputs must match byte for byte.  The seven `curves` digests
+were recaptured when `curves` moved from the 2x3 table path to the
+closed forms of `entropy`:
 last bits of std, v1, v2, v4 and v1_inf moved, by at most 1.9e-15 at
 orders away from 1 and by up to 1.1e-8 at order 1.0000001, where the
 table path was that far off.  Before the recapture every moved cell was
@@ -27,7 +27,17 @@ cond_prob` (curves06, curves08 to curves11) were recaptured when
 cond_prob became Q_S / (Q_S + Q_E) instead of Q_S / (1 - Q_?): 521
 cond_prob cells moved and no other byte.  Each moved cell lies within
 2.6e-16 relative of the 50-digit Born-rule value of tests/oracle.py;
-the old ones were up to 3.3e-5 off, and 68 of them exceeded 1.
+the old ones were up to 3.3e-5 off, and 68 of them exceeded 1.  The
+nine `bounds` digests were recaptured when a probability vector became
+normalized where it is accepted, and the direct-sum bound one formula
+at every finite order above 1: over their 4 962 rows, 4 497
+maj_alpha2_b, 303 rho_star_R2 and 116 rho_star_H cells moved, and no
+other byte.  Before the recapture every value cell of the nine outputs
+was checked against the 50-digit `bounds` oracle of tests/oracle.py on
+the program's own float eta and triple: each lies within
+13 * 2**-52 * max(1, |truth|) of it, and in those units the worst error
+of each moved column fell, maj_alpha2_b from 1.9 to 1.6, rho_star_R2
+from 3.8 to 2.8 and rho_star_H from 1.3 to 1.0.
 
 simulate_digests.json holds the length and SHA-256 of `simulate` stdout
 for six argvs (2**22 + 4321 rounds, the four corners P_E in {0, 1/3} x
