@@ -1,53 +1,35 @@
-"""Walk through the probe geometry: input state, tagged outputs, gate action.
+"""Walk through the probe geometry: the tagged outputs and their angle.
 
 The attack couples a probe qubit to each intercepted carrier through a
-controlled flip.  Afterwards the probe holds one of two subnormalized
-states tagged to the carrier bit, plus an error component that shows up
-as the induced disturbance on the sifted key.
+controlled flip tuned to an induced bit error rate P_E.  Afterwards the
+probe holds, once normalized, one of two states (cos theta, +/- sin theta)
+tagged to the carrier bit, and every analytic result reads the probe
+through theta alone: cos(2 theta) = (1 - 3 P_E) / (1 - P_E).
 """
+
+import math
 
 import numpy as np
 
-from fpbprobe import (
-    BASES,
-    ProbeConfig,
-    cnot_action,
-    probe_geometry,
-    probe_input,
-    theta_from_error_rate,
-)
+from fpbprobe import theta_grid
 
-print("=== probe input state ===")
-for p_e in (0.0, 0.1, 0.2, 1 / 3):
-    cfg = ProbeConfig(p_e)
-    ket = probe_input(cfg)
-    print(f"P_E = {p_e:6.4f}: |t_in> = {ket.real.round(6)}  (norm {np.linalg.norm(ket):.12f})")
-
-print("\n=== tagged outputs and separation angle ===")
-print(f"{'P_E':>6} {'theta':>9} {'cos2theta':>10} {'<t+|t+>':>9} {'<t+|t->':>9} {'<tE|tE>':>9}")
-for p_e in np.linspace(0.0, 1 / 3, 9):
-    g = probe_geometry(ProbeConfig(p_e))
+print("=== tagged outputs and separation angle ===")
+print(f"{'P_E':>6} {'theta':>9} {'cos2theta':>10} {'(1-3P_E)/(1-P_E)':>17}   tagged states (cos theta, +/- sin theta)")
+p_e = np.linspace(0.0, 1 / 3, 9)
+for p, theta in zip(p_e, theta_grid(p_e)):
+    c, s = math.cos(theta), math.sin(theta)
     print(
-        f"{p_e:6.3f} {g.theta:9.5f} {g.overlap:10.5f}"
-        f" {np.vdot(g.t_plus, g.t_plus).real:9.5f}"
-        f" {np.vdot(g.t_plus, g.t_minus).real:9.5f}"
-        f" {np.vdot(g.t_err, g.t_err).real:9.5f}"
+        f"{p:6.3f} {theta:9.5f} {math.cos(2 * theta):10.5f} {(1 - 3 * p) / (1 - p):17.5f}"
+        f"   ({c:.5f}, +/-{s:.5f})"
     )
 
-print("\nnote: <t+|t-> = 1 - 3 P_E crosses zero at P_E = 1/3, the domain edge.")
+print("\nnote: the overlap cos 2theta of the tagged states reaches 0 at P_E = 1/3,")
+print("the domain edge, where theta = pi/4 and the two states are orthogonal.")
 
-print("\n=== gate action on each carrier input (P_E = 0.2) ===")
-cfg = ProbeConfig(0.2)
-print("layout: [keep (x) probe+, keep (x) probe-, flip (x) probe+, flip (x) probe-]")
-for basis in BASES:
-    for bit in (0, 1):
-        out = cnot_action(basis, bit, cfg)
-        flipped_weight = np.vdot(out.reshape(2, 2)[1 - bit], out.reshape(2, 2)[1 - bit]).real
-        print(
-            f"{basis:11s} bit {bit}: {np.round(out.real, 5)}"
-            f"   flipped-branch weight = {flipped_weight:.5f}"
-        )
+theta = theta_grid(0.2)
+print(f"\ndisturbance P_E = 0.2 maps to separation angle theta = {theta:.6f} rad (cos 2theta = {math.cos(2 * theta):.6f})")
 
-theta = theta_from_error_rate(cfg)
-print(f"\ndisturbance P_E = 0.2 maps to separation angle theta = {theta:.6f} rad")
-print("the flipped-branch weight equals P_E for every basis and bit.")
+try:
+    theta_grid(0.4)
+except ValueError as exc:
+    print(f"P_E beyond 1/3 is refused: {exc}")

@@ -24,7 +24,6 @@ from fpbprobe import (
     optimize_s_max,
     outcome_probs,
     overlap_matrix,
-    s_max,
     shannon_entropy,
     zeta2_closed_form,
     zeta_closed_form,
@@ -32,14 +31,14 @@ from fpbprobe import (
 )
 
 print("=== the overlap matrix at the closed-form phase optimum delta* certifies the closed forms ===")
-print(f"{'eta':>5} {'delta*':>9} {'s_max(W)':>11} {'1/f (closed)':>13} {'zeta2':>9} {'c2 (closed)':>12}")
+print(f"{'eta':>5} {'delta*':>9} {'max|W_ij|':>11} {'1/f (closed)':>13} {'zeta2':>9} {'c2 (closed)':>12}")
 for eta in (0.0, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0):
     _, (phi, phip) = optimize_s_max(eta)
     gamma = 0.5 * math.acos(eta)
     w = overlap_matrix(naimark_basis(gamma, phi), naimark_basis(gamma, phip))
     z = zeta_coefficients(w)
     print(
-        f"{eta:5.2f} {phip - phi:9.6f} {s_max(w):11.8f} {1 / mu_factor(eta):13.8f}"
+        f"{eta:5.2f} {phip - phi:9.6f} {np.abs(w).max():11.8f} {1 / mu_factor(eta):13.8f}"
         f" {z[1]:9.6f} {zeta2_closed_form(eta):12.8f}"
     )
 

@@ -1,16 +1,15 @@
 """Eavesdropping-probe analysis for BB84 under generalized discrimination.
 
-The package builds the probe geometry, the interpolating three-outcome
-discrimination measurement, Shannon/Renyi information measures over the
-resulting (b', e') tables, entropic and majorization uncertainty bounds,
-and a seeded Monte-Carlo session oracle.
+The package builds the probe's angle theta(P_E), the interpolating
+three-outcome discrimination measurement, Shannon/Renyi information
+measures over the resulting (b', e') tables, entropic and majorization
+uncertainty bounds, and a seeded Monte-Carlo session oracle.
 """
 
 from .discrimination import (
     DiscriminationConfig,
     OutcomeProbs,
     Povm,
-    born_probs,
     build_povm,
     error_lower_bound,
     outcome_probs,
@@ -35,18 +34,7 @@ from .entropy import (
     shannon_entropy,
     shor_preskill_rate,
 )
-from .probe import (
-    BASES,
-    DIAGONAL,
-    RECTILINEAR,
-    ProbeConfig,
-    ProbeGeometry,
-    cnot_action,
-    probe_geometry,
-    probe_input,
-    theta_from_error_rate,
-    theta_grid,
-)
+from .probe import theta_grid
 from .simulator import (
     SessionConfig,
     SessionTally,
@@ -70,8 +58,6 @@ from .uncertainty import (
     naimark_basis,
     optimize_s_max,
     overlap_matrix,
-    s_max,
-    s_second,
     zeta2_closed_form,
     zeta_closed_form,
     zeta_coefficients,

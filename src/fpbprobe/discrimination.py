@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from ._checks import real, scalar, trusted
-from .probe import MAX_ERROR_RATE, theta_grid
+from .probe import MAX_ERROR_RATE, _theta
 
 QUARTER_PI = 0.25 * math.pi
 PHI_SLACK = 1e-12
@@ -103,7 +103,7 @@ class OutcomeProbs:
 
 def _from_error_rate(error_rate: float, xi: float) -> DiscriminationConfig:
     """DiscriminationConfig.from_error_rate for a checked P_E and xi."""
-    theta = float(theta_grid(error_rate))
+    theta = float(_theta(error_rate))
     return trusted(DiscriminationConfig, theta, xi * (QUARTER_PI - theta))
 
 
@@ -136,17 +136,15 @@ def xi_to_phi(xi: float, theta: float) -> float:
     """Map the characteristic ratio xi in [0, 1] to the angle phi.
 
     xi = 0 is the unambiguous (IDP) scheme, xi = 1 the Helstrom scheme.
+    A theta in the slack past pi/4 gives phi = 0.
     """
-    return scalar("xi", xi, 0.0, 1.0) * (QUARTER_PI - scalar("theta", theta, 0.0, QUARTER_PI + PHI_SLACK))
+    return scalar("xi", xi, 0.0, 1.0) * max(QUARTER_PI - scalar("theta", theta, 0.0, QUARTER_PI + PHI_SLACK), 0.0)
 
 
 def build_povm(cfg: DiscriminationConfig) -> Povm:
     """Measurement operators for one (theta, phi) configuration."""
     v, eta = _measurement_vectors(cfg.gamma)
-    povm = Povm(*(np.outer(k, k) / (1.0 + eta) for k in v))
-    if povm.completeness_residual() > 1e-10:
-        raise AssertionError("POVM completeness residual exceeds 1e-10")
-    return povm
+    return Povm(*(np.outer(k, k) / (1.0 + eta) for k in v))
 
 
 def outcome_probs(cfg: DiscriminationConfig) -> OutcomeProbs:
@@ -163,7 +161,7 @@ def outcome_probs_grid(error_rate, xi) -> tuple[OutcomeProbs, np.ndarray]:
     [0, 1], all finite.
     """
     p, x = np.broadcast_arrays(real("error_rate", error_rate, 0.0, MAX_ERROR_RATE), real("xi", xi, 0.0, 1.0))
-    theta = theta_grid(p)
+    theta = _theta(p)
     phi = x * (QUARTER_PI - theta)
     eta = _eta(theta + phi)
     return trusted(OutcomeProbs, *_outcome_triple(theta, phi, eta)), eta
@@ -186,24 +184,3 @@ def error_lower_bound(theta: float, q_inconclusive: float) -> float:
         1.0 - q_inconclusive - math.sin(2.0 * theta) * math.sqrt(radicand)
     )
 
-
-def _validate_density(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    r = linalg.as_matrix(rho)
-    if r.shape != (2, 2):
-        raise ValueError(f"density matrix must be 2x2, got {r.shape}")
-    if np.abs(r - r.conj().T).max() > tol:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(r).real - 1.0) > tol:
-        raise ValueError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(r)[0] < -tol:
-        raise ValueError("density matrix is not positive semidefinite")
-    return r
-
-
-def born_probs(p: Povm, rho) -> np.ndarray:
-    """(tr(M_+ rho), tr(M_- rho), tr(M_? rho)) for a qubit state rho."""
-    r = _validate_density(rho)
-    probs = np.array(
-        [np.trace(m @ r).real for m in p.elements], dtype=float
-    )
-    return np.clip(probs, 0.0, None)

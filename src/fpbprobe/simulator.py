@@ -41,7 +41,7 @@ import numpy as np
 from ._checks import integer, real, trusted
 from .discrimination import DiscriminationConfig, _from_error_rate, _measurement_vectors
 from .entropy import JointDistribution, mutual_information
-from .probe import MAX_ERROR_RATE, ProbeConfig, theta_from_error_rate
+from .probe import MAX_ERROR_RATE
 
 # Used only by perfbench/workloads.py philox_fill_ns, which its selftest runs traced.
 CHUNK_ROUNDS = 1 << 16
@@ -115,33 +115,27 @@ class SessionTally:
         }
 
 
-def _probe_states(probe: ProbeConfig, theta: float) -> np.ndarray:
-    """(2, 8) table: column k is the real state (a, b) that
-    conditional_probe_state gives for case k = bit*4 + basis_match*2 +
-    bob_correct; theta is theta_from_error_rate(probe).
+def _probe_states(error_rate: float, theta: float) -> np.ndarray:
+    """(2, 8) table: column k is the real, normalized probe state after Bob's
+    carrier measurement in case k = bit*4 + basis_match*2 + bob_correct;
+    theta is theta_grid(error_rate).
+
+    The branch decompositions of the gate's output collapse to four
+    families, none of which depends on the sending basis: matched and
+    correct leaves the tagged probe state (cos theta, +/- sin theta),
+    matched and flipped leaves |->, mismatched outcomes leave
+    (c, +/- sqrt(2) s) / sqrt(1 + 2 P_E) (correct bit) or |+> (flipped
+    bit), where c = sqrt(1 - 2 P_E) and s = sqrt(2 P_E) are the probe's
+    input amplitudes on |+> and |->.  The sign is + for bit 0.
     """
-    c, s = probe.amplitudes
-    norm = math.sqrt(1.0 + 2.0 * probe.error_rate)
+    c, s = math.sqrt(1.0 - 2.0 * error_rate), math.sqrt(2.0 * error_rate)
+    norm = math.sqrt(1.0 + 2.0 * error_rate)
     tagged = math.sqrt(2.0) * s / norm
     sin_t = math.sin(theta)
     return np.array([
         [1.0, c / norm, 0.0, math.cos(theta)] * 2,
         [0.0, tagged, 1.0, sin_t, 0.0, -tagged, 1.0, -sin_t],
     ])
-
-
-def conditional_probe_state(error_rate: float, bit: int, basis_matched: bool, bob_correct: bool) -> np.ndarray:
-    """Normalized probe state after Bob's carrier measurement.
-
-    The branch decompositions collapse to four families, none of which
-    depends on the sending basis: matched and correct leaves the tagged
-    probe state (cos theta, +/- sin theta), matched and flipped leaves
-    |->, mismatched outcomes leave (c, +/- sqrt(2) s) / sqrt(1 + 2 P_E)
-    (correct bit) or |+> (flipped bit).  The sign is + for bit 0.
-    """
-    case = integer("bit", bit, 0, 1) * 4 + bool(basis_matched) * 2 + bool(bob_correct)
-    probe = ProbeConfig(error_rate)
-    return _probe_states(probe, theta_from_error_rate(probe))[:, case].astype(complex)
 
 
 def _case_probabilities(cfg: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -160,7 +154,7 @@ def _case_probabilities(cfg: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
     """
     disc = cfg.discrimination()
     v, eta = _measurement_vectors(disc.gamma)
-    a, b = _probe_states(trusted(ProbeConfig, cfg.error_rate), disc.theta)[:, :, None]
+    a, b = _probe_states(cfg.error_rate, disc.theta)[:, :, None]
     eve = (a * v[:, 0] + b * v[:, 1]) ** 2 / (1.0 + eta)
     p_correct = np.array([(1.0 + 2.0 * cfg.error_rate) / 2.0, 1.0 - cfg.error_rate])
     return eve, p_correct

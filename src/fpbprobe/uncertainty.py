@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from ._checks import HUGE, real, scalar, trusted
-from .discrimination import OutcomeProbs, _measurement_vectors
+from .discrimination import PHI_SLACK, QUARTER_PI, OutcomeProbs, _measurement_vectors
 from .entropy import (
     Distribution,
     Order,
@@ -73,7 +73,7 @@ def naimark_basis(gamma: float, phase: float = 0.0) -> NaimarkExtension:
     unchanged.  gamma = 0 (eta = 1) is included so the eta grid can reach
     both ends.
     """
-    gamma = scalar("gamma", gamma, 0.0, 0.25 * math.pi + 1e-12)
+    gamma = scalar("gamma", gamma, 0.0, QUARTER_PI + PHI_SLACK)
     phase = scalar("phase", phase, -HUGE, HUGE) % TWO_PI
     v, eta = _measurement_vectors(gamma)
     root = math.sqrt(1.0 + eta)
@@ -88,19 +88,6 @@ def overlap_matrix(e1: NaimarkExtension, e2: NaimarkExtension) -> np.ndarray:
     if abs(e1.gamma - e2.gamma) > 1e-12:
         raise ValueError("extensions must share the same gamma")
     return e1.basis.conj() @ e2.basis.T
-
-
-def s_max(w) -> float:
-    """Largest entry modulus."""
-    return float(np.abs(linalg.as_matrix(w)).max())
-
-
-def s_second(w) -> float:
-    """Second largest entry modulus, duplicates counted."""
-    mods = np.sort(np.abs(linalg.as_matrix(w)).ravel())
-    if mods.size < 2:
-        raise ValueError("s_second needs at least 2 entries")
-    return float(mods[-2])
 
 
 def optimize_s_max(eta: float) -> tuple[float, tuple[float, float]]:

@@ -20,19 +20,16 @@ import pytest
 
 import fpbprobe
 from fpbprobe import (
-    RECTILINEAR,
     DiscriminationConfig,
     Distribution,
     JointDistribution,
     Order,
     OutcomeProbs,
-    ProbeConfig,
     SessionConfig,
     SessionTally,
     alpha_mutual_information,
     binary_entropy,
     bounds_table,
-    cnot_action,
     conditional_renyi,
     empirical_mutual_information,
     error_lower_bound,
@@ -44,10 +41,10 @@ from fpbprobe import (
     outcome_probs_grid,
     run_session,
     shor_preskill_rate,
+    theta_grid,
     xi_to_phi,
 )
 from fpbprobe import cli
-from fpbprobe.simulator import conditional_probe_state
 
 Q = OutcomeProbs(0.6, 0.1, 0.3)
 JOINT = joint_from_outcome_probs(Q)
@@ -55,7 +52,7 @@ JOINT = joint_from_outcome_probs(Q)
 # id: (parameter, call, a valid value that float32 holds exactly, a valid
 # whole number, a finite value out of range or None if every finite value is valid)
 REAL_ROWS = {
-    "ProbeConfig": ("error_rate", ProbeConfig, 0.125, 0, 0.5),
+    "theta_grid": ("error_rate", theta_grid, 0.125, 0, 0.5),
     "DiscriminationConfig.theta": ("theta", lambda v: DiscriminationConfig(v, 0.0), 0.5, 0, 1.0),
     "DiscriminationConfig.phi": ("phi", lambda v: DiscriminationConfig(0.25, v), 0.25, 0, 0.75),
     "from_error_rate.error_rate": ("error_rate", lambda v: DiscriminationConfig.from_error_rate(v, 0.5), 0.125, 0, 0.5),
@@ -78,8 +75,6 @@ REAL_ROWS = {
     "bounds_table": ("eta", lambda v: bounds_table(v, Q), 0.25, 1, 1.5),
     "SessionConfig.error_rate": ("error_rate", lambda v: SessionConfig(10, v, 0.5, 1), 0.125, 0, 0.5),
     "SessionConfig.xi": ("xi", lambda v: SessionConfig(10, 0.125, v, 1), 0.5, 1, 1.5),
-    "conditional_probe_state.error_rate":
-        ("error_rate", lambda v: conditional_probe_state(v, 1, True, True), 0.125, 0, 0.5),
 }
 INFINITE_ORDERS = {"Order", "alpha_mutual_information.order"}  # inf is the min-entropy order
 # Parameters that take one number, so an array fails like any bad value.  The
@@ -91,8 +86,6 @@ ONE_NUMBER = {
 
 # id: (parameter, call, a valid value, a value out of range)
 INTEGER_ROWS = {
-    "cnot_action.bit": ("bit", lambda v: cnot_action(RECTILINEAR, v, ProbeConfig(0.125)), 1, 2),
-    "conditional_probe_state.bit": ("bit", lambda v: conditional_probe_state(0.125, v, True, False), 1, 2),
     # order 1 takes the mutual-information shortcut, which must check the variant too
     "alpha_mutual_information.variant@1": ("variant", lambda v: alpha_mutual_information(JOINT, 1.0, v), 4, 3),
     "alpha_mutual_information.variant@2": ("variant", lambda v: alpha_mutual_information(JOINT, 2.0, v), 2, 3),
@@ -165,8 +158,7 @@ class TestPolicy:
 def test_config_fields_hold_python_numbers():
     cfg = SessionConfig(np.int64(10), np.float32(0.125), np.int64(1), np.uint64(2**64 - 1))
     assert [type(v) for v in dataclasses.astuple(cfg)] == [int, float, float, int]
-    assert type(ProbeConfig(np.float32(0.125)).error_rate) is float
-    for make in (ProbeConfig, Order, lambda v: DiscriminationConfig(v, 0.0), lambda v: SessionConfig(10, v, 0.5, 1)):
+    for make in (Order, lambda v: DiscriminationConfig(v, 0.0), lambda v: SessionConfig(10, v, 0.5, 1)):
         with pytest.raises(TypeError):
             make(np.array([0.125, 0.25]))
 
@@ -218,7 +210,7 @@ def test_computed_values_are_not_checked_again(capsys, monkeypatch):
         raise AssertionError(f"{type(self).__name__} checked a computed value")
 
     checked = DiscriminationConfig.__post_init__
-    for cls in (OutcomeProbs, Distribution, JointDistribution, SessionTally, ProbeConfig, DiscriminationConfig):
+    for cls in (OutcomeProbs, Distribution, JointDistribution, SessionTally, DiscriminationConfig):
         monkeypatch.setattr(cls, "__post_init__", refuse)
     unchecked = [run(argv) for argv in argvs], session()
     monkeypatch.setattr(DiscriminationConfig, "__post_init__", checked)

@@ -503,6 +503,16 @@ class TestPovm:
         assert report["q_inconclusive"] == pytest.approx(q.q_inconclusive, abs=1e-15)
         assert report["error_lower_bound"] == pytest.approx(q.q_error, abs=1e-10)
 
+    @pytest.mark.parametrize("xi", ["0", "0.5", "1"])
+    def test_theta_in_the_slack_past_quarter_pi(self, xi, capsys):
+        # theta up to pi/4 + 1e-12 is accepted, and its phi is 0, not -5e-13 or -0.0
+        code, out = run_cli(["povm", "--theta", "0.78539816339795", "--xi", xi], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["phi"] == 0.0 and math.copysign(1.0, report["phi"]) == 1.0
+        assert report["q_inconclusive"] == 0.0
+        assert report["completeness_residual"] <= 1e-10
+
     def test_missing_arguments_rejected(self, capsys):
         code, _ = run_cli(["povm", "--theta", "0.3"], capsys)
         assert code == 2

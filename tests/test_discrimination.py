@@ -6,7 +6,6 @@ import pytest
 from fpbprobe.discrimination import (
     DiscriminationConfig,
     OutcomeProbs,
-    born_probs,
     build_povm,
     error_lower_bound,
     outcome_probs,
@@ -35,7 +34,7 @@ def born_average_oracle(cfg):
     rows = []
     for sign in (1.0, -1.0):
         ket = np.array([math.cos(cfg.theta), sign * math.sin(cfg.theta)], dtype=complex)
-        rows.append(born_probs(povm, np.outer(ket, ket.conj())))
+        rows.append(np.array([np.trace(m @ np.outer(ket, ket.conj())).real for m in povm.elements]))
     row_plus, row_minus = rows
     return 0.5 * (row_plus + row_minus[[1, 0, 2]])
 
@@ -50,6 +49,15 @@ class TestXiToPhi:
 
     def test_linear_map(self):
         assert xi_to_phi(0.5, math.pi / 8) == pytest.approx(math.pi / 16, abs=1e-15)
+
+    def test_theta_in_the_slack_past_quarter_pi_gives_phi_zero(self):
+        # theta may exceed pi/4 by PHI_SLACK; phi = xi (pi/4 - theta) would be
+        # negative there, and DiscriminationConfig would refuse it
+        for theta in (0.78539816339795, QUARTER_PI + 1e-12):
+            for xi in (0.0, 0.5, 1.0):
+                phi = xi_to_phi(xi, theta)
+                assert phi == 0.0 and math.copysign(1.0, phi) == 1.0, (theta, xi, phi)
+                assert DiscriminationConfig(theta, phi).phi == 0.0
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -157,21 +165,18 @@ class TestErrorLowerBound:
 
 
 class TestBornProbs:
-    def test_rejects_a_non_qubit_state(self):
-        povm = build_povm(DiscriminationConfig(theta=math.pi / 12, phi=math.pi / 12))
-        with pytest.raises(ValueError, match="2x2"):
-            born_probs(povm, np.eye(3) / 3)
+    """Born probabilities tr(M rho) of the built POVM."""
 
     def test_maximally_mixed_at_gamma_pi_6(self):
         povm = build_povm(DiscriminationConfig(theta=math.pi / 12, phi=math.pi / 12))
-        probs = born_probs(povm, 0.5 * np.eye(2))
+        probs = [np.trace(m @ (0.5 * np.eye(2))).real for m in povm.elements]
         # traces are 1/(1+eta), 1/(1+eta), 2 eta/(1+eta) with eta = 1/2
         np.testing.assert_allclose(probs, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
     def test_no_inconclusive_weight_at_helstrom(self):
         povm = build_povm(DiscriminationConfig(theta=0.2, phi=QUARTER_PI - 0.2))
         ket = np.array([1.0, 0.0], dtype=complex)
-        probs = born_probs(povm, np.outer(ket, ket.conj()))
+        probs = [np.trace(m @ np.outer(ket, ket.conj())).real for m in povm.elements]
         assert probs[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_per_input_rows_reproduce_averages(self):
@@ -180,7 +185,7 @@ class TestBornProbs:
             rows = []
             for sign in (1.0, -1.0):
                 ket = np.array([math.cos(cfg.theta), sign * math.sin(cfg.theta)], dtype=complex)
-                rows.append(born_probs(povm, np.outer(ket, ket.conj())))
+                rows.append(np.array([np.trace(m @ np.outer(ket, ket.conj())).real for m in povm.elements]))
             q = outcome_probs(cfg)
             relabeled = 0.5 * (rows[0] + rows[1][[1, 0, 2]])
             np.testing.assert_allclose(
@@ -195,17 +200,4 @@ class TestBornProbs:
             g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             rho = g @ g.conj().T
             rho = rho / np.trace(rho).real
-            assert born_probs(povm, rho).sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_invalid_density(self):
-        povm = build_povm(DiscriminationConfig(0.4, 0.1))
-        with pytest.raises(ValueError):
-            born_probs(povm, np.eye(2))          # trace 2
-        with pytest.raises(ValueError):
-            born_probs(povm, np.array([[1.5, 0.0], [0.0, -0.5]]))   # not PSD
-
-    def test_rejects_non_hermitian_density(self):
-        # eigvalsh reads one triangle only: without the check this passes as I/2.
-        povm = build_povm(DiscriminationConfig(0.4, 0.1))
-        with pytest.raises(ValueError, match="Hermitian"):
-            born_probs(povm, np.array([[0.5, 0.5], [0.0, 0.5]]))
+            assert sum(np.trace(m @ rho).real for m in povm.elements) == pytest.approx(1.0, abs=1e-12)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from fpbprobe import linalg
-from fpbprobe.discrimination import DiscriminationConfig, Povm, born_probs, build_povm
+from fpbprobe.discrimination import DiscriminationConfig, Povm, build_povm
 from fpbprobe.uncertainty import naimark_basis, overlap_matrix
 
 
 class TestStructureChecks:
-    """Unitarity through linalg; positivity through Povm.psd_floor and born_probs."""
+    """Unitarity through linalg; positivity through Povm.psd_floor and the Born rule."""
 
     def test_identity_is_unitary(self):
         assert linalg.is_unitary(np.eye(3))
@@ -40,7 +40,7 @@ class TestStructureChecks:
         zero = np.zeros((2, 2))
         assert Povm(zero, zero, zero).psd_floor() == 0.0
         povm = build_povm(DiscriminationConfig(0.3, 0.2))
-        np.testing.assert_allclose(born_probs(povm, np.diag([1.0, 0.0])).sum(), 1.0, atol=1e-12)
+        np.testing.assert_allclose(sum(np.trace(m @ np.diag([1.0, 0.0])).real for m in povm.elements), 1.0, atol=1e-12)
 
     def test_indefinite_diag_is_not_psd(self):
         zero = np.zeros((2, 2))

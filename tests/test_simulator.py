@@ -10,20 +10,57 @@ import numpy as np
 import pytest
 
 from fpbprobe import simulator
-from fpbprobe.discrimination import DiscriminationConfig, born_probs, build_povm, outcome_probs
+from fpbprobe.discrimination import DiscriminationConfig, build_povm, outcome_probs
 from fpbprobe.entropy import joint_from_outcome_probs, mutual_information
-from fpbprobe.probe import BASES, DIAGONAL, RECTILINEAR, ProbeConfig, cnot_action
+from fpbprobe.probe import theta_grid
 from fpbprobe.simulator import (
     MAX_ROUNDS,
     SessionConfig,
     SessionTally,
     _case_probabilities,
     _keyed_generator,
-    conditional_probe_state,
+    _probe_states,
     empirical_joint,
     empirical_mutual_information,
     run_session,
 )
+
+RECTILINEAR, DIAGONAL = BASES = ("rectilinear", "diagonal")
+
+
+def gate_basis_cnot_oracle(basis, bit, p_e):
+    """Expand the controlled-flip in its own gate basis, componentwise.
+
+    The gate basis {|0>,|1>} sits at pi/8 to the rectilinear basis; the
+    target flip acts in the gate basis of the probe, for which |+> and
+    |-> are the +1/-1 eigenvectors.  Returns the output ket in the
+    (sending-basis carrier) x ({|+>,|->} probe) coordinates.
+    """
+    c8, s8 = math.cos(math.pi / 8), math.sin(math.pi / 8)
+    # carrier sending-basis kets written in the gate basis
+    if basis == RECTILINEAR:
+        carriers = {0: np.array([c8, -s8]), 1: np.array([s8, c8])}          # h, v
+    else:
+        carriers = {0: np.array([c8, s8]), 1: np.array([-s8, c8])}          # r, l
+    c, s = math.sqrt(1 - 2 * p_e), math.sqrt(2 * p_e)
+    t_in_pm = np.array([c, s])                                              # {|+>,|->}
+    hadamard = np.array([[1, 1], [1, -1]]) / math.sqrt(2)                   # pm -> gate
+    t_in_gate = hadamard @ t_in_pm
+    cnot = np.zeros((4, 4))
+    cnot[0, 0] = cnot[1, 1] = 1.0
+    cnot[2, 3] = cnot[3, 2] = 1.0                                           # control 1 flips target
+    out_gate = cnot @ np.kron(carriers[bit], t_in_gate)
+    # back to (sending carrier) x (pm probe)
+    gate_to_carrier = np.array([list(carriers[0]), list(carriers[1])])      # rows: sending kets
+    full = np.kron(gate_to_carrier, hadamard)                               # inverse of orthogonal kron
+    return full @ out_gate
+
+
+# The sending basis's carrier components re-expressed in Bob's other basis.
+TO_OTHER_BASIS = {
+    RECTILINEAR: np.array([[1, 1], [-1, 1]]) / math.sqrt(2),  # r = (h + v)/sqrt2, l = (-h + v)/sqrt2
+    DIAGONAL: np.array([[1, -1], [1, 1]]) / math.sqrt(2),     # h = (r - l)/sqrt2, v = (r + l)/sqrt2
+}
 
 
 def two_qubit_joint_oracle(p_e, xi, basis, bit):
@@ -34,7 +71,7 @@ def two_qubit_joint_oracle(p_e, xi, basis, bit):
     who measures first; the simulator's collapse-then-measure sampling
     must reproduce it exactly.
     """
-    psi = cnot_action(basis, bit, ProbeConfig(p_e))
+    psi = gate_basis_cnot_oracle(basis, bit, p_e)
     povm = build_povm(DiscriminationConfig.from_error_rate(p_e, xi))
     out = np.zeros((2, 3))
     for b in (0, 1):
@@ -53,11 +90,10 @@ GOLDEN_TALLIES = GOLDEN["cases"]
 def born_case_tables(cfg):
     """Eve's (plus, minus, inconclusive) probabilities per case through the POVM and the Born rule."""
     povm = build_povm(cfg.discrimination())
+    states = _probe_states(cfg.error_rate, float(theta_grid(cfg.error_rate)))
     probs = np.zeros((8, 3))
-    for case in range(8):
-        bit, matched, correct = case >> 2, bool(case >> 1 & 1), bool(case & 1)
-        tau = conditional_probe_state(cfg.error_rate, bit, matched, correct)
-        probs[case] = born_probs(povm, np.outer(tau, tau.conj()))
+    for case, tau in enumerate(states.T):
+        probs[case] = [np.trace(m @ np.outer(tau, tau)).real for m in povm.elements]
     return probs
 
 
@@ -287,6 +323,30 @@ class TestCaseTables:
                 assert eve.shape == (8, 3)
                 np.testing.assert_allclose(eve, born_case_tables(cfg), rtol=0, atol=1e-15)
 
+    def test_probe_states_are_the_collapsed_gate_output(self):
+        # Column k of _probe_states is the probe state left in case k: the
+        # gate oracle's output ket, its carrier read by Bob in the sending
+        # basis (matched) or the other one, in both sending bases, up to a
+        # global phase.  At P_E = 0 Bob never reads a flipped bit on a
+        # matched basis, so those two cases leave no state.
+        for p_e in self.ERROR_RATES:
+            states = _probe_states(p_e, float(theta_grid(p_e)))
+            for case, tau in enumerate(states.T):
+                bit, matched, correct = case >> 2, case >> 1 & 1, case & 1
+                for basis in BASES:
+                    block = gate_basis_cnot_oracle(basis, bit, p_e).reshape(2, 2)
+                    if not matched:
+                        block = TO_OTHER_BASIS[basis] @ block
+                    branch = block[bit if correct else 1 - bit]
+                    weight = np.vdot(branch, branch).real
+                    if p_e == 0.0 and matched and not correct:
+                        assert weight == 0.0
+                        continue
+                    collapsed = branch / math.sqrt(weight)
+                    phase = np.vdot(collapsed, tau) / abs(np.vdot(collapsed, tau))
+                    np.testing.assert_allclose(phase * collapsed, tau, rtol=0, atol=1e-14,
+                                               err_msg=f"P_E={p_e}, case {case}, {basis}")
+
     def test_flipped_bit_state_is_never_inconclusive(self):
         # matched and flipped leaves |->, orthogonal to the inconclusive
         # element: cases 2 (bit 0) and 6 (bit 1) have p_? = 0 exactly
@@ -351,13 +411,6 @@ class TestSamplerGoodnessOfFit:
         assert scaled <= limit, (scaled, limit, mean, var)
         # lower tail too: tallies that sit on the expected counts are not multinomial
         assert stat - mean >= -Z_1E6 * math.sqrt(var), (stat, mean, var)
-
-
-class TestConditionalProbeState:
-    def test_rejects_bit_outside_0_1(self):
-        for bit in (2, -7, -1):
-            with pytest.raises(ValueError, match="bit"):
-                conditional_probe_state(0.1, bit, True, True)
 
 
 class TestSessionStatistics:
@@ -438,6 +491,7 @@ class TestSequentialConsistency:
             for xi in (0.0, 0.5, 1.0):
                 cfg = SessionConfig(rounds=1, error_rate=p_e, xi=xi, seed=1)
                 povm = build_povm(cfg.discrimination())
+                states = _probe_states(p_e, float(theta_grid(p_e)))
                 for basis in BASES:
                     for bit in (0, 1):
                         oracle = two_qubit_joint_oracle(p_e, xi, basis, bit)
@@ -446,28 +500,19 @@ class TestSequentialConsistency:
                         for bob_bit in (0, 1):
                             correct = bob_bit == bit
                             branch = (1 - p_e) if correct else p_e
-                            tau = conditional_probe_state(p_e, bit, True, correct)
-                            probs = born_probs(povm, np.outer(tau, tau.conj()))
-                            got[bob_bit] = branch * probs
+                            tau = states[:, bit * 4 + 2 + correct]
+                            probs = [np.trace(m @ np.outer(tau, tau)).real for m in povm.elements]
+                            got[bob_bit] = branch * np.array(probs)
                         np.testing.assert_allclose(got, oracle, atol=1e-12)
 
     def test_mismatched_basis_branches_match_oracle(self):
         for p_e in (0.05, 0.18):
-            xi = 0.5
-            cfg = SessionConfig(rounds=1, error_rate=p_e, xi=xi, seed=1)
-            povm = build_povm(cfg.discrimination())
-            for basis, bob_basis in ((RECTILINEAR, DIAGONAL), (DIAGONAL, RECTILINEAR)):
+            states = _probe_states(p_e, float(theta_grid(p_e)))
+            for basis in BASES:
                 for bit in (0, 1):
-                    psi = cnot_action(basis, bit, ProbeConfig(p_e))
-                    # express the carrier in Bob's (other) basis: Hadamard-like maps
-                    if basis == RECTILINEAR:
-                        # r = (h + v)/sqrt2, l = (-h + v)/sqrt2
-                        rot = np.array([[1, 1], [-1, 1]]) / math.sqrt(2)
-                    else:
-                        # h = (r - l)/sqrt2, v = (r + l)/sqrt2
-                        rot = np.array([[1, -1], [1, 1]]) / math.sqrt(2)
-                    block = psi.reshape(2, 2)
-                    rotated = rot @ block
+                    psi = gate_basis_cnot_oracle(basis, bit, p_e)
+                    # express the carrier in Bob's (other) basis
+                    rotated = TO_OTHER_BASIS[basis] @ psi.reshape(2, 2)
                     for bob_bit in (0, 1):
                         branch = np.vdot(rotated[bob_bit], rotated[bob_bit]).real
                         correct = bob_bit == bit
@@ -475,7 +520,7 @@ class TestSequentialConsistency:
                             (1 + 2 * p_e) / 2 if correct else (1 - 2 * p_e) / 2
                         )
                         assert branch == pytest.approx(expected_branch, abs=1e-12)
-                        tau = conditional_probe_state(p_e, bit, False, correct)
+                        tau = states[:, bit * 4 + correct]
                         collapsed = rotated[bob_bit] / math.sqrt(branch)
                         phase_free = np.abs(np.vdot(collapsed, tau))
                         assert phase_free == pytest.approx(1.0, abs=1e-12)
