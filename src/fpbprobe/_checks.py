@@ -8,7 +8,9 @@ the caller passes, nan included, since it fails every comparison.  Each
 rejection is one ValueError that names the parameter and its bounds.
 Functions that take one number check it with scalar, which also rejects
 arrays; classes that hold one number wrap the result of real in float(),
-which raises TypeError for an array.
+which raises TypeError for an array.  Every array a caller gives (grids,
+probability vectors and tables, zeta sequences) goes through real, so
+complex, bool and object arrays fail the same way everywhere.
 """
 
 from __future__ import annotations

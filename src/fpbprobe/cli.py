@@ -12,15 +12,16 @@ LF line endings.  CSV cells are exactly ``'%.17g' % v``.  JSON output is
 exactly ``json.dumps(report, indent=2, sort_keys=True)`` plus LF, so JSON
 numbers are Python's shortest round-trip ``repr``; both read back to the
 same float.
-Exit codes: 0 success, 2 argument error, 3 I/O error.
+Exit codes: 0 success, 2 argument error (a grid too large to allocate
+included), 3 I/O error; `main` maps each failure once.
 
 Every subcommand takes ``--config FILE`` and ``--out PATH``.  The file
 holds ``key=value`` lines, one key per long flag name (``p_e_min`` or
 ``p-e-min`` for ``--p-e-min``).  A config value is parsed exactly like the
 flag of the same name, with its type and choices; a repeatable flag takes
-comma-separated values.  A flag given on the command line wins over the
-file.  Keys of other subcommands are ignored; a key that no subcommand
-defines is an argument error.
+comma-separated values.  A key may appear once.  A flag given on the
+command line wins over the file.  Keys of other subcommands are ignored;
+a key that no subcommand defines is an argument error.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import argparse
 import math
 import os
 import sys
-import tempfile
 from contextlib import contextmanager, suppress
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_string
@@ -77,31 +77,34 @@ BLOCK_VALUES = 4096  # float cells formatted and written per block
 def _open_out(path):
     """Stdout, or a file at `path` that appears only once it is complete.
 
-    The text goes to a temporary file beside the target, which replaces
+    The text goes to a new temporary file beside the target, created with
+    mode 0o666 less the umask as open() would create it, which replaces
     the target on success and is removed on any error, so a failed write
     leaves a pre-existing target untouched.  Targets that exist but are
-    not regular files (devices, pipes) are written in place.
+    not regular files (devices, pipes) are written in place.  An OSError
+    names `path` as the caller gave it, not the temporary file.
     """
     if path in (None, "-"):
         yield sys.stdout
         return
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        with open(target, "w", newline="") as fh:
-            yield fh
-        return
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=f".{os.path.basename(target)}.")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            mask = os.umask(0)
-            os.umask(mask)
-            os.chmod(tmp, 0o666 & ~mask)  # the mode a plain open() would give
-            yield fh
-        os.replace(tmp, target)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+        target = os.path.realpath(path)
+        if os.path.exists(target) and not os.path.isfile(target):
+            with open(target, "w", newline="") as fh:
+                yield fh
+            return
+        tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.{os.urandom(4).hex()}")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", newline="") as fh:
+                yield fh
+            os.replace(tmp, target)
+        except BaseException:
+            with suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _key_cells(column) -> np.ndarray:
@@ -159,16 +162,28 @@ def _write_csv(fh, header: str, keys, values: np.ndarray, tail: str = "\n") -> N
 
 
 def _load_config_file(path: str) -> dict[str, str]:
+    """The key=value lines of a UTF-8 file; a key may appear once."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise OSError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     out: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip().lower().replace("-", "_")] = value.strip()
+    first: dict[str, int] = {}
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        key = key.strip().lower().replace("-", "_")
+        if key in first:
+            raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {first[key]}")
+        first[key] = lineno
+        out[key] = value.strip()
     return out
 
 
@@ -274,25 +289,22 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-# A subclass of a JSON type is written as json writes it: as its base.
-_JSON_BASES = ((str, str.__str__), (int, int.__int__), (float, float.__float__),
-               ((list, tuple), list), (dict, lambda d: dict(d.items())))
-
-
 def _put_json(v, indent: str, out: list) -> None:
     """Append the text of json.dumps(v, indent=2, sort_keys=True) to `out`, in pieces.
 
     `indent` is the line break and indentation of the line `v` ends on.
-    The type rules are json's: str; None, True, False; int and float
-    through int.__repr__ and float.__repr__, with NaN and +/-Infinity;
-    list and tuple; dict with str keys.  Anything else is a TypeError.
+    It takes exactly the types the simulate and povm reports hold, as json
+    writes them: str; None, True, False; int and float through
+    int.__repr__ and float.__repr__, with NaN and +/-Infinity; list; dict
+    with str keys.  Anything else is a TypeError, tuples and subclasses
+    (numpy scalars among them) included, though json.dumps takes those.
     """
     t = type(v)
     if t is float:
         out.append(float.__repr__(v) if math.isfinite(v) else "NaN" if v != v else "Infinity" if v > 0 else "-Infinity")
     elif t is int:
         out.append(int.__repr__(v))
-    elif t is list or t is tuple:
+    elif t is list:
         if not v:
             out.append("[]")
             return
@@ -319,10 +331,7 @@ def _put_json(v, indent: str, out: list) -> None:
     elif v is None or t is bool:
         out.append("null" if v is None else "true" if v else "false")
     else:
-        to_base = next((to for base, to in _JSON_BASES if isinstance(v, base)), None)
-        if to_base is None:
-            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-        _put_json(to_base(v), indent, out)
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _json_text(v) -> str:
@@ -471,20 +480,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; every failure maps to an exit code here.
+
+    A bad value, and a grid too large to allocate, is an argument error
+    (2); an OSError is an I/O error (3).  Either prints one line to stderr.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.config:
             _apply_config(parser, args, _load_config_file(args.config))
-    except OSError as exc:
-        print(f"error: cannot read config file: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return args.func(args)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import TINY, integer, real, scalar, trusted
+from ._checks import HUGE, TINY, integer, real, scalar, trusted
 from .discrimination import OutcomeProbs
 
 DIST_TOL = 1e-10
@@ -114,20 +114,17 @@ def _fold(ufunc, x: np.ndarray) -> np.ndarray:
 def _checked(x, ndim: int, what: str) -> np.ndarray:
     """x as floats: probability vectors (ndim 1) or tables (ndim 2) on its last axes, normalized.
 
-    Leading axes index a stack; every member must be finite, nonnegative
-    within 1e-12 and sum to 1 within DIST_TOL.  Entries are clipped at 0
+    Leading axes index a stack.  Entries follow the package's policy for
+    real arrays (_checks.real: int or float dtype, finite, at least -1e-12),
+    and every member must sum to 1 within DIST_TOL.  Entries are clipped at 0
     and each member is divided by its sum, so that every measure sees a
     vector that sums to 1 up to rounding, whatever the slack in the
     caller's sum: each Renyi entropy is then one function of the accepted
     vector, and does not jump where its kernel changes formula.
     """
-    p = np.asarray(x, dtype=float)
+    p = np.asarray(real(what, x, -1e-12, HUGE))
     if p.ndim < ndim or p.size == 0:
         raise ValueError(f"{what} must be a nonempty array with at least {ndim} dimension(s)")
-    if not np.isfinite(p).all():
-        raise ValueError(f"{what} must be finite")
-    if p.min() < -1e-12:
-        raise ValueError(f"negative entry {p.min()} in {what}")
     p = np.maximum(p, 0.0)
     sums = _fold(np.add, p if ndim == 1 else p.reshape(p.shape[:-2] + (-1,)))
     off = abs(sums - 1.0) > DIST_TOL
@@ -246,8 +243,7 @@ def _check_variant(variant: int) -> None:
 
 
 def _conditional(t: np.ndarray, o: Order, variant: int) -> np.ndarray:
-    """Conditional entropy of axis -2 given axis -1, stacked over leading axes."""
-    _check_variant(variant)
+    """Conditional entropy of axis -2 given axis -1, stacked over leading axes; the caller checks variant."""
     if variant == 1 or o.is_shannon:
         py, cond, _ = _columns(t)
         return _fold(np.add, py * _renyi(cond, o))
@@ -298,6 +294,7 @@ def conditional_renyi(j, a, variant: int) -> float | np.ndarray:
     order; every variant reduces to the standard conditional entropy at
     order one.  A stack of tables gives an array of values.
     """
+    _check_variant(variant)
     return _float_or_array(_conditional(_table(j), Order.coerce(a), variant))
 
 

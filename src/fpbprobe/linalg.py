@@ -1,8 +1,10 @@
 """Boundary checks for matrices passed in from outside the package.
 
 Operators are plain 2-D complex numpy arrays with both dimensions capped
-at four (two qubits).  Eigenvalues and singular values come straight
-from numpy at their call sites.
+at MAX_DIM = 4 (two qubits); as_matrix checks one.  Other properties
+(squareness, unitarity, hermiticity) are checked where they are needed,
+and eigenvalues and singular values come straight from numpy at their
+call sites.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 MAX_DIM = 4
-DEFAULT_TOL = 1e-10
 
 
 def as_matrix(m) -> np.ndarray:
@@ -23,12 +24,3 @@ def as_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
-
-
-def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    """True iff conj-transpose(m) @ m deviates from identity by <= tol."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("unitarity requires a square matrix")
-    resid = a.conj().T @ a - np.eye(a.shape[0])
-    return bool(np.abs(resid).max() <= tol)

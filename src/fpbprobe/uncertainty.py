@@ -234,20 +234,21 @@ def zeta_coefficients(w) -> np.ndarray:
 
     Submatrices of class k are the r x r' blocks with r + r' = k + 1;
     enumeration is brute force (d <= 4) and all their norms come from
-    one batched SVD.  Unitarity forces the last coefficient to 1; w must
-    be unitary, and zeta_d within 1, to UNITARY_TOL.
+    one batched SVD.  w must be square and unitary: every entry of
+    w* w - I within UNITARY_TOL.  Unitarity forces the last coefficient
+    to 1, and it is set to 1, which moves it by at most UNITARY_TOL / 2:
+    each column of w is a class-d block whose norm is then within
+    UNITARY_TOL / 2 of 1, and zeta is clipped at 1.
     """
     mat = linalg.as_matrix(w)
     d = mat.shape[0]
-    if mat.shape[0] != mat.shape[1]:
+    if mat.shape[1] != d:
         raise ValueError("overlap matrix must be square")
-    if not linalg.is_unitary(mat, tol=UNITARY_TOL):
+    if not np.abs(mat.conj().T @ mat - np.eye(d)).max() <= UNITARY_TOL:
         raise ValueError("overlap matrix is not unitary within tolerance")
     masks, starts = _class_masks(d)
     norms = np.linalg.svd(np.where(masks, mat, 0.0), compute_uv=False)[:, 0]
     z = np.maximum.accumulate(np.minimum(np.maximum.reduceat(norms, starts), 1.0))
-    if abs(z[-1] - 1.0) > UNITARY_TOL:
-        raise ValueError(f"zeta_d = {z[-1]} differs from 1; matrix not unitary enough")
     z[-1] = 1.0
     return z
 
@@ -268,13 +269,14 @@ def _steps(x: np.ndarray) -> np.ndarray:
 def majorization_data(zeta) -> MajorizationData:
     """Probability vectors omega and omega_prime from a zeta sequence.
 
-    A stack of sequences along the last axis gives stacked vectors.
+    A stack of sequences along the last axis gives stacked vectors.  The
+    entries follow the package's policy for real arrays (_checks.real),
+    each in [0, 1 + 1e-8]; each sequence must be nondecreasing within
+    1e-9 and end within 1e-8 of 1.
     """
-    z = np.asarray(zeta, dtype=float)
+    z = np.asarray(real("zeta", zeta, 0.0, 1.0 + 1e-8))
     if z.ndim < 1 or z.size < 1:
         raise ValueError("zeta must be a nonempty sequence")
-    if not np.isfinite(z).all():
-        raise ValueError("zeta entries must be finite")
     if (_steps(z)[..., 1:] < -1e-9).any():
         raise ValueError("zeta must be nondecreasing")
     last = np.abs(z[..., -1] - 1.0)

@@ -34,7 +34,9 @@ from fpbprobe import (
     empirical_mutual_information,
     error_lower_bound,
     joint_from_outcome_probs,
+    majorization_data,
     mu_factor,
+    mutual_information,
     mutual_info_upper_bound,
     naimark_basis,
     optimize_s_max,
@@ -172,6 +174,19 @@ def test_arrays_follow_the_same_policy():
     for call in (binary_entropy, mu_factor):
         with pytest.raises(ValueError):
             call(np.array([True]))
+    # Probability vectors, tables (a table measure given a plain array too) and
+    # zeta sequences: each valid as floats, each rejected as complex, bool or object.
+    table = [[1.0, 0.0], [0.0, 0.0]]
+    for name, call, good in (("probabilities", Distribution, [1.0, 0.0]),
+                             ("joint probabilities", JointDistribution, table),
+                             ("joint probabilities", mutual_information, table),
+                             ("zeta", majorization_data, [1.0, 1.0])):
+        call(good)
+        for bad in (np.array(good, dtype=complex), np.array(good, dtype=bool), np.array(good, dtype=object)):
+            with pytest.raises(ValueError, match=rf"\b{name}\b"):
+                call(bad)
+    with pytest.raises(ValueError, match=r"\bzeta\b"):
+        majorization_data([-0.5, 1.0])
 
 
 def test_bool_checks_live_in_one_module():

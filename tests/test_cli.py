@@ -406,7 +406,7 @@ class TestSimulate:
 
 
 JSON_LEAVES = (None, True, False, 0, -1, 2**64, -(2**64) - 1, 10**30, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
-               1.5, math.inf, -math.inf, math.nan, "", "\x00\x1f\"\\/", "\u00e9\u6f22\U0001f600\ud800", [], {}, ())
+               1.5, math.inf, -math.inf, math.nan, "", "\x00\x1f\"\\/", "\u00e9\u6f22\U0001f600\ud800", [], {})
 
 
 class TestJsonWriter:
@@ -418,28 +418,20 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize("leaf", JSON_LEAVES, ids=repr)
     def test_leaves_and_empty_containers(self, leaf):
-        for v in (leaf, [leaf], {"k": leaf}, (leaf, [leaf, {}])):
+        for v in (leaf, [leaf], {"k": leaf}, [leaf, [leaf, {}]]):
             assert cli._json_text(v) == self.dumps(v)
 
     def test_nested_with_odd_keys(self):
-        v = {"": [1, [2.5, []]], "\u00e9": {"z": None, "a": (True, {})}, "\n\t": "x", "B": -0.0}
+        v = {"": [1, [2.5, []]], "\u00e9": {"z": None, "a": [True, {}]}, "\n\t": "x", "B": -0.0}
         assert cli._json_text(v) == self.dumps(v)
 
-    def test_subclasses_are_written_as_their_base(self):
-        import enum
-
-        class Flag(enum.IntEnum):
-            ON = 1
-
-        class Text(str):
-            def __str__(self):
-                return "other"
-
-        class Items(dict):
-            pass
-
-        v = Items({Text("b"): [np.float64(0.1), Flag.ON, Text("s")], "a": Items()})
-        assert cli._json_text(v) == self.dumps(v)
+    @pytest.mark.parametrize("v", [(), (1.5,), np.float64(0.1), {"a": [np.float64(0.1)]}], ids=repr)
+    def test_tuples_and_subclasses_are_a_type_error(self, v):
+        # json would write these, as a list and as a float; no report holds them,
+        # so a numpy scalar that reaches a report fails loudly
+        self.dumps(v)
+        with pytest.raises(TypeError):
+            cli._json_text(v)
 
     @pytest.mark.parametrize("bad", [np.int64(3), np.bool_(True), {"a": {(1,): 2}}, [1, {1, 2}], b"x",
                                      complex(1, 2)], ids=repr)
@@ -465,8 +457,7 @@ class TestJsonWriter:
         keys = st.text() | st.sampled_from(["", "\x00", "\u2028", "\ud83d"])
         values = st.recursive(
             leaves,
-            lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-            | st.dictionaries(keys, inner, max_size=4),
+            lambda inner: st.lists(inner, max_size=4) | st.dictionaries(keys, inner, max_size=4),
             max_leaves=30,
         )
 
@@ -552,6 +543,25 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert "stepz" in captured.err
+
+    def test_repeated_key_is_an_argument_error(self, tmp_path, capsys):
+        # Keys compare after case and '-'/'_' normalization.
+        cfg = tmp_path / "sweep.conf"
+        cfg.write_text("xi=0\nsteps=2\n\nXI=1\nmeasure=std\n")
+        code = cli.main(["curves", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {cfg}:4: key 'xi' repeats line 1\n"
+        cfg.write_text("p-e-min=0.1\np_e_min=0.2\n")
+        assert exit_and_stdout(["curves", "--config", str(cfg)], capsys) == (2, "")
+
+    def test_file_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.conf"
+        cfg.write_bytes(b"steps=2\n\xff\n")
+        code = cli.main(["curves", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith(f"error: {cfg}: not UTF-8 text")
 
     @pytest.mark.parametrize("variable", ["eta", "p-e", "p_e", "P-E"])
     def test_variable_flag_and_file_agree(self, variable, tmp_path, capsys):
@@ -754,6 +764,23 @@ class TestOutputFiles:
         assert link.is_symlink()
         assert real.read_text() == expected
 
+    def test_mode_follows_the_umask_without_changing_it(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "report.json"
+        umask = os.umask
+
+        def refuse(mask):
+            raise AssertionError("the process-wide umask was changed")
+
+        previous = umask(0o027)
+        try:
+            monkeypatch.setattr(os, "umask", refuse)
+            code, _ = run_cli(self.SIMULATE + ["--out", str(path)], capsys)
+        finally:
+            umask(previous)
+        assert code == 0
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o027
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_pipe_target_is_written_in_place(self, tmp_path, capsys):
         fifo = tmp_path / "pipe"
@@ -769,6 +796,51 @@ class TestOutputFiles:
         assert received == [expected]
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+class TestExitMap:
+    """Every failure leaves main through its one map.
+
+    Exit 2 or 3, nothing on stdout, no file at the --out path and no
+    temporary beside it, one stderr line that starts with 'error: ', and an
+    I/O error names the path as the user gave it.  {tmp} is a fresh
+    directory; `config` is the text of {tmp}/run.conf.
+    """
+
+    CASES = {
+        "out_of_range_value": (["curves", "--xi", "1.5"], None, 2),
+        "bad_grid": (["bounds", "--min", "0.5", "--max", "0.1"], None, 2),
+        # numpy refuses the 7.11 PiB grid at once, so nothing is allocated
+        "curves_grid_too_large": (["curves", "--steps", "1000000000000000"], None, 2),
+        "bounds_grid_too_large": (["bounds", "--steps", "1000000000000000"], None, 2),
+        "unknown_config_key": (["curves", "--config", "{tmp}/run.conf"], b"stepz=3\n", 2),
+        "malformed_config_line": (["curves", "--config", "{tmp}/run.conf"], b"steps 3\n", 2),
+        "repeated_config_key": (["curves", "--config", "{tmp}/run.conf"], b"xi=0\nsteps=2\nxi=1\n", 2),
+        "config_not_utf8": (["curves", "--config", "{tmp}/run.conf"], b"\xff\n", 2),
+        "missing_config_file": (["curves", "--config", "{tmp}/absent.conf"], None, 3),
+        "out_into_missing_directory": (["curves", "--steps", "2", "--out", "{tmp}/work/missing/x.csv"], None, 3),
+        "out_naming_a_directory": (["curves", "--steps", "2", "--out", "{tmp}/work/dir"], None, 3),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_failure_is_mapped_once(self, case, tmp_path, capsys):
+        template, config, expected = self.CASES[case]
+        work = tmp_path / "work"
+        (work / "dir").mkdir(parents=True)
+        if config is not None:
+            (tmp_path / "run.conf").write_bytes(config)
+        argv = [a.format(tmp=tmp_path) for a in template]
+        runs = [argv] if "--out" in argv else [argv, argv + ["--out", str(work / "result.csv")]]
+        for argv in runs:
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (expected, "")
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+            assert sorted(p.relative_to(work).as_posix() for p in work.rglob("*")) == ["dir"]
+            if expected == 3:
+                named = argv[argv.index("--out" if "--out" in template else "--config") + 1]
+                assert captured.err.endswith(f": {named!r}\n"), captured.err
+                assert f".{os.path.basename(named)}." not in captured.err  # no temporary's name
 
 
 def run_child(*args):

@@ -171,7 +171,7 @@ class TestDistributions:
     def test_rejects_empty_and_non_finite(self):
         with pytest.raises(ValueError, match="nonempty"):
             Distribution([])
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=r"\bprobabilities\b"):
             Distribution([math.nan, 1.0])
 
     def test_rejects_bad_sum(self):

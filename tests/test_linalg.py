@@ -9,13 +9,10 @@ from fpbprobe.uncertainty import naimark_basis, overlap_matrix
 
 
 class TestStructureChecks:
-    """Unitarity through linalg; positivity through Povm.psd_floor and the Born rule."""
+    """Matrix shapes through linalg; positivity through Povm.psd_floor and the Born rule.
 
-    def test_identity_is_unitary(self):
-        assert linalg.is_unitary(np.eye(3))
-
-    def test_scaled_identity_is_not(self):
-        assert not linalg.is_unitary(2 * np.eye(2))
+    Unitarity is checked where it is needed, in zeta_coefficients (tests/test_uncertainty.py).
+    """
 
     def test_naimark_overlap_is_unitary(self, rng):
         for _ in range(5):
@@ -24,17 +21,13 @@ class TestStructureChecks:
                 naimark_basis(gamma, rng.uniform(0, 2 * math.pi)),
                 naimark_basis(gamma, rng.uniform(0, 2 * math.pi)),
             )
-            assert linalg.is_unitary(w, tol=1e-10)
+            assert np.abs(w.conj().T @ w - np.eye(3)).max() <= 1e-10
 
     def test_as_matrix_rejects_other_shapes(self):
         with pytest.raises(ValueError, match="2-D"):
             linalg.as_matrix(np.ones(3))
         with pytest.raises(ValueError, match="outside"):
             linalg.as_matrix(np.eye(5))
-
-    def test_unitary_requires_square(self):
-        with pytest.raises(ValueError):
-            linalg.is_unitary(np.ones((2, 3)))
 
     def test_zero_matrix_is_psd(self):
         zero = np.zeros((2, 2))

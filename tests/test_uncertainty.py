@@ -329,6 +329,15 @@ class TestZetaCoefficients:
         with pytest.raises(ValueError, match="square"):
             zeta_coefficients(np.eye(3)[:2])
 
+    def test_unitarity_window_leaves_zeta_d_at_one(self, rng):
+        # (1 + e) U has residual (1 + e)^2 - 1 ~ 2e against UNITARY_TOL = 1e-8:
+        # accepted up to e ~ 0.5e-8, where zeta_d is 1 exactly, rejected beyond.
+        u = haar_unitary(3, rng)
+        for sign in (1, -1):
+            assert zeta_coefficients((1 + sign * 0.4e-8) * u)[-1] == 1.0
+            with pytest.raises(ValueError, match="unitary"):
+                zeta_coefficients((1 + sign * 0.6e-8) * u)
+
 
 class TestMajorizationData:
     def test_degenerate(self):
@@ -372,7 +381,7 @@ class TestMajorizationData:
             majorization_data([0.3, 0.5, 0.9])
         with pytest.raises(ValueError, match="nonempty"):
             majorization_data([])
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=r"\bzeta\b"):
             majorization_data([0.5, math.nan, 1.0])
 
     def test_omega_majorizes_omega_prime_for_low_orders(self, rng):
