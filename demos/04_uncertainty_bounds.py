@@ -17,7 +17,6 @@ from fpbprobe import (
     closed_form_i_std,
     coles_piani_bound,
     majorization_data,
-    mu_bound,
     mu_factor,
     mutual_info_upper_bound,
     naimark_basis,
@@ -25,7 +24,6 @@ from fpbprobe import (
     outcome_probs,
     overlap_matrix,
     shannon_entropy,
-    zeta2_closed_form,
     zeta_closed_form,
     zeta_coefficients,
 )
@@ -39,7 +37,7 @@ for eta in (0.0, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0):
     z = zeta_coefficients(w)
     print(
         f"{eta:5.2f} {phip - phi:9.6f} {np.abs(w).max():11.8f} {1 / mu_factor(eta):13.8f}"
-        f" {z[1]:9.6f} {zeta2_closed_form(eta):12.8f}"
+        f" {z[1]:9.6f} {zeta_closed_form(eta)[1]:12.8f}"
     )
 
 print("\n=== entropy floors vs eta ===")
@@ -50,7 +48,7 @@ for eta in np.linspace(0.0, 1.0, 11):
     cp = coles_piani_bound(eta)
     maj = 0.5 * shannon_entropy(md.omega)
     strongest = "majorize" if maj > cp else "improved"
-    print(f"{eta:5.2f} {mu_bound(eta):11.5f} {cp:11.5f} {maj:14.5f} {strongest:>10}")
+    print(f"{eta:5.2f} {2 * np.log2(mu_factor(eta)):11.5f} {cp:11.5f} {maj:14.5f} {strongest:>10}")
 
 print("\nthe improved bound wins in the mid range; above eta ~ 0.6 the")
 print("direct-sum majorization floor takes over.")

@@ -27,7 +27,6 @@ from .entropy import (
     closed_form_i4,
     closed_form_i_std,
     conditional_renyi,
-    conditional_std,
     joint_from_outcome_probs,
     mutual_information,
     renyi_entropy,
@@ -52,13 +51,11 @@ from .uncertainty import (
     majorization_bound_tensor,
     majorization_data,
     majorization_entropy_bound,
-    mu_bound,
     mu_factor,
     mutual_info_upper_bound,
     naimark_basis,
     optimize_s_max,
     overlap_matrix,
-    zeta2_closed_form,
     zeta_closed_form,
     zeta_coefficients,
 )

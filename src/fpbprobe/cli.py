@@ -19,7 +19,8 @@ Every subcommand takes ``--config FILE`` and ``--out PATH``.  The file
 holds ``key=value`` lines, one key per long flag name (``p_e_min`` or
 ``p-e-min`` for ``--p-e-min``).  A config value is parsed exactly like the
 flag of the same name, with its type and choices; a repeatable flag takes
-comma-separated values.  A key may appear once.  A flag given on the
+comma-separated values.  A key may appear once, and a ``config`` line is
+an argument error: one file cannot name another.  A flag given on the
 command line wins over the file.  Keys of other subcommands are ignored;
 a key that no subcommand defines is an argument error.
 """
@@ -162,7 +163,7 @@ def _write_csv(fh, header: str, keys, values: np.ndarray, tail: str = "\n") -> N
 
 
 def _load_config_file(path: str) -> dict[str, str]:
-    """The key=value lines of a UTF-8 file; a key may appear once."""
+    """The key=value lines of a UTF-8 file; a key may appear once, and `config` not at all."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -180,6 +181,8 @@ def _load_config_file(path: str) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
         key = key.strip().lower().replace("-", "_")
+        if key == "config":
+            raise ValueError(f"{path}:{lineno}: a config file cannot name another, got {line!r}")
         if key in first:
             raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {first[key]}")
         first[key] = lineno

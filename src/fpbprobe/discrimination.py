@@ -84,8 +84,12 @@ class Povm:
 class OutcomeProbs:
     """Average success / error / inconclusive probabilities.
 
-    The fields are floats for one measurement, or broadcastable arrays
-    holding one triple per grid point.
+    The fields are floats for one measurement, or arrays of one shape
+    holding one triple per grid point.  A triple built by hand may have
+    entries down to -1e-12 and up to 1 + 1e-12, and a sum within 1e-12
+    of 1; each field is stored clipped to [0, 1], broadcast against the
+    others, so no measure ever sees the slack.  The triples the package
+    computes are squares over 1 + eta and lie in [0, 1] already.
     """
 
     q_success: float | np.ndarray
@@ -99,6 +103,9 @@ class OutcomeProbs:
         off = np.abs(total - 1.0) > 1e-12
         if off.any():
             raise ValueError(f"outcome probabilities sum to {total[off][0]}, not 1")
+        # Stored clipped to [0, 1]; np.maximum, unlike np.clip, turns -0.0 into 0.0.
+        for name, v in zip(self.__match_args__, np.minimum(np.maximum(q, 0.0), 1.0)):
+            object.__setattr__(self, name, float(v) if v.ndim == 0 else v)
 
 
 def _from_error_rate(error_rate: float, xi: float) -> DiscriminationConfig:

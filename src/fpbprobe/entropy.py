@@ -71,14 +71,6 @@ class Order:
         return math.isinf(self.value)
 
     @classmethod
-    def shannon(cls) -> "Order":
-        return cls(1.0)
-
-    @classmethod
-    def min_entropy(cls) -> "Order":
-        return cls(math.inf)
-
-    @classmethod
     def coerce(cls, a) -> "Order":
         return a if isinstance(a, cls) else cls(a)
 
@@ -148,23 +140,16 @@ class JointDistribution:
     """Joint table over (b', e'): rows index b', columns index e'.
 
     The canonical table is 2x3 with e' in (0, 1, ?), but any 2-D shape is
-    accepted so transposes and generic tables work in the same machinery.
-    Leading axes, if any, form a stack of tables that is checked once.
+    accepted, so generic tables work in the same machinery.  Leading axes,
+    if any, form a stack of tables that is checked once.  The marginals
+    are `table.sum(axis=-1)` (b') and `table.sum(axis=-2)` (e'); for a
+    measure of e' given b', pass `np.swapaxes(table, -1, -2)`.
     """
 
     table: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "table", _checked(self.table, 2, "joint probabilities"))
-
-    def marginal_b(self) -> np.ndarray:
-        return self.table.sum(axis=-1)
-
-    def marginal_e(self) -> np.ndarray:
-        return self.table.sum(axis=-2)
-
-    def transposed(self) -> "JointDistribution":
-        return trusted(JointDistribution, np.swapaxes(self.table, -1, -2))
 
 
 def _float_or_array(x):
@@ -276,14 +261,6 @@ def binary_entropy(p) -> float | np.ndarray:
     return _float_or_array(_shannon(np.stack([x, 1.0 - x], axis=-1)))
 
 
-def conditional_std(j) -> float | np.ndarray:
-    """Standard conditional entropy H(X|Y) of rows X given columns Y.
-
-    For H(Y|X), pass the transposed table (`JointDistribution.transposed`).
-    """
-    return _float_or_array(_conditional(_table(j), Order.shannon(), 1))
-
-
 def conditional_renyi(j, a, variant: int) -> float | np.ndarray:
     """Conditional Renyi entropy, one of the three variants.
 
@@ -291,8 +268,8 @@ def conditional_renyi(j, a, variant: int) -> float | np.ndarray:
     infinite order.  Variant 2 is R_a(X,Y) - R_a(Y), which satisfies the
     chain rule by construction.  Variant 4 moves the column average
     inside the logarithm.  Variants 2 and 4 are undefined at infinite
-    order; every variant reduces to the standard conditional entropy at
-    order one.  A stack of tables gives an array of values.
+    order; at order 1 every variant is the standard conditional entropy
+    H(X|Y), by one code path.  A stack of tables gives an array of values.
     """
     _check_variant(variant)
     return _float_or_array(_conditional(_table(j), Order.coerce(a), variant))
@@ -324,11 +301,11 @@ def alpha_mutual_information(j, a, variant: int) -> float | np.ndarray:
 def joint_from_outcome_probs(q: OutcomeProbs) -> JointDistribution:
     """2x3 joint over (b', e') for a uniform bit and outcome triple q.
 
-    Array fields in q give a stack of tables, one per grid point.  Entries clip at 0: OutcomeProbs allows -1e-12.
+    Array fields in q give a stack of tables, one per grid point.
     """
     qs, qe, qq = np.broadcast_arrays(q.q_success, q.q_error, q.q_inconclusive)
     rows = (np.stack([qs, qe, qq], axis=-1), np.stack([qe, qs, qq], axis=-1))
-    return trusted(JointDistribution, np.maximum(0.5 * np.stack(rows, axis=-2), 0.0, dtype=float))
+    return trusted(JointDistribution, 0.5 * np.stack(rows, axis=-2))
 
 
 def _operands(a, q: OutcomeProbs, variant: int) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple]:
@@ -336,18 +313,18 @@ def _operands(a, q: OutcomeProbs, variant: int) -> tuple[np.ndarray, tuple[np.nd
 
     `a` is an Order, a scalar or an array; variants 2 and 4 reject the
     infinite order.  Order 1 becomes a placeholder 2, replaced in `_result`.
-    The triple is clipped at 0 (OutcomeProbs allows -1e-12) and keeps its
-    own shape; each closed form computes what depends on it alone in that
-    shape.  The orders come back laid out in full in the result's shape.
-    Both have at least one dimension, and `_result` reshapes: numpy runs
-    its transcendental functions through other code, with other last
-    bits, on 0-d operands.
+    The triple keeps its own shape; each closed form computes what depends
+    on it alone in that shape.  The orders come back laid out in full in
+    the result's shape.  Both have at least one dimension, and `_result`
+    reshapes: numpy runs its transcendental functions through other code,
+    with other last bits, on 0-d operands.  OutcomeProbs holds the triple
+    in [0, 1], so the logs and powers below need no clip.
     """
     alpha = np.asarray(real("order", a.value if isinstance(a, Order) else a, TINY, math.inf))
     if variant != 1 and (alpha == math.inf).any():
         raise ValueError(f"variant {variant} is undefined at infinite order")
     at_one = alpha == 1.0
-    triple = np.maximum(np.broadcast_arrays(q.q_success, q.q_error, q.q_inconclusive), 0.0, dtype=float)
+    triple = np.array(np.broadcast_arrays(q.q_success, q.q_error, q.q_inconclusive), dtype=float)
     shape = np.broadcast_shapes(alpha.shape, triple.shape[1:])
     alpha = _pow_base(np.where(at_one, 2.0, alpha), shape).reshape(shape or (1,))
     return alpha, tuple(triple.reshape((3,) + (triple.shape[1:] or (1,)))), (shape, at_one, q)
@@ -473,8 +450,7 @@ def closed_form_i_std(q: OutcomeProbs) -> float | np.ndarray:
     """Standard mutual information of the (b', e') table, closed form."""
     qs, qe, qq = (np.asarray(v, dtype=float) for v in (q.q_success, q.q_error, q.q_inconclusive))
     rem = 1.0 - qq
-    x_rem, x_s, x_e = (_xlog2x(np.maximum(v, 0.0)) for v in (rem, qs, qe))
-    return _float_or_array(rem - x_rem + x_s + x_e)
+    return _float_or_array(rem - _xlog2x(rem) + _xlog2x(qs) + _xlog2x(qe))
 
 
 def shor_preskill_rate(delta: float) -> float:

@@ -56,11 +56,12 @@ class MajorizationData:
 
     omega = (zeta_1, zeta_2 - zeta_1, ..., 1 - zeta_{d-1}) feeds the
     direct-sum bounds; omega_prime is built the same way from
-    xi_k = (1 + zeta_k)^2 / 4 and feeds the tensor-product bounds.  For a
-    stack of sequences zeta is an (..., d) array and the vectors stack too.
+    xi_k = (1 + zeta_k)^2 / 4 and feeds the tensor-product bounds.  zeta
+    is an (..., d) array, (d,) for one sequence, and the vectors stack
+    along the same leading axes.
     """
 
-    zeta: tuple[float, ...] | np.ndarray
+    zeta: np.ndarray
     omega: Distribution
     omega_prime: Distribution
 
@@ -142,16 +143,13 @@ def _coles_piani(e: np.ndarray, log2_mu: np.ndarray) -> np.ndarray:
     return log2_mu + np.where((e > 0.0) & (e < 0.2), correction, 0.0)
 
 
-def _zeta2(e: np.ndarray) -> np.ndarray:
-    return np.where(
+def _zeta(e: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    zeta2 = np.where(
         e <= 0.2,
         np.sqrt(1.0 + 2.0 * e - 3.0 * e * e) / (1.0 + e),
         np.where(e <= 0.5, np.sqrt((2.0 - 2.0 * e) / (2.0 - e)), 1.0 / np.sqrt(2.0 - e)),
     )
-
-
-def _zeta(e: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    return np.stack([1.0 / mu, _zeta2(e), np.ones_like(e)], axis=-1)
+    return np.stack([1.0 / mu, zeta2, np.ones_like(e)], axis=-1)
 
 
 def _maj_shannon(md: MajorizationData) -> np.ndarray:
@@ -161,8 +159,7 @@ def _maj_shannon(md: MajorizationData) -> np.ndarray:
 def _i_upper(q: OutcomeProbs, coles_piani, maj_shannon) -> np.ndarray:
     """H(E') = 1 - Q_? + h(Q_?) minus the stronger of the two Shannon floors."""
     qq = np.asarray(q.q_inconclusive, dtype=float)
-    x = np.clip(qq, 0.0, 1.0)  # OutcomeProbs allows -1e-12
-    h_e = 1.0 - qq + _shannon(np.stack([x, 1.0 - x], axis=-1))
+    h_e = 1.0 - qq + _shannon(np.stack([qq, 1.0 - qq], axis=-1))
     return h_e - np.maximum(coles_piani, maj_shannon)
 
 
@@ -170,15 +167,12 @@ def mu_factor(eta) -> float | np.ndarray:
     """Closed-form reciprocal of the optimized peak overlap.
 
     Three branches with knots at eta = 0.2 and eta = 0.5; adjacent
-    branches agree at the knots.  Like every closed form in eta below,
-    it accepts an array of eta values and returns an array.
+    branches agree at the knots.  2 log2 mu_factor(eta) bounds the sum of
+    two conjugate-order Renyi entropies of the POVM from below; `bounds`
+    prints it as mu_bound.  Like every closed form in eta below, it
+    accepts an array of eta values and returns an array.
     """
     return _float_or_array(_mu(_eta_array(eta)))
-
-
-def mu_bound(eta) -> float | np.ndarray:
-    """Lower bound 2 log2 mu_factor(eta) on conjugate-order entropy sums."""
-    return _float_or_array(2.0 * np.log2(_mu(_eta_array(eta))))
 
 
 def coles_piani_bound(eta) -> float | np.ndarray:
@@ -192,19 +186,15 @@ def coles_piani_bound(eta) -> float | np.ndarray:
     return _float_or_array(_coles_piani(e, np.log2(_mu(e))))
 
 
-def zeta2_closed_form(eta) -> float | np.ndarray:
-    """Closed form for the class-2 submatrix-norm coefficient."""
-    return _float_or_array(_zeta2(_eta_array(eta)))
+def zeta_closed_form(eta) -> np.ndarray:
+    """(zeta_1, zeta_2, zeta_3) of the phase-optimized overlap matrix, as an (..., 3) array.
 
-
-def zeta_closed_form(eta) -> tuple[float, float, float] | np.ndarray:
-    """(zeta_1, zeta_2, zeta_3) of the phase-optimized overlap matrix.
-
-    An array of eta values gives an (..., 3) array.
+    One eta gives a (3,) array, as zeta_coefficients does.  zeta_1 is
+    1 / mu_factor(eta); zeta_2, the class-2 coefficient, has the same
+    knots at eta = 0.2 and 0.5; zeta_3 is 1.
     """
     e = _eta_array(eta)
-    z = _zeta(e, _mu(e))
-    return tuple(z.tolist()) if z.ndim == 1 else z
+    return _zeta(e, _mu(e))
 
 
 @lru_cache(maxsize=None)
@@ -292,7 +282,7 @@ def _majorization(z: np.ndarray) -> MajorizationData:
     np.minimum(z, 1.0, out=z)
     z[..., -1] = 1.0
     return MajorizationData(
-        zeta=tuple(z.tolist()) if z.ndim == 1 else z,
+        zeta=z,
         omega=trusted(Distribution, _steps(z)),
         omega_prime=trusted(Distribution, _steps(((1.0 + z) ** 2) / 4.0)),
     )
@@ -326,18 +316,14 @@ def majorization_bound_direct_sum(md: MajorizationData, a) -> float | np.ndarray
 def majorization_entropy_bound(md: MajorizationData, a) -> float | np.ndarray:
     """Best applicable majorization bound at the given order.
 
-    Orders <= 1 use half the entropy of omega.  Orders > 1 compare the
-    tensor-product and direct-sum forms and return the larger; at the
-    infinite order the direct-sum form degenerates to 0, leaving half the
-    min-entropy of omega_prime.
+    Orders <= 1 take the direct-sum bound, half the entropy of omega.
+    Orders > 1 compare the tensor-product and direct-sum forms and return
+    the larger; at the infinite order the direct-sum form degenerates to
+    0, leaving half the min-entropy of omega_prime.
     """
     o = Order.coerce(a)
-    if o.value <= 1.0:
-        return 0.5 * renyi_entropy(md.omega, o)
-    return _float_or_array(np.maximum(
-        majorization_bound_tensor(md, o),
-        majorization_bound_direct_sum(md, o),
-    ))
+    direct = majorization_bound_direct_sum(md, o)
+    return direct if o.value <= 1.0 else _float_or_array(np.maximum(majorization_bound_tensor(md, o), direct))
 
 
 def mutual_info_upper_bound(q: OutcomeProbs, eta) -> float | np.ndarray:
@@ -361,7 +347,7 @@ BOUNDS_COLUMNS = ("mu_bound", "coles_piani", "maj_shannon", "maj_alpha2_a", "maj
 def bounds_table(eta, q: OutcomeProbs | None = None) -> np.ndarray:
     """Every bound at each eta, one column per name in BOUNDS_COLUMNS.
 
-    The columns are mu_bound, coles_piani_bound, half the Shannon entropy
+    The columns are 2 log2 mu_factor, coles_piani_bound, half the Shannon entropy
     of omega, the tensor-product and direct-sum majorization bounds at
     order 2, and the Shannon and order-2 Renyi entropies of the maximally
     mixed state's outcomes (rho*).  With the outcome triples q of the

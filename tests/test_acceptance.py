@@ -33,12 +33,10 @@ from fpbprobe.uncertainty import (
     coles_piani_bound,
     majorization_data,
     majorization_entropy_bound,
-    mu_bound,
     mu_factor,
     naimark_basis,
     optimize_s_max,
     overlap_matrix,
-    zeta2_closed_form,
     zeta_closed_form,
     zeta_coefficients,
 )
@@ -145,7 +143,7 @@ def test_criterion_05_closed_form_certification():
         w = overlap_matrix(naimark_basis(gamma, phi), naimark_basis(gamma, phi_prime))
         worst_f = max(worst_f, abs(np.abs(w).max() - 1.0 / mu_factor(eta)))
         z = zeta_coefficients(w)
-        worst_c2 = max(worst_c2, abs(z[1] - zeta2_closed_form(eta)))
+        worst_c2 = max(worst_c2, abs(z[1] - zeta_closed_form(eta)[1]))
     # branch junctions: adjacent closed forms agree to double precision
     f_knots = (
         abs((1 + 0.2) / (1 - 0.2) - math.sqrt((2 - 0.2) / (1 - 0.2))),
@@ -190,7 +188,7 @@ def test_criterion_06_uncertainty_soundness():
         probs = np.clip(probs, 0.0, None)
         entropies = {a: renyi_rows(probs, a) for a in (0.5, 2.0 / 3.0, 0.75, 1.0, 1.5, 2.0, 10.0, math.inf)}
         for a, b in pairs:
-            worst = min(worst, float((entropies[a] + entropies[b]).min() - mu_bound(eta)))
+            worst = min(worst, float((entropies[a] + entropies[b]).min() - 2 * np.log2(mu_factor(eta))))
         worst = min(worst, float(entropies[1.0].min() - coles_piani_bound(eta)))
         md = majorization_data(zeta_closed_form(eta))
         for a in orders:

@@ -555,6 +555,16 @@ class TestConfigFile:
         cfg.write_text("p-e-min=0.1\np_e_min=0.2\n")
         assert exit_and_stdout(["curves", "--config", str(cfg)], capsys) == (2, "")
 
+    def test_config_line_is_an_argument_error(self, tmp_path, capsys):
+        # It was silently ignored: neither followed nor rejected, exit 0.
+        cfg = tmp_path / "sweep.conf"
+        for key in ("config", "CONFIG "):
+            cfg.write_text(f"steps=2\n{key}=other.conf\nxi=0\nmeasure=std\n")
+            code = cli.main(["curves", "--config", str(cfg)])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, "")
+            assert captured.err.startswith(f"error: {cfg}:2: ") and "other.conf" in captured.err, captured.err
+
     def test_file_that_is_not_utf8_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.conf"
         cfg.write_bytes(b"steps=2\n\xff\n")
@@ -637,11 +647,12 @@ class TestFlagConfigParity:
             assert run(flag, str(b), config=str(a)) == ""
             assert b.read_text() == want and not a.exists()
         elif action.dest == "config":
-            # The --config flag that names a file always wins over a
-            # config key in it.
+            # Only the --config flag names a file: a config key in one is
+            # an argument error, and the file it names is never read.
             nested, nested_out = tmp_path / "nested.conf", tmp_path / "nested.out"
             nested.write_text(f"out={nested_out}\n")
-            assert run(config=str(nested)) == run() != ""
+            conf.write_text(f"config={nested}\n")
+            assert exit_and_stdout(base + ["--config", str(conf)], capsys) == (2, "")
             assert not nested_out.exists()
             assert run(flag, str(nested)) == "" and nested_out.read_text() == run()
         else:
@@ -817,6 +828,7 @@ class TestExitMap:
         "malformed_config_line": (["curves", "--config", "{tmp}/run.conf"], b"steps 3\n", 2),
         "repeated_config_key": (["curves", "--config", "{tmp}/run.conf"], b"xi=0\nsteps=2\nxi=1\n", 2),
         "config_not_utf8": (["curves", "--config", "{tmp}/run.conf"], b"\xff\n", 2),
+        "config_key_in_config": (["curves", "--config", "{tmp}/run.conf"], b"config=other.conf\n", 2),
         "missing_config_file": (["curves", "--config", "{tmp}/absent.conf"], None, 3),
         "out_into_missing_directory": (["curves", "--steps", "2", "--out", "{tmp}/work/missing/x.csv"], None, 3),
         "out_naming_a_directory": (["curves", "--steps", "2", "--out", "{tmp}/work/dir"], None, 3),

@@ -1,5 +1,7 @@
-"""Each demo script and each README Python example runs to completion against the package in src/."""
+"""Each demo script and each README Python example runs to completion against the package in src/,
+and no name in README's "Removed names" table has come back."""
 
+import importlib
 import os
 import re
 import subprocess
@@ -10,7 +12,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
-README_EXAMPLES = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+README = (ROOT / "README.md").read_text()
+README_EXAMPLES = re.findall(r"```python\n(.*?)```", README, re.S)
+# The first column of each row of the "Removed names" table.
+REMOVED_CELLS = re.findall(r"^\| ([^|]*) \|", README.split("\n## Removed names\n", 1)[1].split("\n## ", 1)[0], re.M)
+REMOVED = [name for cell in REMOVED_CELLS for name in re.findall(r"`([\w.]+)`", cell)]
+PUBLIC_MODULES = ("cli", "discrimination", "entropy", "linalg", "probe", "simulator", "uncertainty")
 
 
 def run_python(*args):
@@ -41,3 +48,25 @@ def test_readme_has_the_library_and_grid_examples():
 def test_readme_example_runs(example):
     proc = run_python("-c", example)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_removed_names_table_parses():
+    assert {"ProbeConfig", "simulator.conditional_probe_state", "conditional_std",
+            "JointDistribution.transposed"} <= set(REMOVED)
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_name_stays_gone(name):
+    """The name resolves neither in fpbprobe nor, if undotted, in any public module.
+
+    A dotted name resolves its prefix first, which must still exist.
+    """
+    import fpbprobe
+
+    *prefix, last = name.split(".")
+    owner = fpbprobe
+    for part in prefix:
+        owner = getattr(owner, part)
+    owners = [owner] if prefix else [fpbprobe, *(importlib.import_module(f"fpbprobe.{m}") for m in PUBLIC_MODULES)]
+    for owner in owners:
+        assert not hasattr(owner, last), f"{name} resolves in {getattr(owner, '__name__', owner)}"

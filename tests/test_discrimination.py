@@ -11,6 +11,8 @@ from fpbprobe.discrimination import (
     outcome_probs,
     xi_to_phi,
 )
+from fpbprobe.entropy import closed_form_i1, closed_form_i2, closed_form_i4, closed_form_i_std, joint_from_outcome_probs
+from fpbprobe.uncertainty import bounds_table, mutual_info_upper_bound
 
 QUARTER_PI = math.pi / 4
 
@@ -141,6 +143,32 @@ class TestOutcomeProbs:
     def test_invalid_triple_rejected(self):
         with pytest.raises(ValueError):
             OutcomeProbs(0.5, 0.5, 0.5)
+
+    def test_slack_is_clipped_where_it_is_checked(self):
+        # Entries in [-1e-12, 1 + 1e-12] are accepted and stored in [0, 1].
+        q = OutcomeProbs(-5e-13, -5e-13, 1.0 + 1e-12)
+        assert [(type(v), v) for v in (q.q_success, q.q_error, q.q_inconclusive)] == [(float, 0.0)] * 2 + [(float, 1.0)]
+        assert math.copysign(1.0, OutcomeProbs(-0.0, 0.5, 0.5).q_success) == 1.0
+        q = OutcomeProbs(np.array([-5e-13, 0.6]), np.array([-5e-13, 0.1]), np.array([[1.0 + 1e-12, 0.3]]))
+        fields = [f.tolist() for f in (q.q_success, q.q_error, q.q_inconclusive)]
+        assert fields == [[[0.0, 0.6]], [[0.0, 0.1]], [[1.0, 0.3]]]
+
+    def test_every_measure_sees_the_clipped_triple(self):
+        def bits(x):
+            return type(x), np.asarray(x, dtype=float).tobytes()
+
+        measures = {
+            "i_std": closed_form_i_std,
+            **{f"i{v}_{a}": lambda q, f=f, a=a: f(a, q)
+               for v, f in ((1, closed_form_i1), (2, closed_form_i2), (4, closed_form_i4)) for a in (0.5, 2.0)},
+            "joint": lambda q: joint_from_outcome_probs(q).table,
+            "i_upper": lambda q: mutual_info_upper_bound(q, 0.0),
+            "bounds_table": lambda q: bounds_table(0.0, q),
+        }
+        slack, clipped = OutcomeProbs(-5e-13, -5e-13, 1.0 + 1e-12), OutcomeProbs(0.0, 0.0, 1.0)
+        for name, measure in measures.items():
+            assert bits(measure(slack)) == bits(measure(clipped)), name
+        assert closed_form_i_std(slack) == 0.0 and joint_from_outcome_probs(slack).table.sum() == 1.0
 
 
 class TestErrorLowerBound:

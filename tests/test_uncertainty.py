@@ -14,13 +14,11 @@ from fpbprobe.uncertainty import (
     majorization_bound_tensor,
     majorization_data,
     majorization_entropy_bound,
-    mu_bound,
     mu_factor,
     mutual_info_upper_bound,
     naimark_basis,
     optimize_s_max,
     overlap_matrix,
-    zeta2_closed_form,
     zeta_closed_form,
     zeta_coefficients,
 )
@@ -243,12 +241,12 @@ class TestMuBound:
         assert abs(lo2 - hi2) <= 1e-12
 
     def test_trivial_endpoints(self):
-        assert mu_bound(1.0) == pytest.approx(0.0, abs=1e-12)
-        assert mu_bound(0.0) == pytest.approx(0.0, abs=1e-12)
+        assert 2 * np.log2(mu_factor(1.0)) == pytest.approx(0.0, abs=1e-12)
+        assert 2 * np.log2(mu_factor(0.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_peak_near_half(self):
         etas = np.linspace(0.01, 0.99, 99)
-        vals = [mu_bound(float(e)) for e in etas]
+        vals = [2 * np.log2(mu_factor(float(e))) for e in etas]
         assert abs(etas[int(np.argmax(vals))] - 0.5) < 0.02
 
     def test_rejects_out_of_range(self):
@@ -303,7 +301,7 @@ class TestZetaCoefficients:
             w = overlap_matrix(naimark_basis(gamma, phi), naimark_basis(gamma, phi_prime))
             z = zeta_coefficients(w)
             assert z[0] == pytest.approx(1 / mu_factor(eta), abs=1e-6)
-            assert z[1] == pytest.approx(zeta2_closed_form(eta), abs=1e-6)
+            assert z[1] == pytest.approx(zeta_closed_form(eta)[..., 1], abs=1e-6)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_batched_norms_match_reference_loop(self, d, rng):
@@ -367,6 +365,14 @@ class TestMajorizationData:
         assert np.array_equal(md.zeta, ref)
         assert np.array_equal(md.omega.probs, np.diff(ref, axis=-1, prepend=0.0))
         assert np.array_equal(md.omega_prime.probs, np.diff((1.0 + ref) ** 2 / 4.0, axis=-1, prepend=0.0))
+
+    def test_one_eta_gives_an_array(self):
+        # As zeta_coefficients does: no tuple for one sequence.
+        z = zeta_closed_form(0.3)
+        assert type(z) is np.ndarray and z.shape == (3,)
+        assert z.tobytes() == zeta_closed_form(np.array([0.3]))[0].tobytes()
+        md = majorization_data(z)
+        assert type(md.zeta) is np.ndarray and md.zeta.tobytes() == z.tobytes()
 
     def test_zeta2_branch_junctions_agree(self):
         at_02 = (math.sqrt(1 + 2 * 0.2 - 3 * 0.04) / 1.2, math.sqrt((2 - 0.4) / 1.8))
@@ -456,7 +462,7 @@ class TestUncertaintySoundness:
 
     def test_conjugate_pair_sums_dominated(self, rng):
         for eta in (0.05, 0.25, 0.5, 0.75, 0.95):
-            bound = mu_bound(eta)
+            bound = 2 * np.log2(mu_factor(eta))
             for _ in range(100):
                 rho = random_density(2, rng) if rng.random() < 0.5 else random_pure_density(2, rng)
                 probs = povm_probs_for_state(eta, rho)
@@ -543,7 +549,7 @@ class TestBoundsTable:
         half = 0.5 / (1.0 + eta)
         rho_star = np.stack([half, half, eta / (1.0 + eta)], axis=-1)
         return [
-            mu_bound(eta),
+            2 * np.log2(mu_factor(eta)),
             coles_piani_bound(eta),
             0.5 * shannon_entropy(md.omega),
             majorization_bound_tensor(md, 2.0),
