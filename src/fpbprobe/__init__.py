@@ -20,13 +20,11 @@ from .entropy import (
     Distribution,
     JointDistribution,
     Order,
-    alpha_mutual_information,
     binary_entropy,
     closed_form_i1,
     closed_form_i2,
     closed_form_i4,
     closed_form_i_std,
-    conditional_renyi,
     joint_from_outcome_probs,
     mutual_information,
     renyi_entropy,

@@ -1,26 +1,27 @@
 """Shannon and Renyi information measures over small discrete tables.
 
-All entropies are in bits.  Conditional Renyi entropies come in three
-variants (1, 2, 4); each induces an alpha-mutual-information measure
-R_alpha(X) - R_alpha(X|Y).  The joint table of interest is the 2x3
+All entropies are in bits.  The joint table of interest is the 2x3
 distribution over (Bob's error-free sifted bit b', Eve's outcome e') built
-from the discrimination triple (Q_S, Q_E, Q_?).
+from the discrimination triple (Q_S, Q_E, Q_?).  Eve's information on it
+is the standard mutual information or an alpha-mutual information
+R_alpha(B') - R_alpha(B'|E'), one for each of three conditional Renyi
+entropies (variants 1, 2 and 4).
 
-Every measure reduces over the last axes: a stack of tables or vectors along
-leading axes gives an array, a single one a Python float.
+Every table measure reduces over the last axes: a stack of tables or
+vectors along leading axes gives an array, a single one a Python float.
 
-On that table every measure is also a closed form in (Q_S, Q_E, Q_?):
+On the (b', e') table every measure is a closed form in (Q_S, Q_E, Q_?):
 closed_form_i_std, closed_form_i1, closed_form_i2 and closed_form_i4,
-whose docstrings give the formulas.  They take an OutcomeProbs of arrays
-and an order that is a scalar or an array broadcasting against it, and
-build no table.  They avoid the table path's difference of O(1)
-entropies, which leaves a small variant-2 value as noise.  At order 1
-each gives closed_form_i_std, the limit of every variant (Fehr and
-Berens, IEEE TIT 60, 2014).  The generic table path stays for arbitrary
-tables and the simulator's empirical one.  It takes the same limit:
-every Renyi quantity it computes goes through one power-sum kernel
-(`_power_sum`), exact as the order nears 1, and order 1 means exactly 1
-on both paths.
+whose docstrings give the formulas.  They are the one code path for these
+measures.  They take an OutcomeProbs of arrays and an order that is a
+scalar or an array broadcasting against it, and build no table, so they
+avoid a difference of O(1) entropies, which would leave a small variant-2
+value as noise.  At order 1 each gives closed_form_i_std, the limit of
+every variant (Fehr and Berens, IEEE TIT 60, 2014).  The table measures
+that stay serve the bounds (renyi_entropy, shannon_entropy) and the
+simulator's empirical table (mutual_information).  Every Renyi entropy
+goes through one power-sum kernel (`_power_sum`), exact as the order nears
+1, and order 1 means exactly 1 there too.
 
 The table axes are short (2, 3 or 6), and numpy runs a reduction over such
 an axis as one inner loop per stack member: on the (501, 3) vectors of
@@ -40,12 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import HUGE, TINY, integer, real, scalar, trusted
+from ._checks import HUGE, TINY, real, scalar, trusted
 from .discrimination import OutcomeProbs
 
 DIST_TOL = 1e-10
 
-_VARIANTS = (1, 2, 4)
 _LN2 = math.log(2.0)
 
 
@@ -140,10 +140,9 @@ class JointDistribution:
     """Joint table over (b', e'): rows index b', columns index e'.
 
     The canonical table is 2x3 with e' in (0, 1, ?), but any 2-D shape is
-    accepted, so generic tables work in the same machinery.  Leading axes,
-    if any, form a stack of tables that is checked once.  The marginals
-    are `table.sum(axis=-1)` (b') and `table.sum(axis=-2)` (e'); for a
-    measure of e' given b', pass `np.swapaxes(table, -1, -2)`.
+    accepted.  Leading axes, if any, form a stack of tables that is checked
+    once.  The marginals are
+    `table.sum(axis=-1)` (b') and `table.sum(axis=-2)` (e').
     """
 
     table: np.ndarray
@@ -177,26 +176,24 @@ def _shannon(p: np.ndarray) -> np.ndarray:
     return -_fold(np.add, _xlog2x(p)) + 0.0  # +0.0 avoids -0.0
 
 
-def _power_sum(x: np.ndarray, a: float, w=1.0) -> np.ndarray:
-    """log2(sum w x**a) / (1 - a) over the last axis of x >= 0, for a finite order a != 1.
+def _power_sum(x: np.ndarray, a: float) -> np.ndarray:
+    """log2(sum x**a) / (1 - a) over the last axis of x >= 0, for a finite order a != 1.
 
-    w weighs the terms; a weight of 1 leaves the bits of the unweighted sum.
-    Within |a - 1| < 1 the sum is S + G, with S = sum w x and
-    G = sum w (x**a - x) from _pow_gap, and the value is
+    Within |a - 1| < 1 the sum is S + G, with S = sum x and
+    G = sum (x**a - x) from _pow_gap, and the value is
     (ln S + log1p(G / S) / (1 - a)) / ln 2: the entropy of x / S, exact as
     a nears 1.  By Jensen, S + G >= S / n for n terms, so log1p never
-    nears -1, even where a tiny weight carries the peak.  Further out,
-    the peak m of x is factored out, so that x**a never underflows the
-    whole sum: (a log2 m + log2 sum w (x / m)**a) / (1 - a).  This branch
-    does not divide by S; the two agree, up to rounding, because every
-    vector and table a caller gives is normalized where it is accepted
+    nears -1.  Further out, the peak m of x is factored out, so that x**a
+    never underflows the whole sum: (a log2 m + log2 sum (x / m)**a) / (1 - a).
+    This branch does not divide by S; the two agree, up to rounding,
+    because every vector a caller gives is normalized where it is accepted
     (`_checked`), and what the package builds sums to 1 by construction.
     """
     if abs(a - 1.0) < 1.0:
-        s, g = _fold(np.add, w * x), _fold(np.add, w * _pow_gap(x, _log(x), np.full(x.shape, a))[1])
+        s, g = _fold(np.add, x), _fold(np.add, _pow_gap(x, _log(x), np.full(x.shape, a))[1])
         return (np.log(s) + np.log1p(g / s) / (1.0 - a)) / _LN2 + 0.0
     m = _fold(np.maximum, x)
-    s = _fold(np.add, w * (x / m[..., None]) ** a)
+    s = _fold(np.add, (x / m[..., None]) ** a)
     return (a * np.log2(m) + np.log2(s)) / (1.0 - a) + 0.0  # +0.0 avoids -0.0
 
 
@@ -207,42 +204,6 @@ def _renyi(p: np.ndarray, order: Order) -> np.ndarray:
     if order.is_infinite:
         return -np.log2(_fold(np.maximum, p)) + 0.0
     return _power_sum(p, order.value)
-
-
-def _columns(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column weights, per-column conditionals along the last axis, empty-column mask.
-
-    An empty column gets a point mass as its conditional: every entropy of
-    it is 0, and its weight is 0 anyway.
-    """
-    py = _fold(np.add, np.swapaxes(t, -1, -2))
-    empty = py <= 0.0
-    cond = np.swapaxes(t / np.where(empty, 1.0, py)[..., None, :], -1, -2)
-    cond[..., 0] += empty
-    return py, cond, empty
-
-
-def _check_variant(variant: int) -> None:
-    if integer("variant", variant, 1, 4) not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-
-
-def _conditional(t: np.ndarray, o: Order, variant: int) -> np.ndarray:
-    """Conditional entropy of axis -2 given axis -1, stacked over leading axes; the caller checks variant."""
-    if variant == 1 or o.is_shannon:
-        py, cond, _ = _columns(t)
-        return _fold(np.add, py * _renyi(cond, o))
-    if o.is_infinite:
-        raise ValueError(f"variant {variant} is undefined at infinite order")
-    if variant == 2:
-        return _renyi(t.reshape(t.shape[:-2] + (-1,)), o) - _renyi(_fold(np.add, np.swapaxes(t, -1, -2)), o)
-    # Variant 4: one power sum over every (column, row) cell, each cell
-    # weighted by its column's weight.  Empty columns are zeroed, so they add
-    # nothing at any order (their point mass over the peak could overflow).
-    py, cond, empty = _columns(t)
-    live = np.where(empty[..., None], 0.0, cond)
-    flat = live.shape[:-2] + (-1,)
-    return _power_sum(live.reshape(flat), o.value, np.repeat(py, live.shape[-1], axis=-1))
 
 
 def shannon_entropy(d) -> float | np.ndarray:
@@ -261,20 +222,6 @@ def binary_entropy(p) -> float | np.ndarray:
     return _float_or_array(_shannon(np.stack([x, 1.0 - x], axis=-1)))
 
 
-def conditional_renyi(j, a, variant: int) -> float | np.ndarray:
-    """Conditional Renyi entropy, one of the three variants.
-
-    Variant 1 averages per-column Renyi entropies and also supports the
-    infinite order.  Variant 2 is R_a(X,Y) - R_a(Y), which satisfies the
-    chain rule by construction.  Variant 4 moves the column average
-    inside the logarithm.  Variants 2 and 4 are undefined at infinite
-    order; at order 1 every variant is the standard conditional entropy
-    H(X|Y), by one code path.  A stack of tables gives an array of values.
-    """
-    _check_variant(variant)
-    return _float_or_array(_conditional(_table(j), Order.coerce(a), variant))
-
-
 def _mutual_information(t: np.ndarray) -> np.ndarray:
     """H(X) + H(Y) - H(X,Y) over the last two axes, with one log2 pass."""
     m, n = t.shape[-2:]
@@ -286,16 +233,6 @@ def _mutual_information(t: np.ndarray) -> np.ndarray:
 def mutual_information(j) -> float | np.ndarray:
     """H(X) + H(Y) - H(X,Y)."""
     return _float_or_array(_mutual_information(_table(j)))
-
-
-def alpha_mutual_information(j, a, variant: int) -> float | np.ndarray:
-    """R_a(X) - R_a^(variant)(X|Y) of rows X given columns Y."""
-    o = Order.coerce(a)
-    _check_variant(variant)
-    t = _table(j)
-    if o.is_shannon:
-        return _float_or_array(_mutual_information(t))
-    return _float_or_array(_renyi(_fold(np.add, t), o) - _conditional(t, o, variant))
 
 
 def joint_from_outcome_probs(q: OutcomeProbs) -> JointDistribution:
@@ -405,8 +342,8 @@ def closed_form_i2(a, q: OutcomeProbs) -> float | np.ndarray:
     terms.  Near order 1 the powers cancel to O(a - 1) and the gaps do
     not; far from it, a tiny y has y**a << y and the gaps cancel.  Where
     |D| < S / 2, log1p(D / S) replaces ln(N / S), so a small I_2 keeps its
-    relative accuracy, where the difference of entropies in
-    alpha_mutual_information keeps only an absolute one.  ln N comes from
+    relative accuracy, where a difference of entropies of the table keeps
+    only an absolute one.  ln N comes from
     logs, since both of its terms underflow at orders in the thousands.
     The order `a` is as for closed_form_i1 (order 1 included), but finite.
     """

@@ -10,6 +10,8 @@ definitions, so that it shares no code with the package:
 * `measure` evaluates std, v1, v2, v4 or v1_inf on any table, as
   R_a(X) - R_a(X|Y) of rows X given columns Y with the variant's
   conditional entropy, and `measure_grid` does so over arrays of triples;
+  `measure` is also the accurate reference for the tables that no closed
+  form covers, such as a post-processing of Eve's outcome;
 * `envelope_mp` writes the squared overlaps of two extension bases at
   gamma = acos(eta) / 2 as lines in u = cos(delta) and finds the u that
   minimizes their peak, cos(delta*); `mu_mp` and `zeta_mp` read the
@@ -120,6 +122,8 @@ def measure(name: str, rows, a=None):
         a, variant = (1 if name == "std" else mp.inf), 1
     else:
         a, variant = mp.mpf(float(a)), int(name[1])
+    if a == 1:
+        variant = 1  # every variant is the standard conditional entropy there; variant 4's formula divides by 0
     return renyi([mp.fsum(r) for r in rows], a) - conditional(rows, a, variant)
 
 

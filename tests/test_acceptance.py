@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import alpha_mi_reference
 from fpbprobe import cli
 from fpbprobe.discrimination import (
     DiscriminationConfig,
@@ -19,10 +20,9 @@ from fpbprobe.discrimination import (
     outcome_probs,
 )
 from fpbprobe.entropy import (
-    Order,
-    alpha_mutual_information,
     binary_entropy,
     closed_form_i1,
+    closed_form_i2,
     closed_form_i_std,
     joint_from_outcome_probs,
     mutual_information,
@@ -55,10 +55,8 @@ def i_std_at(p_e, xi):
 
 
 def i3_v2_at(p_e, xi):
-    joint = joint_from_outcome_probs(
-        outcome_probs(DiscriminationConfig.from_error_rate(p_e, xi))
-    )
-    return alpha_mutual_information(joint, 3.0, 2)
+    """The order-3 v2 value that `curves` prints."""
+    return closed_form_i2(3.0, outcome_probs(DiscriminationConfig.from_error_rate(p_e, xi)))
 
 
 def renyi_rows(table, a):
@@ -79,10 +77,10 @@ def test_criterion_01_conclusive_identity():
     for p_e in np.linspace(0.001, 1.0 / 3.0, 50):
         q = outcome_probs(DiscriminationConfig.from_error_rate(float(p_e), 0.0))
         i_std = closed_form_i_std(q)
-        joint = joint_from_outcome_probs(q)
+        table = joint_from_outcome_probs(q).table
         for a in (2.0, 10.0, math.inf):
             worst = max(worst, abs(closed_form_i1(a, q) - i_std))
-            worst = max(worst, abs(alpha_mutual_information(joint, a, 1) - i_std))
+            worst = max(worst, abs(alpha_mi_reference(table, a, 1) - i_std))
     elapsed = time.perf_counter() - start
     report(1, worst <= 1e-10, elapsed, 1.0, f"max |I_a^(1) - I| = {worst:.2e}")
 
@@ -233,14 +231,8 @@ def test_criterion_08_closed_form_pipeline_agreement():
             q = outcome_probs(DiscriminationConfig.from_error_rate(float(p_e), xi))
             joint = joint_from_outcome_probs(q)
             worst = max(worst, abs(closed_form_i_std(q) - mutual_information(joint)))
-            for a in (2.0, 10.0):
-                worst = max(
-                    worst, abs(closed_form_i1(a, q) - alpha_mutual_information(joint, a, 1))
-                )
-            worst = max(
-                worst,
-                abs(closed_form_i1(math.inf, q) - alpha_mutual_information(joint, math.inf, 1)),
-            )
+            for a in (2.0, 10.0, math.inf):
+                worst = max(worst, abs(closed_form_i1(a, q) - alpha_mi_reference(joint.table, a, 1)))
     elapsed = time.perf_counter() - start
     report(8, worst <= 1e-10, elapsed, 5.0, f"max closed-form deviation = {worst:.2e}")
 
@@ -259,10 +251,8 @@ def test_criterion_09_monotonicity():
     i1_orders = [0.3, 0.7, 1.0, 1.5, 2.0, 4.0, 10.0, 50.0, math.inf]
     for p_e in np.linspace(0.001, 1.0 / 3.0, 12):
         for xi in (0.0, 0.25, 0.5, 0.75, 1.0):
-            joint = joint_from_outcome_probs(
-                outcome_probs(DiscriminationConfig.from_error_rate(float(p_e), xi))
-            )
-            vals = [alpha_mutual_information(joint, a, 1) for a in i1_orders]
+            q = outcome_probs(DiscriminationConfig.from_error_rate(float(p_e), xi))
+            vals = [closed_form_i1(a, q) for a in i1_orders]
             i1_ok &= all(x <= y + 1e-10 for x, y in zip(vals, vals[1:]))
     elapsed = time.perf_counter() - start
     report(9, renyi_ok and i1_ok, elapsed, 5.0,

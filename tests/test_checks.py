@@ -27,13 +27,11 @@ from fpbprobe import (
     OutcomeProbs,
     SessionConfig,
     SessionTally,
-    alpha_mutual_information,
     binary_entropy,
     bounds_table,
-    conditional_renyi,
+    closed_form_i1,
     empirical_mutual_information,
     error_lower_bound,
-    joint_from_outcome_probs,
     majorization_data,
     mu_factor,
     mutual_information,
@@ -49,7 +47,6 @@ from fpbprobe import (
 from fpbprobe import cli
 
 Q = OutcomeProbs(0.6, 0.1, 0.3)
-JOINT = joint_from_outcome_probs(Q)
 
 # id: (parameter, call, a valid value that float32 holds exactly, a valid
 # whole number, a finite value out of range or None if every finite value is valid)
@@ -66,7 +63,7 @@ REAL_ROWS = {
     "error_lower_bound.theta": ("theta", lambda v: error_lower_bound(v, 0.25), 0.5, 0, 1.0),
     "error_lower_bound.q_inconclusive": ("q_inconclusive", lambda v: error_lower_bound(0.25, v), 0.25, 0, 1.5),
     "Order": ("order", Order, 2.5, 2, 0.0),
-    "alpha_mutual_information.order": ("order", lambda v: alpha_mutual_information(JOINT, v, 1), 2.5, 2, -1.0),
+    "closed_form_i1.order": ("order", lambda v: closed_form_i1(v, Q), 2.5, 2, -1.0),
     "binary_entropy": ("p", binary_entropy, 0.125, 1, 1.5),
     "shor_preskill_rate": ("delta", shor_preskill_rate, 0.125, 0, 0.75),
     "naimark_basis.gamma": ("gamma", naimark_basis, 0.5, 0, 1.0),
@@ -78,7 +75,7 @@ REAL_ROWS = {
     "SessionConfig.error_rate": ("error_rate", lambda v: SessionConfig(10, v, 0.5, 1), 0.125, 0, 0.5),
     "SessionConfig.xi": ("xi", lambda v: SessionConfig(10, 0.125, v, 1), 0.5, 1, 1.5),
 }
-INFINITE_ORDERS = {"Order", "alpha_mutual_information.order"}  # inf is the min-entropy order
+INFINITE_ORDERS = {"Order", "closed_form_i1.order"}  # inf is the min-entropy order
 # Parameters that take one number, so an array fails like any bad value.  The
 # config classes raise TypeError for one (test_config_fields_hold_python_numbers).
 ONE_NUMBER = {
@@ -88,10 +85,6 @@ ONE_NUMBER = {
 
 # id: (parameter, call, a valid value, a value out of range)
 INTEGER_ROWS = {
-    # order 1 takes the mutual-information shortcut, which must check the variant too
-    "alpha_mutual_information.variant@1": ("variant", lambda v: alpha_mutual_information(JOINT, 1.0, v), 4, 3),
-    "alpha_mutual_information.variant@2": ("variant", lambda v: alpha_mutual_information(JOINT, 2.0, v), 2, 3),
-    "conditional_renyi.variant": ("variant", lambda v: conditional_renyi(JOINT, 2.0, v), 4, 0),
     "SessionConfig.rounds": ("rounds", lambda v: SessionConfig(v, 0.125, 0.5, 1), 10, 0),
     "SessionConfig.seed": ("seed", lambda v: SessionConfig(10, 0.125, 0.5, v), 2**64 - 1, 2**64),
 }

@@ -1,5 +1,5 @@
 """Each demo script and each README Python example runs to completion against the package in src/,
-and no name in README's "Removed names" table has come back."""
+no name in README's "Removed names" table has come back, and none is offered as another's replacement."""
 
 import importlib
 import os
@@ -14,9 +14,9 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
 README = (ROOT / "README.md").read_text()
 README_EXAMPLES = re.findall(r"```python\n(.*?)```", README, re.S)
-# The first column of each row of the "Removed names" table.
-REMOVED_CELLS = re.findall(r"^\| ([^|]*) \|", README.split("\n## Removed names\n", 1)[1].split("\n## ", 1)[0], re.M)
-REMOVED = [name for cell in REMOVED_CELLS for name in re.findall(r"`([\w.]+)`", cell)]
+# Each row of the "Removed names" table: (removed, use instead).
+REMOVED_ROWS = re.findall(r"^\| ([^|]*) \| ([^|]*) \|$", README.split("\n## Removed names\n", 1)[1].split("\n## ", 1)[0], re.M)
+REMOVED = [name for cell, _ in REMOVED_ROWS for name in re.findall(r"`([\w.]+)`", cell)]
 PUBLIC_MODULES = ("cli", "discrimination", "entropy", "linalg", "probe", "simulator", "uncertainty")
 
 
@@ -53,6 +53,14 @@ def test_readme_example_runs(example):
 def test_removed_names_table_parses():
     assert {"ProbeConfig", "simulator.conditional_probe_state", "conditional_std",
             "JointDistribution.transposed"} <= set(REMOVED)
+
+
+def test_replacements_name_no_removed_name():
+    """No name in a row's "use instead" cell, or the last part of a dotted one, is itself removed."""
+    used = {part for _, cell in REMOVED_ROWS for span in re.findall(r"`([^`]*)`", cell)
+            for name in re.findall(r"[A-Za-z_][\w.]*", span) for part in (name, name.rsplit(".", 1)[-1])}
+    assert "mutual_information" in used
+    assert sorted(used & set(REMOVED)) == []
 
 
 @pytest.mark.parametrize("name", REMOVED)
