@@ -53,10 +53,9 @@ from .entropy import (
     closed_form_i4,
     closed_form_i_std,
     joint_from_outcome_probs,
-    mutual_information,
 )
 from .probe import MAX_ERROR_RATE
-from .simulator import SessionConfig, empirical_joint, run_session
+from .simulator import SessionConfig, empirical_joint, empirical_mutual_information, run_session
 from .uncertainty import BOUNDS_COLUMNS, bounds_table
 
 MEASURES = ("std", "v1", "v2", "v4", "v1_inf", "cond_prob")
@@ -388,7 +387,7 @@ def cmd_simulate(args) -> int:
         "max_cell_pull_sigma": max_pull,
         "cells_within_4_sigma": max_pull <= 4.0,
         "mutual_information": {
-            "empirical": None if joint is None else mutual_information(joint),
+            "empirical": None if joint is None else empirical_mutual_information(tally),
             "analytic": closed_form_i_std(q),
         },
     }

@@ -29,9 +29,10 @@ an axis as one inner loop per stack member: on the (501, 3) vectors of
 6.6 us and 4.9 us for one ufunc call per slice (numpy 2.4.6, 2-core
 Xeon, best of 7 timeit runs).  The measures therefore fold those axes
 slice by slice (`_fold`), in the order numpy reduces them, so the bits
-do not change.  `_mutual_information` keeps numpy's reductions: the
-simulator runs it on one table per session, where a fold's extra ufunc
-calls cost more than the loop they save.
+do not change.  `_mutual_information` keeps numpy's reductions; it
+serves tables given by callers.  The simulator's per-session value,
+simulator.empirical_mutual_information, computes the same bits in Python
+floats, summing in numpy's order, with numpy's log2.
 """
 
 from __future__ import annotations

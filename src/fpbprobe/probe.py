@@ -7,7 +7,7 @@ normalized in the {|+>, |->} basis, with
 cos(2 theta) = (1 - 3 P_E) / (1 - P_E).  The measurement family, the
 information measures and the bounds see the probe only through theta;
 the session's eight post-measurement probe states are written in closed
-form in simulator._probe_states.
+form in simulator._cell_probabilities.
 """
 
 from __future__ import annotations

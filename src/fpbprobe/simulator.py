@@ -12,8 +12,9 @@ splits each case into three outcomes.  So every round lands in one of 24
 tally cells, with probabilities fixed per session: 1/4 for Alice's basis
 and bit, Bob's hit or miss rate given the basis match, and Eve's outcome
 probabilities from the closed-form Born rule on the case's probe state
-(_case_probabilities).  The tally of n rounds is exactly
-Multinomial(n, p_24), and run_session draws it once.
+(_cell_probabilities, which computes the 24 cells in Python floats).  The
+tally of n rounds is exactly Multinomial(n, p_24), and run_session draws
+it once.
 
 The bit generator is Philox4x64 (numpy ``Philox``) keyed by the session
 seed, and a session is one ``Generator.multinomial`` draw over the 24
@@ -38,9 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import integer, real, trusted
-from .discrimination import DiscriminationConfig, _from_error_rate, _measurement_vectors
-from .entropy import JointDistribution, mutual_information
+from ._checks import TINY, integer, real, trusted
+from .discrimination import DiscriminationConfig, _eta, _from_error_rate
+from .entropy import JointDistribution
 from .probe import MAX_ERROR_RATE
 
 # Used only by perfbench/workloads.py philox_fill_ns, which its selftest runs traced.
@@ -88,7 +89,7 @@ class SessionTally:
             raise ValueError(f"counts must have shape (2, 2, 2, 3), got {c.shape}")
         if c.min() < 0:
             raise ValueError("counts must be nonnegative")
-        if int(c.sum()) != self.rounds:
+        if sum(c.ravel().tolist()) != self.rounds:  # in Python ints: an int64 sum can wrap
             raise ValueError("counts must sum to the number of rounds")
         object.__setattr__(self, "counts", c.astype(np.int64, copy=False))
 
@@ -115,49 +116,53 @@ class SessionTally:
         }
 
 
-def _probe_states(error_rate: float, theta: float) -> np.ndarray:
-    """(2, 8) table: column k is the real, normalized probe state after Bob's
-    carrier measurement in case k = bit*4 + basis_match*2 + bob_correct;
-    theta is theta_grid(error_rate).
+def _cell_probabilities(error_rate: float, xi: float) -> list[float]:
+    """The 24 tally-cell probabilities of a checked (P_E, xi), in tally order.
 
-    The branch decompositions of the gate's output collapse to four
-    families, none of which depends on the sending basis: matched and
-    correct leaves the tagged probe state (cos theta, +/- sin theta),
-    matched and flipped leaves |->, mismatched outcomes leave
-    (c, +/- sqrt(2) s) / sqrt(1 + 2 P_E) (correct bit) or |+> (flipped
-    bit), where c = sqrt(1 - 2 P_E) and s = sqrt(2 P_E) are the probe's
-    input amplitudes on |+> and |->.  The sign is + for bit 0.
-    """
-    c, s = math.sqrt(1.0 - 2.0 * error_rate), math.sqrt(2.0 * error_rate)
-    norm = math.sqrt(1.0 + 2.0 * error_rate)
-    tagged = math.sqrt(2.0) * s / norm
-    sin_t = math.sin(theta)
-    return np.array([
-        [1.0, c / norm, 0.0, math.cos(theta)] * 2,
-        [0.0, tagged, 1.0, sin_t, 0.0, -tagged, 1.0, -sin_t],
-    ])
+    Case k = bit*4 + basis_match*2 + bob_correct leaves a real, normalized
+    probe state tau_k = (a_k, b_k).  The branch decompositions of the
+    gate's output collapse to four families, none of which depends on the
+    sending basis: matched and correct leaves the tagged probe state
+    (cos theta, +/- sin theta), matched and flipped leaves |->, mismatched
+    outcomes leave (c, +/- sqrt(2) s) / sqrt(1 + 2 P_E) (correct bit) or
+    |+> (flipped bit), where c = sqrt(1 - 2 P_E) and s = sqrt(2 P_E) are
+    the probe's input amplitudes on |+> and |->.  The sign is + for bit 0.
 
-
-def _case_probabilities(cfg: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Eve's (plus, minus, inconclusive) probabilities per case, and Bob's hit rates.
-
-    Case index is bit*4 + basis_match*2 + bob_correct.  Every case leaves
-    a real probe state tau = (a, b), so the Born rule on the measurement
-    of build_povm is closed form: one square (v_k . tau)^2 / (1 + eta) per
-    row v_k of _measurement_vectors, i.e.
+    Eve's measurement has the real vectors (sin gamma, +/- cos gamma) and
+    (sqrt(2 eta), 0), with gamma = theta + xi (pi/4 - theta) and
+    eta = cos(2 gamma), so the Born rule is closed form:
     p_+/- = (a sin gamma +/- b cos gamma)^2 / (1 + eta) and
-    p_? = 2 eta a^2 / (1 + eta), with gamma = theta + xi (pi/4 - theta)
-    and eta = cos(2 gamma).  No entry is negative; the flipped-bit state
-    |-> (a = 0) has p_? exactly 0, and at xi = 0 (gamma = theta) the wrong
-    guess of the tagged states is exactly 0.  Bob's hit rate is
-    (1 + 2 P_E) / 2 on mismatched bases and 1 - P_E on matched ones.
+    p_? = 2 eta a^2 / (1 + eta), computed as (a sqrt(2 eta))^2 / (1 + eta).
+    No entry is negative; the flipped-bit state |-> (a = 0) has p_?
+    exactly 0, and at xi = 0 (gamma = theta) the wrong guess of the tagged
+    states is exactly 0.  Bob's hit rate is (1 + 2 P_E) / 2 on mismatched
+    bases and 1 - P_E on matched ones, and cell (m, c, b, e) is 1/4
+    (Alice's basis and bit) times Bob's hit (c = 1) or miss rate times
+    Eve's p_e in case b*4 + m*2 + c.
+
+    Python floats throughout, except theta (np.arctan2, in probe._theta)
+    and eta (np.cos, in discrimination._eta), whose last bits numpy's and
+    libm's functions do not share.
     """
-    disc = cfg.discrimination()
-    v, eta = _measurement_vectors(disc.gamma)
-    a, b = _probe_states(cfg.error_rate, disc.theta)[:, :, None]
-    eve = (a * v[:, 0] + b * v[:, 1]) ** 2 / (1.0 + eta)
-    p_correct = np.array([(1.0 + 2.0 * cfg.error_rate) / 2.0, 1.0 - cfg.error_rate])
-    return eve, p_correct
+    disc = _from_error_rate(error_rate, xi)
+    gamma = disc.gamma
+    eta = float(_eta(gamma))
+    sin_g, cos_g, root = math.sin(gamma), math.cos(gamma), math.sqrt(2.0 * eta)
+    denom = 1.0 + eta
+    norm = math.sqrt(1.0 + 2.0 * error_rate)
+    mixed = math.sqrt(1.0 - 2.0 * error_rate) / norm
+    tagged = math.sqrt(2.0) * math.sqrt(2.0 * error_rate) / norm
+    eve = []  # bit 0's cases; bit 1 leaves (a, -b), which swaps p_+ and p_-
+    for a, b in ((1.0, 0.0), (mixed, tagged), (0.0, 1.0), (math.cos(disc.theta), math.sin(disc.theta))):
+        plus, minus, inconclusive = a * sin_g + b * cos_g, a * sin_g - b * cos_g, a * root
+        eve.append((plus * plus / denom, minus * minus / denom, inconclusive * inconclusive / denom))
+    cells = []
+    for matched, hit in enumerate(((1.0 + 2.0 * error_rate) / 2.0, 1.0 - error_rate)):
+        for correct, bob in enumerate((1.0 - hit, hit)):
+            w = 0.25 * bob
+            p_plus, p_minus, p_inconclusive = eve[matched * 2 + correct]
+            cells += [w * p_plus, w * p_minus, w * p_inconclusive, w * p_minus, w * p_plus, w * p_inconclusive]
+    return cells
 
 
 _per_thread = threading.local()
@@ -193,11 +198,17 @@ def run_session(cfg: SessionConfig) -> SessionTally:
     Generator(Philox(key=cfg.seed)).multinomial(cfg.rounds, p_24): the
     same config gives the same counts under the same numpy version.
     """
-    eve, p_correct = _case_probabilities(cfg)
-    bob = np.stack([1.0 - p_correct, p_correct], axis=1)  # (basis_match, bob_correct)
-    p24 = 0.25 * bob[:, :, None, None] * eve.reshape(2, 2, 2, 3).transpose(1, 2, 0, 3)
-    counts = _keyed_generator(cfg.seed).multinomial(cfg.rounds, p24.ravel())
+    counts = _keyed_generator(cfg.seed).multinomial(cfg.rounds, _cell_probabilities(cfg.error_rate, cfg.xi))
     return trusted(SessionTally, counts.reshape(2, 2, 2, 3), cfg.rounds)
+
+
+def _restricted(t: SessionTally) -> tuple[list[int], int]:
+    """The six (alice_bit, eve_outcome) counts over error-free sifted rounds, and their total."""
+    counts = t.counts[1, 1].ravel().tolist()
+    total = sum(counts)
+    if total == 0:
+        raise ValueError("no error-free sifted rounds in the tally")
+    return counts, total
 
 
 def empirical_joint(t: SessionTally) -> JointDistribution:
@@ -206,13 +217,25 @@ def empirical_joint(t: SessionTally) -> JointDistribution:
     Eve's outcomes map to bit guesses by their success/error labels:
     plus guesses 0, minus guesses 1, inconclusive stays inconclusive.
     """
-    sub = t.restricted_counts
-    total = int(sub.sum())
-    if total == 0:
-        raise ValueError("no error-free sifted rounds in the tally")
-    return trusted(JointDistribution, sub / total)
+    return trusted(JointDistribution, t.restricted_counts / _restricted(t)[1])
 
 
 def empirical_mutual_information(t: SessionTally) -> float:
-    """Plug-in mutual information of the empirical (b', e') table."""
-    return mutual_information(empirical_joint(t))
+    """Plug-in mutual information of the empirical (b', e') table.
+
+    The bits of mutual_information(empirical_joint(t)), in Python floats:
+    each cell is float(count) / float(total) as numpy divides, the row and
+    column sums and the three entropy sums add their terms in the order of
+    numpy's sum and np.add.reduceat, and only log2 runs on numpy, whose
+    last bits libm's math.log2 does not share.
+    """
+    counts, total = _restricted(t)
+    total = float(total)
+    cells = [float(n) / total for n in counts]
+    t00, t01, t02, t10, t11, t12 = cells
+    parts = [(t00 + t01) + t02, (t10 + t11) + t12, t00 + t10, t01 + t11, t02 + t12, *cells]
+    x = [p * log for p, log in zip(parts, np.log2([max(p, TINY) for p in parts]).tolist())]
+    h_b = -(x[0] + x[1]) + 0.0  # +0.0 avoids -0.0
+    h_e = -(x[2] + (x[3] + x[4])) + 0.0
+    h_be = -(x[5] + ((((x[6] + x[7]) + x[8]) + x[9]) + x[10])) + 0.0
+    return h_b + h_e - h_be

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+
+from fpbprobe.discrimination import DiscriminationConfig, _measurement_vectors
 
 
 def haar_unitary(n, rng):
@@ -61,3 +65,44 @@ def alpha_mi_reference(table, a, variant):
         return hx - np.log2((py * (cond ** a).sum(axis=-1)).sum(axis=-1)) / (1 - a)
     with np.errstate(invalid="ignore"):  # 0 * inf at an empty column, which np.where drops
         return hx - np.where(py > 0, py * renyi_bits(cond, a), 0.0).sum(axis=-1)
+
+
+def probe_states_reference(error_rate, theta):
+    """(2, 8) table: column k is the real, normalized probe state after Bob's
+    carrier measurement in case k = bit*4 + basis_match*2 + bob_correct;
+    theta is theta_grid(error_rate).
+
+    Matched and correct leaves (cos theta, +/- sin theta), matched and
+    flipped |->, mismatched outcomes (c, +/- sqrt(2) s) / sqrt(1 + 2 P_E)
+    (correct bit) or |+> (flipped bit), with c = sqrt(1 - 2 P_E) and
+    s = sqrt(2 P_E); the sign is + for bit 0.  This and the two functions
+    below are the array construction the simulator used before it computed
+    its cells in Python floats, kept as the reference for those bits.
+    """
+    c, s = math.sqrt(1.0 - 2.0 * error_rate), math.sqrt(2.0 * error_rate)
+    norm = math.sqrt(1.0 + 2.0 * error_rate)
+    tagged = math.sqrt(2.0) * s / norm
+    sin_t = math.sin(theta)
+    return np.array([
+        [1.0, c / norm, 0.0, math.cos(theta)] * 2,
+        [0.0, tagged, 1.0, sin_t, 0.0, -tagged, 1.0, -sin_t],
+    ])
+
+
+def case_probabilities_reference(error_rate, xi):
+    """Eve's (plus, minus, inconclusive) probabilities per case as an (8, 3)
+    array, one square (v_k . tau)^2 / (1 + eta) per measurement vector
+    v_k, and Bob's hit rates on (mismatched, matched) bases."""
+    disc = DiscriminationConfig.from_error_rate(error_rate, xi)
+    v, eta = _measurement_vectors(disc.gamma)
+    a, b = probe_states_reference(error_rate, disc.theta)[:, :, None]
+    eve = (a * v[:, 0] + b * v[:, 1]) ** 2 / (1.0 + eta)
+    p_correct = np.array([(1.0 + 2.0 * error_rate) / 2.0, 1.0 - error_rate])
+    return eve, p_correct
+
+
+def cell_probabilities_reference(error_rate, xi):
+    """The 24 tally-cell probabilities in tally order, assembled from the arrays above."""
+    eve, p_correct = case_probabilities_reference(error_rate, xi)
+    bob = np.stack([1.0 - p_correct, p_correct], axis=1)  # (basis_match, bob_correct)
+    return (0.25 * bob[:, :, None, None] * eve.reshape(2, 2, 2, 3).transpose(1, 2, 0, 3)).ravel()

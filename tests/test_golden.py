@@ -10,7 +10,12 @@ differences of entropies make a relative bound meaningless near 0.
 cli_digests.json holds the length and SHA-256 of stdout for 16 `curves`
 and `bounds` argvs (defaults, the cases above, edge grids), written by
 the per-value `f"{v:.17g}"` writer that preceded the array kernel.
-Those outputs must match byte for byte.  The seven `curves` digests
+Those outputs must match byte for byte, under numpy 2.4.6 and the CPU
+dispatch they were captured with (X86_V4 and AVX-512: AVX512_ICL,
+AVX512_SPR).  numpy picks the kernels of arctan2 and log2 by CPU feature,
+and with those targets disabled (NPY_DISABLE_CPU_FEATURES) 14 of the 16
+digests change; the failure message names
+numpy._core._multiarray_umath.__cpu_dispatch__.  The seven `curves` digests
 were recaptured when `curves` moved from the 2x3 table path to the
 closed forms of `entropy`:
 last bits of std, v1, v2, v4 and v1_inf moved, by at most 1.9e-15 at
@@ -62,6 +67,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from fpbprobe import cli
 
@@ -128,6 +134,11 @@ def test_povm_matches_golden(case, capsys):
 
 
 DIGEST_CASES = json.loads((DATA / "cli_digests.json").read_text())
+# numpy picks the kernels of arctan2 and log2 by CPU feature, and their
+# last bits differ between kernels.
+DISPATCH = (f"the digests hold under numpy 2.4.6 with X86_V4/AVX-512 dispatch; running numpy {np.__version__}, "
+            f"numpy._core._multiarray_umath.__cpu_dispatch__ = {__cpu_dispatch__}, "
+            f"of which enabled here: {[t for t in __cpu_dispatch__ if __cpu_features__.get(t)]}")
 
 
 @pytest.mark.parametrize("case", DIGEST_CASES, ids=[f"{c['argv'][0]}{i:02d}" for i, c in enumerate(DIGEST_CASES)])
@@ -139,7 +150,7 @@ def test_output_bytes_match_digest(case, capsys):
     text = capsys.readouterr().out
     assert "-0" not in (cell for line in text.splitlines() for cell in line.split(","))
     out = text.encode()
-    assert (len(out), hashlib.sha256(out).hexdigest()) == (case["bytes"], case["sha256"])
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (case["bytes"], case["sha256"]), DISPATCH
 
 
 # The benchmark's curves_grid size: 334 P_E steps, five xi, orders 2, 3

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import case_probabilities_reference, cell_probabilities_reference, probe_states_reference
 from fpbprobe import simulator
 from fpbprobe.discrimination import DiscriminationConfig, build_povm, outcome_probs
 from fpbprobe.entropy import joint_from_outcome_probs, mutual_information
@@ -17,9 +18,8 @@ from fpbprobe.simulator import (
     MAX_ROUNDS,
     SessionConfig,
     SessionTally,
-    _case_probabilities,
+    _cell_probabilities,
     _keyed_generator,
-    _probe_states,
     empirical_joint,
     empirical_mutual_information,
     run_session,
@@ -90,7 +90,7 @@ GOLDEN_TALLIES = GOLDEN["cases"]
 def born_case_tables(cfg):
     """Eve's (plus, minus, inconclusive) probabilities per case through the POVM and the Born rule."""
     povm = build_povm(cfg.discrimination())
-    states = _probe_states(cfg.error_rate, float(theta_grid(cfg.error_rate)))
+    states = probe_states_reference(cfg.error_rate, float(theta_grid(cfg.error_rate)))
     probs = np.zeros((8, 3))
     for case, tau in enumerate(states.T):
         probs[case] = [np.trace(m @ np.outer(tau, tau)).real for m in povm.elements]
@@ -135,6 +135,15 @@ class TestSessionConfig:
             SessionTally(negative, 22)
         with pytest.raises(ValueError, match="sum"):
             SessionTally(counts, 23)
+
+    def test_tally_rejects_counts_whose_int64_sum_wraps(self):
+        # 2 (2**63 - 1) + 3 is 1 in int64 arithmetic
+        counts = np.zeros((2, 2, 2, 3), dtype=np.int64)
+        counts[1, 1, 0, 0] = counts[1, 1, 1, 1] = 2**63 - 1
+        counts[0, 0, 0, 0] = 3
+        assert int(counts.sum()) == 1
+        with pytest.raises(ValueError, match="sum"):
+            SessionTally(counts, 1)
 
     SHAPE = (2, 2, 2, 3)
 
@@ -319,18 +328,32 @@ class TestCaseTables:
         for p_e in self.ERROR_RATES:
             for xi in self.XIS:
                 cfg = SessionConfig(rounds=1, error_rate=p_e, xi=xi, seed=1)
-                eve, _ = _case_probabilities(cfg)
+                eve, _ = case_probabilities_reference(p_e, xi)
                 assert eve.shape == (8, 3)
                 np.testing.assert_allclose(eve, born_case_tables(cfg), rtol=0, atol=1e-15)
 
+    def test_cells_match_the_array_reference_bit_for_bit(self):
+        # The Python-float cells against the array construction they
+        # replaced, on a grid with both ends of P_E and xi and seeded points.
+        rng = np.random.default_rng(2701)
+        error_rates = self.ERROR_RATES + (1e-12, 0.1, 0.3) + tuple(rng.uniform(0.0, 1 / 3, 40))
+        xis = self.XIS + (1e-12, 0.75, 1.0 - 1e-12) + tuple(rng.uniform(0.0, 1.0, 20))
+        for p_e in map(float, error_rates):
+            for xi in map(float, xis):
+                cells = _cell_probabilities(p_e, xi)
+                assert type(cells) is list and len(cells) == 24 and all(type(c) is float for c in cells)
+                got = np.array(cells).view(np.uint64)
+                want = cell_probabilities_reference(p_e, xi).view(np.uint64)
+                np.testing.assert_array_equal(got, want, err_msg=f"P_E={p_e!r}, xi={xi!r}")
+
     def test_probe_states_are_the_collapsed_gate_output(self):
-        # Column k of _probe_states is the probe state left in case k: the
+        # Column k of the reference states is the probe state left in case k: the
         # gate oracle's output ket, its carrier read by Bob in the sending
         # basis (matched) or the other one, in both sending bases, up to a
         # global phase.  At P_E = 0 Bob never reads a flipped bit on a
         # matched basis, so those two cases leave no state.
         for p_e in self.ERROR_RATES:
-            states = _probe_states(p_e, float(theta_grid(p_e)))
+            states = probe_states_reference(p_e, float(theta_grid(p_e)))
             for case, tau in enumerate(states.T):
                 bit, matched, correct = case >> 2, case >> 1 & 1, case & 1
                 for basis in BASES:
@@ -349,19 +372,27 @@ class TestCaseTables:
 
     def test_flipped_bit_state_is_never_inconclusive(self):
         # matched and flipped leaves |->, orthogonal to the inconclusive
-        # element: cases 2 (bit 0) and 6 (bit 1) have p_? = 0 exactly
+        # element: cases 2 (bit 0) and 6 (bit 1) have p_? = 0 exactly, and
+        # so do their tally cells (matched, flipped, either bit, inconclusive)
         for p_e in self.ERROR_RATES + (0.1, 0.3):
             for xi in self.XIS + (0.2, 0.75):
-                eve, p_correct = _case_probabilities(SessionConfig(rounds=1, error_rate=p_e, xi=xi, seed=1))
+                eve, p_correct = case_probabilities_reference(p_e, xi)
                 assert eve[2, 2] == 0.0 and eve[6, 2] == 0.0, (p_e, xi)
                 assert eve.min() >= 0.0 and p_correct.min() >= 0.0, (p_e, xi)
+                cells = np.reshape(_cell_probabilities(p_e, xi), (2, 2, 2, 3))
+                assert cells[1, 0, 0, 2] == 0.0 and cells[1, 0, 1, 2] == 0.0, (p_e, xi)
+                assert cells.min() >= 0.0, (p_e, xi)
 
     def test_unambiguous_scheme_never_guesses_wrong(self):
-        # matched and correct: case 3 (bit 0, wrong guess "minus") and 7 (bit 1, wrong guess "plus")
+        # matched and correct: case 3 (bit 0, wrong guess "minus") and 7 (bit 1,
+        # wrong guess "plus") have probability 0 exactly at xi = 0, and so do
+        # their tally cells
         for p_e in self.ERROR_RATES:
-            eve, _ = _case_probabilities(SessionConfig(rounds=1, error_rate=p_e, xi=0.0, seed=1))
+            eve, _ = case_probabilities_reference(p_e, 0.0)
             assert eve[3, 1] == 0.0
             assert eve[7, 0] == 0.0
+            cells = np.reshape(_cell_probabilities(p_e, 0.0), (2, 2, 2, 3))
+            assert cells[1, 1, 0, 1] == 0.0 and cells[1, 1, 1, 0] == 0.0
 
 
 # Upper-tail standard-normal quantile for p = 1e-6.
@@ -491,7 +522,7 @@ class TestSequentialConsistency:
             for xi in (0.0, 0.5, 1.0):
                 cfg = SessionConfig(rounds=1, error_rate=p_e, xi=xi, seed=1)
                 povm = build_povm(cfg.discrimination())
-                states = _probe_states(p_e, float(theta_grid(p_e)))
+                states = probe_states_reference(p_e, float(theta_grid(p_e)))
                 for basis in BASES:
                     for bit in (0, 1):
                         oracle = two_qubit_joint_oracle(p_e, xi, basis, bit)
@@ -507,7 +538,7 @@ class TestSequentialConsistency:
 
     def test_mismatched_basis_branches_match_oracle(self):
         for p_e in (0.05, 0.18):
-            states = _probe_states(p_e, float(theta_grid(p_e)))
+            states = probe_states_reference(p_e, float(theta_grid(p_e)))
             for basis in BASES:
                 for bit in (0, 1):
                     psi = gate_basis_cnot_oracle(basis, bit, p_e)
@@ -551,3 +582,33 @@ class TestEmpiricalMutualInformation:
         mean = float(np.mean(vals))
         stderr = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
         assert abs(mean - analytic) <= 3 * max(stderr, 1e-5)
+
+    def test_matches_the_joint_table_measure_bit_for_bit(self):
+        # The Python-float path against entropy.mutual_information on
+        # empirical_joint(t): seeded tallies with zero cells, empty columns,
+        # counts past 2**53 and drawn one-round sessions.
+        rng = np.random.default_rng(2702)
+        tallies = []
+        for k in range(600):
+            counts = np.zeros((2, 2, 2, 3), dtype=np.int64)
+            counts[0, 0, 0, 0] = 1  # a nonempty tally even when the restriction is empty
+            restricted = rng.integers(0, [2, 10, 1000, 2**40, 2**60][k % 5], size=(2, 3))
+            restricted[rng.random((2, 3)) < 0.3] = 0
+            if k % 4 == 0:
+                restricted[:, k % 3] = 0
+            counts[1, 1] = restricted
+            tallies.append(SessionTally(counts, sum(counts.ravel().tolist())))
+        tallies += [run_session(SessionConfig(rounds=1, error_rate=p_e, xi=xi, seed=s))
+                    for p_e in (0.0, 0.1, 1 / 3) for xi in (0.0, 1.0) for s in range(20)]
+        tallies += [run_session(SessionConfig(rounds=n, error_rate=0.2, xi=0.0, seed=n)) for n in (2, 3, 10, 1000)]
+        empty = 0
+        for t in tallies:
+            if not t.restricted_counts.any():
+                empty += 1
+                for measure in (empirical_joint, empirical_mutual_information):
+                    with pytest.raises(ValueError, match="no error-free sifted rounds"):
+                        measure(t)
+                continue
+            got, want = empirical_mutual_information(t), mutual_information(empirical_joint(t))
+            assert type(got) is float and got.hex() == want.hex(), t.counts[1, 1].tolist()
+        assert 0 < empty < len(tallies) // 2
