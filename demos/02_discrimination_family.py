@@ -32,12 +32,12 @@ print("possible error at every inconclusive rate.")
 
 print("\n=== measurement operators at xi = 0.5 ===")
 cfg = DiscriminationConfig.from_error_rate(P_E, 0.5)
-povm = build_povm(cfg)
-for name, m in zip(("M_+", "M_-", "M_?"), povm.elements):
+povm = build_povm(cfg)  # one (3, 2, 2) array: M_+, M_-, M_?
+for name, m in zip(("M_+", "M_-", "M_?"), povm):
     print(f"{name} =")
-    print(np.round(m.real, 5))
-print(f"completeness residual: {povm.completeness_residual():.2e}")
-print(f"smallest eigenvalue over elements: {povm.psd_floor():.2e}")
+    print(np.round(m, 5))
+print(f"completeness residual: {np.abs(povm.sum(axis=0) - np.eye(2)).max():.2e}")
+print(f"smallest eigenvalue over elements: {np.linalg.eigvalsh(povm).min():.2e}")
 
 print("\n=== endpoints ===")
 hel = outcome_probs(DiscriminationConfig.from_error_rate(P_E, 1.0))

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from fpbprobe import (
+    DiscriminationConfig,
     SessionConfig,
     closed_form_i_std,
     empirical_joint,
@@ -29,7 +30,7 @@ print(f"\nbasis-matched rounds: {matched} ({matched / cfg.rounds:.4f}, expect 0.
 errors = tally.sifted_error_rounds
 print(f"sifted errors: {errors} ({errors / matched:.4f}, expect {cfg.error_rate})")
 
-q = outcome_probs(cfg.discrimination())
+q = outcome_probs(DiscriminationConfig.from_error_rate(cfg.error_rate, cfg.xi))
 analytic = joint_from_outcome_probs(q).table
 counts = tally.restricted_counts
 total = counts.sum()

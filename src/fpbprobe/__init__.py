@@ -9,7 +9,6 @@ uncertainty bounds, and a seeded Monte-Carlo session oracle.
 from .discrimination import (
     DiscriminationConfig,
     OutcomeProbs,
-    Povm,
     build_povm,
     error_lower_bound,
     outcome_probs,

@@ -356,7 +356,7 @@ def cmd_simulate(args) -> int:
     seed = _given(args.seed, 42)
     cfg = SessionConfig(rounds=rounds, error_rate=p_e, xi=xi, seed=seed)
     tally = run_session(cfg)
-    q = outcome_probs(cfg.discrimination())
+    q = outcome_probs(DiscriminationConfig.from_error_rate(cfg.error_rate, cfg.xi))
     analytic = joint_from_outcome_probs(q).table
     counts = tally.restricted_counts
     restricted = int(counts.sum())
@@ -413,15 +413,15 @@ def cmd_povm(args) -> int:
         "phi": cfg.phi,
         "gamma": cfg.gamma,
         "eta": cfg.eta,
-        "m_plus": _complex_matrix_json(povm.m_plus),
-        "m_minus": _complex_matrix_json(povm.m_minus),
-        "m_inconclusive": _complex_matrix_json(povm.m_inconclusive),
+        "m_plus": _complex_matrix_json(povm[0]),
+        "m_minus": _complex_matrix_json(povm[1]),
+        "m_inconclusive": _complex_matrix_json(povm[2]),
         "q_success": q.q_success,
         "q_error": q.q_error,
         "q_inconclusive": q.q_inconclusive,
         "error_lower_bound": error_lower_bound(theta, q.q_inconclusive),
-        "completeness_residual": povm.completeness_residual(),
-        "psd_floor": povm.psd_floor(),
+        "completeness_residual": float(np.abs(povm[0] + povm[1] + povm[2] - np.eye(2)).max()),
+        "psd_floor": float(np.linalg.eigvalsh(povm).min()),
     }
     _write_json(args.out, report)
     return EXIT_OK

@@ -7,6 +7,12 @@ auxiliary angle phi in [0, pi/4 - theta]; gamma = theta + phi and
 eta = cos(2 gamma) control the inconclusive-outcome weight.  Priors are
 fixed at 1/2 each; the measurement is optimal only for that symmetric
 case and the API does not accept priors.
+
+build_povm returns the three operators as one (3, 2, 2) array, rows
+(M_+, M_-, M_?) in the order of the OutcomeProbs fields.  The outcome
+triple has one kernel, _outcome_triple: outcome_probs runs it on one
+configuration and outcome_probs_grid on broadcast arrays, with the same
+bits point for point.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from ._checks import real, scalar, trusted
 from .probe import MAX_ERROR_RATE, _theta
 
@@ -44,7 +49,8 @@ class DiscriminationConfig:
     @classmethod
     def from_error_rate(cls, error_rate: float, xi: float) -> "DiscriminationConfig":
         """Measurement for a probe of given error rate at ratio xi."""
-        return _from_error_rate(float(real("error_rate", error_rate, 0.0, MAX_ERROR_RATE)), scalar("xi", xi, 0.0, 1.0))
+        theta = float(_theta(real("error_rate", error_rate, 0.0, MAX_ERROR_RATE)))
+        return trusted(cls, theta, scalar("xi", xi, 0.0, 1.0) * (QUARTER_PI - theta))
 
     @property
     def gamma(self) -> float:
@@ -53,31 +59,6 @@ class DiscriminationConfig:
     @property
     def eta(self) -> float:
         return float(_eta(self.gamma))
-
-
-@dataclass(frozen=True)
-class Povm:
-    """The three measurement operators {M_+, M_-, M_?} on a qubit."""
-
-    m_plus: np.ndarray
-    m_minus: np.ndarray
-    m_inconclusive: np.ndarray
-
-    @property
-    def elements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.m_plus, self.m_minus, self.m_inconclusive)
-
-    def completeness_residual(self) -> float:
-        """Max-entry deviation of the element sum from the identity."""
-        total = self.m_plus + self.m_minus + self.m_inconclusive
-        return float(np.abs(total - np.eye(2)).max())
-
-    def psd_floor(self) -> float:
-        """Smallest eigenvalue over all three elements."""
-        m = np.array([linalg.as_matrix(e) for e in self.elements])
-        if np.abs(m - m.conj().swapaxes(1, 2)).max() > 1e-10:
-            raise ValueError("POVM element is not Hermitian within tolerance")
-        return float(np.linalg.eigvalsh(m).min())
 
 
 @dataclass(frozen=True)
@@ -108,12 +89,6 @@ class OutcomeProbs:
             object.__setattr__(self, name, float(v) if v.ndim == 0 else v)
 
 
-def _from_error_rate(error_rate: float, xi: float) -> DiscriminationConfig:
-    """DiscriminationConfig.from_error_rate for a checked P_E and xi."""
-    theta = float(_theta(error_rate))
-    return trusted(DiscriminationConfig, theta, xi * (QUARTER_PI - theta))
-
-
 def _eta(gamma):
     # The phi slack can push gamma epsilon past pi/4; clamp cos(2 gamma).
     return np.maximum(np.cos(2.0 * gamma), 0.0)
@@ -131,12 +106,11 @@ def _measurement_vectors(gamma: float) -> tuple[np.ndarray, float]:
 
 
 def _outcome_triple(theta, phi, eta) -> tuple:
+    # Squares as products: a numpy scalar's ** 2 calls libm pow, whose last
+    # bit can differ from the exact square an array's ** 2 takes.
+    s, e, c = np.sin(2.0 * theta + phi), np.sin(phi), np.cos(theta)
     denom = 1.0 + eta
-    return (
-        np.sin(2.0 * theta + phi) ** 2 / denom,
-        np.sin(phi) ** 2 / denom,
-        2.0 * eta * np.cos(theta) ** 2 / denom,
-    )
+    return s * s / denom, e * e / denom, 2.0 * eta * (c * c) / denom
 
 
 def xi_to_phi(xi: float, theta: float) -> float:
@@ -148,10 +122,14 @@ def xi_to_phi(xi: float, theta: float) -> float:
     return scalar("xi", xi, 0.0, 1.0) * max(QUARTER_PI - scalar("theta", theta, 0.0, QUARTER_PI + PHI_SLACK), 0.0)
 
 
-def build_povm(cfg: DiscriminationConfig) -> Povm:
-    """Measurement operators for one (theta, phi) configuration."""
+def build_povm(cfg: DiscriminationConfig) -> np.ndarray:
+    """Measurement operators for one (theta, phi) configuration.
+
+    A (3, 2, 2) real array whose rows are (M_+, M_-, M_?), the order of
+    the OutcomeProbs fields: M_k = v_k v_k^T / (1 + eta).
+    """
     v, eta = _measurement_vectors(cfg.gamma)
-    return Povm(*(np.outer(k, k) / (1.0 + eta) for k in v))
+    return v[:, :, None] * v[:, None, :] / (1.0 + eta)
 
 
 def outcome_probs(cfg: DiscriminationConfig) -> OutcomeProbs:
@@ -162,16 +140,20 @@ def outcome_probs(cfg: DiscriminationConfig) -> OutcomeProbs:
 def outcome_probs_grid(error_rate, xi) -> tuple[OutcomeProbs, np.ndarray]:
     """Outcome triples and eta over broadcastable P_E and xi arrays.
 
-    Point for point the same as outcome_probs and .eta of
-    DiscriminationConfig.from_error_rate(error_rate, xi).  Both arrays are
-    checked once, before anything is computed: P_E in [0, 1/3], xi in
-    [0, 1], all finite.
+    Point for point the bits of outcome_probs and .eta of
+    DiscriminationConfig.from_error_rate(error_rate, xi); one P_E and one
+    xi give Python floats, as those do.  Both arrays are checked once,
+    before anything is computed: P_E in [0, 1/3], xi in [0, 1], all
+    finite.
     """
     p, x = np.broadcast_arrays(real("error_rate", error_rate, 0.0, MAX_ERROR_RATE), real("xi", xi, 0.0, 1.0))
     theta = _theta(p)
     phi = x * (QUARTER_PI - theta)
     eta = _eta(theta + phi)
-    return trusted(OutcomeProbs, *_outcome_triple(theta, phi, eta)), eta
+    q = _outcome_triple(theta, phi, eta)
+    if p.ndim == 0:
+        return trusted(OutcomeProbs, *map(float, q)), float(eta)
+    return trusted(OutcomeProbs, *q), eta
 
 
 def error_lower_bound(theta: float, q_inconclusive: float) -> float:

@@ -23,9 +23,11 @@ def theta_grid(error_rate):
     """Half-angle theta in [0, pi/4] between the normalized probe outputs.
 
     Takes one error rate or an array of them, each checked to lie in
-    [0, 1/3], and returns theta of the same shape.
+    [0, 1/3], and returns theta of the same shape: a Python float for
+    one error rate.
     """
-    return _theta(real("error_rate", error_rate, 0.0, MAX_ERROR_RATE))
+    p = real("error_rate", error_rate, 0.0, MAX_ERROR_RATE)
+    return float(_theta(p)) if type(p) is float else _theta(p)
 
 
 def _theta(p):

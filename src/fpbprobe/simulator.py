@@ -12,9 +12,9 @@ splits each case into three outcomes.  So every round lands in one of 24
 tally cells, with probabilities fixed per session: 1/4 for Alice's basis
 and bit, Bob's hit or miss rate given the basis match, and Eve's outcome
 probabilities from the closed-form Born rule on the case's probe state
-(_cell_probabilities, which computes the 24 cells in Python floats).  The
-tally of n rounds is exactly Multinomial(n, p_24), and run_session draws
-it once.
+(_cell_probabilities, which computes the 24 cells in Python floats from
+theta and gamma, with no measurement object).  The tally of n rounds is
+exactly Multinomial(n, p_24), and run_session draws it once.
 
 The bit generator is Philox4x64 (numpy ``Philox``) keyed by the session
 seed, and a session is one ``Generator.multinomial`` draw over the 24
@@ -40,9 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import TINY, integer, real, trusted
-from .discrimination import DiscriminationConfig, _eta, _from_error_rate
+from .discrimination import QUARTER_PI, _eta
 from .entropy import JointDistribution
-from .probe import MAX_ERROR_RATE
+from .probe import MAX_ERROR_RATE, _theta
 
 # Used only by perfbench/workloads.py philox_fill_ns, which its selftest runs traced.
 CHUNK_ROUNDS = 1 << 16
@@ -68,9 +68,6 @@ class SessionConfig:
         object.__setattr__(self, "error_rate", float(real("error_rate", self.error_rate, 0.0, MAX_ERROR_RATE)))
         object.__setattr__(self, "xi", float(real("xi", self.xi, 0.0, 1.0)))
         object.__setattr__(self, "seed", integer("seed", self.seed, 0, 2**64 - 1))
-
-    def discrimination(self) -> DiscriminationConfig:
-        return _from_error_rate(self.error_rate, self.xi)
 
 
 @dataclass(frozen=True)
@@ -142,10 +139,12 @@ def _cell_probabilities(error_rate: float, xi: float) -> list[float]:
 
     Python floats throughout, except theta (np.arctan2, in probe._theta)
     and eta (np.cos, in discrimination._eta), whose last bits numpy's and
-    libm's functions do not share.
+    libm's functions do not share.  theta, gamma and eta have the bits of
+    DiscriminationConfig.from_error_rate(error_rate, xi) and its .gamma
+    and .eta, which the analytic pipeline reads.
     """
-    disc = _from_error_rate(error_rate, xi)
-    gamma = disc.gamma
+    theta = float(_theta(error_rate))
+    gamma = theta + xi * (QUARTER_PI - theta)
     eta = float(_eta(gamma))
     sin_g, cos_g, root = math.sin(gamma), math.cos(gamma), math.sqrt(2.0 * eta)
     denom = 1.0 + eta
@@ -153,7 +152,7 @@ def _cell_probabilities(error_rate: float, xi: float) -> list[float]:
     mixed = math.sqrt(1.0 - 2.0 * error_rate) / norm
     tagged = math.sqrt(2.0) * math.sqrt(2.0 * error_rate) / norm
     eve = []  # bit 0's cases; bit 1 leaves (a, -b), which swaps p_+ and p_-
-    for a, b in ((1.0, 0.0), (mixed, tagged), (0.0, 1.0), (math.cos(disc.theta), math.sin(disc.theta))):
+    for a, b in ((1.0, 0.0), (mixed, tagged), (0.0, 1.0), (math.cos(theta), math.sin(theta))):
         plus, minus, inconclusive = a * sin_g + b * cos_g, a * sin_g - b * cos_g, a * root
         eve.append((plus * plus / denom, minus * minus / denom, inconclusive * inconclusive / denom))
     cells = []

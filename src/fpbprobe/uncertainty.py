@@ -152,10 +152,6 @@ def _zeta(e: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.stack([1.0 / mu, zeta2, np.ones_like(e)], axis=-1)
 
 
-def _maj_shannon(md: MajorizationData) -> np.ndarray:
-    return 0.5 * shannon_entropy(md.omega)
-
-
 def _i_upper(q: OutcomeProbs, coles_piani, maj_shannon) -> np.ndarray:
     """H(E') = 1 - Q_? + h(Q_?) minus the stronger of the two Shannon floors."""
     qq = np.asarray(q.q_inconclusive, dtype=float)
@@ -337,7 +333,7 @@ def mutual_info_upper_bound(q: OutcomeProbs, eta) -> float | np.ndarray:
     e = _eta_array(eta)
     mu = _mu(e)
     md = _majorization(_zeta(e, mu))
-    return _float_or_array(_i_upper(q, _coles_piani(e, np.log2(mu)), _maj_shannon(md)))
+    return _float_or_array(_i_upper(q, _coles_piani(e, np.log2(mu)), majorization_bound_direct_sum(md, 1.0)))
 
 
 BOUNDS_COLUMNS = ("mu_bound", "coles_piani", "maj_shannon", "maj_alpha2_a", "maj_alpha2_b",
@@ -362,7 +358,7 @@ def bounds_table(eta, q: OutcomeProbs | None = None) -> np.ndarray:
     log2_mu = np.log2(mu)
     coles_piani = _coles_piani(e, log2_mu)
     md = _majorization(_zeta(e, mu))
-    maj_shannon = _maj_shannon(md)
+    maj_shannon = majorization_bound_direct_sum(md, 1.0)
     half = 0.5 / (1.0 + e)  # rho*: the outcomes of I/2 under the phi = 0 measurement at eta
     rho = np.stack([half, half, e / (1.0 + e)], axis=-1)
     rho = trusted(Distribution, rho / _fold(np.add, rho)[..., None])  # as a Distribution normalizes it

@@ -181,8 +181,7 @@ def test_criterion_06_uncertainty_soundness():
         eta = float(eta)
         gamma = 0.5 * math.acos(min(eta, 1.0))
         povm = build_povm(DiscriminationConfig(theta=gamma, phi=0.0))
-        elements = np.array(povm.elements)
-        probs = np.einsum("kab,nba->nk", elements, rhos).real
+        probs = np.einsum("kab,nba->nk", povm, rhos).real
         probs = np.clip(probs, 0.0, None)
         entropies = {a: renyi_rows(probs, a) for a in (0.5, 2.0 / 3.0, 0.75, 1.0, 1.5, 2.0, 10.0, math.inf)}
         for a, b in pairs:
@@ -267,7 +266,7 @@ def test_criterion_10_monte_carlo_oracle():
         for xi in (0.0, 0.5, 1.0):
             cfg = SessionConfig(rounds=10**6, error_rate=p_e, xi=xi, seed=42)
             tally = run_session(cfg)
-            analytic = joint_from_outcome_probs(outcome_probs(cfg.discrimination())).table
+            analytic = joint_from_outcome_probs(outcome_probs(DiscriminationConfig.from_error_rate(cfg.error_rate, cfg.xi))).table
             counts = tally.restricted_counts
             total = counts.sum()
             for idx in np.ndindex(2, 3):
@@ -291,8 +290,8 @@ def test_criterion_11_povm_structural_suite():
         for frac in np.linspace(0.0, 1.0, 100):
             cfg = DiscriminationConfig(float(theta), float(frac) * (math.pi / 4.0 - float(theta)))
             povm = build_povm(cfg)
-            worst_resid = max(worst_resid, povm.completeness_residual())
-            worst_psd = max(worst_psd, -povm.psd_floor())
+            worst_resid = max(worst_resid, np.abs(povm.sum(axis=0) - np.eye(2)).max())
+            worst_psd = max(worst_psd, -np.linalg.eigvalsh(povm).min())
             q = outcome_probs(cfg)
             bound = error_lower_bound(cfg.theta, q.q_inconclusive)
             worst_sat = max(worst_sat, abs(q.q_error - bound))

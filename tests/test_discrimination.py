@@ -9,6 +9,7 @@ from fpbprobe.discrimination import (
     build_povm,
     error_lower_bound,
     outcome_probs,
+    outcome_probs_grid,
     xi_to_phi,
 )
 from fpbprobe.entropy import closed_form_i1, closed_form_i2, closed_form_i4, closed_form_i_std, joint_from_outcome_probs
@@ -36,7 +37,7 @@ def born_average_oracle(cfg):
     rows = []
     for sign in (1.0, -1.0):
         ket = np.array([math.cos(cfg.theta), sign * math.sin(cfg.theta)], dtype=complex)
-        rows.append(np.array([np.trace(m @ np.outer(ket, ket.conj())).real for m in povm.elements]))
+        rows.append(np.array([np.trace(m @ np.outer(ket, ket.conj())).real for m in povm]))
     row_plus, row_minus = rows
     return 0.5 * (row_plus + row_minus[[1, 0, 2]])
 
@@ -85,26 +86,31 @@ class TestConfig:
 
 
 class TestBuildPovm:
+    def test_one_real_array(self):
+        # Its rows are in the OutcomeProbs field order: TestOutcomeProbs::test_born_rule_oracle_agreement.
+        povm = build_povm(DiscriminationConfig(0.3, 0.2))
+        assert (povm.shape, povm.dtype) == ((3, 2, 2), np.float64)
+
     def test_helstrom_has_no_inconclusive_element(self):
         cfg = DiscriminationConfig(theta=0.3, phi=QUARTER_PI - 0.3)
         povm = build_povm(cfg)
-        np.testing.assert_allclose(povm.m_inconclusive, 0.0, atol=1e-12)
+        np.testing.assert_allclose(povm[2], 0.0, atol=1e-12)
         # the remaining two elements are orthogonal projectors
-        np.testing.assert_allclose(povm.m_plus @ povm.m_plus, povm.m_plus, atol=1e-12)
-        np.testing.assert_allclose(povm.m_plus @ povm.m_minus, 0.0, atol=1e-12)
+        np.testing.assert_allclose(povm[0] @ povm[0], povm[0], atol=1e-12)
+        np.testing.assert_allclose(povm[0] @ povm[1], 0.0, atol=1e-12)
 
     def test_completeness_on_grid(self):
         for cfg in config_grid():
-            assert build_povm(cfg).completeness_residual() <= 1e-10
+            assert np.abs(build_povm(cfg).sum(axis=0) - np.eye(2)).max() <= 1e-10
 
     def test_positivity_on_grid(self):
         for cfg in config_grid():
-            assert build_povm(cfg).psd_floor() >= -1e-10
+            assert np.linalg.eigvalsh(build_povm(cfg)).min() >= -1e-10
 
     def test_inconclusive_trace_at_gamma_pi_6(self):
         cfg = DiscriminationConfig(theta=math.pi / 12, phi=math.pi / 12)
         povm = build_povm(cfg)
-        assert np.trace(povm.m_inconclusive).real == pytest.approx(2 / 3, abs=1e-12)
+        assert np.trace(povm[2]).real == pytest.approx(2 / 3, abs=1e-12)
 
 
 class TestOutcomeProbs:
@@ -139,6 +145,30 @@ class TestOutcomeProbs:
         for cfg in config_grid():
             q = outcome_probs(cfg)
             assert q.q_success + q.q_error + q.q_inconclusive == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_point_is_the_grids_bit_for_bit(self):
+        # A numpy scalar's ** 2 (libm pow) and an array's (the exact square)
+        # can differ in the last bit; the triple squares by multiplication.
+        rng = np.random.default_rng(5)
+        edges = [(p, xi) for p in (0.0, 1e-12, 1 / 3 - 1e-12, 1 / 3) for xi in (0.0, 1e-12, 0.5, 1.0)]
+        points = edges + list(zip(rng.uniform(0.0, 1 / 3, 20000).tolist(), rng.uniform(0.0, 1.0, 20000).tolist()))
+        p, xi = np.array(points).T
+        grid = outcome_probs_grid(p, xi)[0]
+        grid = zip(grid.q_success.tolist(), grid.q_error.tolist(), grid.q_inconclusive.tolist())
+        mismatches = []
+        for point, want in zip(points, grid):
+            q = outcome_probs(DiscriminationConfig.from_error_rate(*point))
+            if [v.hex() for v in (q.q_success, q.q_error, q.q_inconclusive)] != [v.hex() for v in want]:
+                mismatches.append(point)
+        assert mismatches == []
+
+    @pytest.mark.parametrize("p, xi", [(0.0, 0.0), (0.1, 0.5), (1 / 3, 1.0)])
+    def test_one_point_grid_gives_python_floats(self, p, xi):
+        cfg = DiscriminationConfig.from_error_rate(p, xi)
+        q, eta = outcome_probs_grid(p, xi)
+        want = outcome_probs(cfg)
+        fields = [(type(v), v) for v in (q.q_success, q.q_error, q.q_inconclusive, eta)]
+        assert fields == [(float, v) for v in (want.q_success, want.q_error, want.q_inconclusive, cfg.eta)]
 
     def test_invalid_triple_rejected(self):
         with pytest.raises(ValueError):
@@ -197,14 +227,14 @@ class TestBornProbs:
 
     def test_maximally_mixed_at_gamma_pi_6(self):
         povm = build_povm(DiscriminationConfig(theta=math.pi / 12, phi=math.pi / 12))
-        probs = [np.trace(m @ (0.5 * np.eye(2))).real for m in povm.elements]
+        probs = [np.trace(m @ (0.5 * np.eye(2))).real for m in povm]
         # traces are 1/(1+eta), 1/(1+eta), 2 eta/(1+eta) with eta = 1/2
         np.testing.assert_allclose(probs, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
     def test_no_inconclusive_weight_at_helstrom(self):
         povm = build_povm(DiscriminationConfig(theta=0.2, phi=QUARTER_PI - 0.2))
         ket = np.array([1.0, 0.0], dtype=complex)
-        probs = [np.trace(m @ np.outer(ket, ket.conj())).real for m in povm.elements]
+        probs = [np.trace(m @ np.outer(ket, ket.conj())).real for m in povm]
         assert probs[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_per_input_rows_reproduce_averages(self):
@@ -213,7 +243,7 @@ class TestBornProbs:
             rows = []
             for sign in (1.0, -1.0):
                 ket = np.array([math.cos(cfg.theta), sign * math.sin(cfg.theta)], dtype=complex)
-                rows.append(np.array([np.trace(m @ np.outer(ket, ket.conj())).real for m in povm.elements]))
+                rows.append(np.array([np.trace(m @ np.outer(ket, ket.conj())).real for m in povm]))
             q = outcome_probs(cfg)
             relabeled = 0.5 * (rows[0] + rows[1][[1, 0, 2]])
             np.testing.assert_allclose(
@@ -228,4 +258,4 @@ class TestBornProbs:
             g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             rho = g @ g.conj().T
             rho = rho / np.trace(rho).real
-            assert sum(np.trace(m @ rho).real for m in povm.elements) == pytest.approx(1.0, abs=1e-12)
+            assert sum(np.trace(m @ rho).real for m in povm) == pytest.approx(1.0, abs=1e-12)

@@ -11,11 +11,20 @@ cli_digests.json holds the length and SHA-256 of stdout for 16 `curves`
 and `bounds` argvs (defaults, the cases above, edge grids), written by
 the per-value `f"{v:.17g}"` writer that preceded the array kernel.
 Those outputs must match byte for byte, under numpy 2.4.6 and the CPU
-dispatch they were captured with (X86_V4 and AVX-512: AVX512_ICL,
-AVX512_SPR).  numpy picks the kernels of arctan2 and log2 by CPU feature,
-and with those targets disabled (NPY_DISABLE_CPU_FEATURES) 14 of the 16
-digests change; the failure message names
-numpy._core._multiarray_umath.__cpu_dispatch__.  The seven `curves` digests
+dispatch they were captured with.  numpy picks the kernels of arctan2 and
+log2 by CPU feature, and only X86_V4 moves a byte: the digests hold with
+AVX512_SPR, or AVX512_ICL and AVX512_SPR, disabled, and 14 of the 16
+change once X86_V4 is disabled too (disabling X86_V3 as well changes
+nothing further).  So each case holds two pairs: `bytes`/`sha256`,
+captured with X86_V4 (and AVX512_ICL, AVX512_SPR) enabled, and
+`bytes_no_x86_v4`/`sha256_no_x86_v4`, captured under
+NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"; the test picks
+the pair by __cpu_features__["X86_V4"], and its failure message names
+numpy._core._multiarray_umath.__cpu_dispatch__.  Before the second pairs
+were captured, each of the 1 503 value cells that differ between the two
+levels was checked against the 50-digit oracle of tests/oracle.py on the
+program's own float eta and triple at the level without X86_V4: each lies
+within 3.5 * 2**-52 * max(1, |truth|) of it.  The seven `curves` digests
 were recaptured when `curves` moved from the 2x3 table path to the
 closed forms of `entropy`:
 last bits of std, v1, v2, v4 and v1_inf moved, by at most 1.9e-15 at
@@ -135,8 +144,9 @@ def test_povm_matches_golden(case, capsys):
 
 DIGEST_CASES = json.loads((DATA / "cli_digests.json").read_text())
 # numpy picks the kernels of arctan2 and log2 by CPU feature, and their
-# last bits differ between kernels.
-DISPATCH = (f"the digests hold under numpy 2.4.6 with X86_V4/AVX-512 dispatch; running numpy {np.__version__}, "
+# last bits differ between kernels; X86_V4 is the one target that moves a byte.
+DIGEST_KEYS = ("bytes", "sha256") if __cpu_features__.get("X86_V4") else ("bytes_no_x86_v4", "sha256_no_x86_v4")
+DISPATCH = (f"the digests hold under numpy 2.4.6, checked here against {DIGEST_KEYS}; running numpy {np.__version__}, "
             f"numpy._core._multiarray_umath.__cpu_dispatch__ = {__cpu_dispatch__}, "
             f"of which enabled here: {[t for t in __cpu_dispatch__ if __cpu_features__.get(t)]}")
 
@@ -150,7 +160,7 @@ def test_output_bytes_match_digest(case, capsys):
     text = capsys.readouterr().out
     assert "-0" not in (cell for line in text.splitlines() for cell in line.split(","))
     out = text.encode()
-    assert (len(out), hashlib.sha256(out).hexdigest()) == (case["bytes"], case["sha256"]), DISPATCH
+    assert (len(out), hashlib.sha256(out).hexdigest()) == tuple(case[k] for k in DIGEST_KEYS), DISPATCH
 
 
 # The benchmark's curves_grid size: 334 P_E steps, five xi, orders 2, 3

@@ -15,6 +15,11 @@ class TestTheta:
         assert theta_grid(0.0) == 0.0
         assert theta_grid(1.0 / 3.0) == pytest.approx(math.pi / 4, abs=1e-7)
 
+    def test_one_error_rate_gives_a_python_float(self):
+        assert type(theta_grid(0.1)) is float and type(theta_grid(np.float64(0.1))) is float
+        assert theta_grid(0.1) == theta_grid(np.array([0.1]))[0]
+        assert theta_grid(np.array([0.1, 0.2])).shape == (2,)
+
     def test_cos_two_theta_at_02(self):
         th = theta_grid(0.2)
         assert math.cos(2 * th) == pytest.approx(0.5, abs=1e-14)

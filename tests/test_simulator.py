@@ -77,7 +77,7 @@ def two_qubit_joint_oracle(p_e, xi, basis, bit):
     for b in (0, 1):
         proj = np.zeros((2, 2), dtype=complex)
         proj[b, b] = 1.0
-        for e, m in enumerate(povm.elements):
+        for e, m in enumerate(povm):
             op = np.kron(proj, m)
             out[b, e] = np.vdot(psi, op @ psi).real
     return out
@@ -89,11 +89,11 @@ GOLDEN_TALLIES = GOLDEN["cases"]
 
 def born_case_tables(cfg):
     """Eve's (plus, minus, inconclusive) probabilities per case through the POVM and the Born rule."""
-    povm = build_povm(cfg.discrimination())
+    povm = build_povm(DiscriminationConfig.from_error_rate(cfg.error_rate, cfg.xi))
     states = probe_states_reference(cfg.error_rate, float(theta_grid(cfg.error_rate)))
     probs = np.zeros((8, 3))
     for case, tau in enumerate(states.T):
-        probs[case] = [np.trace(m @ np.outer(tau, tau)).real for m in povm.elements]
+        probs[case] = [np.trace(m @ np.outer(tau, tau)).real for m in povm]
     return probs
 
 
@@ -473,7 +473,7 @@ class TestEmpiricalJoint:
         n = 100000
         cfg = SessionConfig(rounds=n, error_rate=0.15, xi=0.5, seed=23)
         t = run_session(cfg)
-        analytic = joint_from_outcome_probs(outcome_probs(cfg.discrimination())).table
+        analytic = joint_from_outcome_probs(outcome_probs(DiscriminationConfig.from_error_rate(cfg.error_rate, cfg.xi))).table
         counts = t.restricted_counts
         total = counts.sum()
         for idx in np.ndindex(2, 3):
@@ -493,7 +493,7 @@ class TestEmpiricalJoint:
         n = 100000
         cfg = SessionConfig(rounds=n, error_rate=0.2, xi=0.25, seed=31)
         t = run_session(cfg)
-        q = outcome_probs(cfg.discrimination())
+        q = outcome_probs(DiscriminationConfig.from_error_rate(cfg.error_rate, cfg.xi))
         counts = t.restricted_counts
         total = counts.sum()
         inconclusive = counts[:, 2].sum()
@@ -520,8 +520,7 @@ class TestSequentialConsistency:
         """Case-decomposed sampling probabilities vs the order-free oracle."""
         for p_e in (0.05, 0.18, 0.3):
             for xi in (0.0, 0.5, 1.0):
-                cfg = SessionConfig(rounds=1, error_rate=p_e, xi=xi, seed=1)
-                povm = build_povm(cfg.discrimination())
+                povm = build_povm(DiscriminationConfig.from_error_rate(p_e, xi))
                 states = probe_states_reference(p_e, float(theta_grid(p_e)))
                 for basis in BASES:
                     for bit in (0, 1):
@@ -532,7 +531,7 @@ class TestSequentialConsistency:
                             correct = bob_bit == bit
                             branch = (1 - p_e) if correct else p_e
                             tau = states[:, bit * 4 + 2 + correct]
-                            probs = [np.trace(m @ np.outer(tau, tau)).real for m in povm.elements]
+                            probs = [np.trace(m @ np.outer(tau, tau)).real for m in povm]
                             got[bob_bit] = branch * np.array(probs)
                         np.testing.assert_allclose(got, oracle, atol=1e-12)
 

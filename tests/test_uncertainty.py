@@ -32,7 +32,7 @@ ETA_GRID = np.linspace(0.0, 1.0, 11)
 def povm_probs_for_state(eta, rho):
     gamma = 0.5 * math.acos(min(max(eta, 0.0), 1.0))
     povm = build_povm(DiscriminationConfig(theta=gamma, phi=0.0))
-    return np.array([np.trace(m @ rho).real for m in povm.elements])
+    return np.array([np.trace(m @ rho).real for m in povm])
 
 
 class TestNaimarkBasis:
@@ -52,7 +52,7 @@ class TestNaimarkBasis:
             gamma = rng.uniform(0.01, math.pi / 4)
             ext = naimark_basis(gamma, rng.uniform(0, 2 * math.pi))
             povm = build_povm(DiscriminationConfig(theta=gamma, phi=0.0))
-            for row, element in zip(ext.basis, povm.elements):
+            for row, element in zip(ext.basis, povm):
                 head = row[:2]
                 np.testing.assert_allclose(np.outer(head, head.conj()), element, atol=1e-10)
 
