@@ -13,6 +13,13 @@ build_povm returns the three operators as one (3, 2, 2) array, rows
 triple has one kernel, _outcome_triple: outcome_probs runs it on one
 configuration and outcome_probs_grid on broadcast arrays, with the same
 bits point for point.
+
+The geometry has one definition per quantity: _phi(theta, xi) writes
+phi = xi (pi/4 - theta), and _eta(theta, phi) and
+_measurement_vectors(theta, phi) take the two angles, never a gamma that
+a caller has summed.  DiscriminationConfig, xi_to_phi, build_povm,
+outcome_probs_grid, uncertainty.naimark_basis (at (gamma, 0)) and the
+simulator's cell probabilities all read them.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ class DiscriminationConfig:
     def from_error_rate(cls, error_rate: float, xi: float) -> "DiscriminationConfig":
         """Measurement for a probe of given error rate at ratio xi."""
         theta = float(_theta(real("error_rate", error_rate, 0.0, MAX_ERROR_RATE)))
-        return trusted(cls, theta, scalar("xi", xi, 0.0, 1.0) * (QUARTER_PI - theta))
+        return trusted(cls, theta, _phi(theta, scalar("xi", xi, 0.0, 1.0)))
 
     @property
     def gamma(self) -> float:
@@ -58,7 +65,7 @@ class DiscriminationConfig:
 
     @property
     def eta(self) -> float:
-        return float(_eta(self.gamma))
+        return float(_eta(self.theta, self.phi))
 
 
 @dataclass(frozen=True)
@@ -89,19 +96,25 @@ class OutcomeProbs:
             object.__setattr__(self, name, float(v) if v.ndim == 0 else v)
 
 
-def _eta(gamma):
-    # The phi slack can push gamma epsilon past pi/4; clamp cos(2 gamma).
-    return np.maximum(np.cos(2.0 * gamma), 0.0)
+def _phi(theta, xi):
+    """The angle phi = xi (pi/4 - theta) of ratio xi at probe angle theta."""
+    return xi * (QUARTER_PI - theta)
 
 
-def _measurement_vectors(gamma: float) -> tuple[np.ndarray, float]:
-    """Real vectors v_k and eta of the measurement at angle gamma.
+def _eta(theta, phi):
+    # The phi slack can push gamma = theta + phi epsilon past pi/4; clamp cos(2 gamma).
+    return np.maximum(np.cos(2.0 * (theta + phi)), 0.0)
+
+
+def _measurement_vectors(theta: float, phi: float) -> tuple[np.ndarray, float]:
+    """Real vectors v_k and eta of the measurement at angles (theta, phi).
 
     Rows are (plus, minus, inconclusive) = (sin gamma, +/- cos gamma) and
-    (sqrt(2 eta), 0); each element is M_k = v_k v_k^T / (1 + eta).
+    (sqrt(2 eta), 0), gamma = theta + phi; each element is
+    M_k = v_k v_k^T / (1 + eta).
     """
-    eta = float(_eta(gamma))
-    s, c = math.sin(gamma), math.cos(gamma)
+    eta = float(_eta(theta, phi))
+    s, c = math.sin(theta + phi), math.cos(theta + phi)
     return np.array([[s, c], [s, -c], [math.sqrt(2.0 * eta), 0.0]]), eta
 
 
@@ -119,7 +132,7 @@ def xi_to_phi(xi: float, theta: float) -> float:
     xi = 0 is the unambiguous (IDP) scheme, xi = 1 the Helstrom scheme.
     A theta in the slack past pi/4 gives phi = 0.
     """
-    return scalar("xi", xi, 0.0, 1.0) * max(QUARTER_PI - scalar("theta", theta, 0.0, QUARTER_PI + PHI_SLACK), 0.0)
+    return _phi(min(scalar("theta", theta, 0.0, QUARTER_PI + PHI_SLACK), QUARTER_PI), scalar("xi", xi, 0.0, 1.0))
 
 
 def build_povm(cfg: DiscriminationConfig) -> np.ndarray:
@@ -128,7 +141,7 @@ def build_povm(cfg: DiscriminationConfig) -> np.ndarray:
     A (3, 2, 2) real array whose rows are (M_+, M_-, M_?), the order of
     the OutcomeProbs fields: M_k = v_k v_k^T / (1 + eta).
     """
-    v, eta = _measurement_vectors(cfg.gamma)
+    v, eta = _measurement_vectors(cfg.theta, cfg.phi)
     return v[:, :, None] * v[:, None, :] / (1.0 + eta)
 
 
@@ -148,8 +161,8 @@ def outcome_probs_grid(error_rate, xi) -> tuple[OutcomeProbs, np.ndarray]:
     """
     p, x = np.broadcast_arrays(real("error_rate", error_rate, 0.0, MAX_ERROR_RATE), real("xi", xi, 0.0, 1.0))
     theta = _theta(p)
-    phi = x * (QUARTER_PI - theta)
-    eta = _eta(theta + phi)
+    phi = _phi(theta, x)
+    eta = _eta(theta, phi)
     q = _outcome_triple(theta, phi, eta)
     if p.ndim == 0:
         return trusted(OutcomeProbs, *map(float, q)), float(eta)

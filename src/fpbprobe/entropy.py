@@ -189,10 +189,16 @@ def _power_sum(x: np.ndarray, a: float) -> np.ndarray:
     This branch does not divide by S; the two agree, up to rounding,
     because every vector a caller gives is normalized where it is accepted
     (`_checked`), and what the package builds sums to 1 by construction.
+    Orders past 1e300 are taken as 1e300: a log2 m would overflow once
+    a > HUGE / |log2 m|, and the value,
+    R_inf + log2(m sum (x / m)**a) / (1 - a) with R_inf = -log2 m, is
+    then within log2(n) / (a - 1) of R_inf, far below the last bit of any
+    nonzero R_inf.
     """
     if abs(a - 1.0) < 1.0:
         s, g = _fold(np.add, x), _fold(np.add, _pow_gap(x, _log(x), np.full(x.shape, a))[1])
         return (np.log(s) + np.log1p(g / s) / (1.0 - a)) / _LN2 + 0.0
+    a = min(a, 1e300)
     m = _fold(np.maximum, x)
     s = _fold(np.add, (x / m[..., None]) ** a)
     return (a * np.log2(m) + np.log2(s)) / (1.0 - a) + 0.0  # +0.0 avoids -0.0
@@ -356,7 +362,9 @@ def closed_form_i2(a, q: OutcomeProbs) -> float | np.ndarray:
     pr, gr, pq = 2.0 * pr, 2.0 * gr, _pow_base(yq, alpha.shape) ** alpha
     d = np.where(np.abs(gr) + np.abs(gs) + np.abs(ge) < pr + ps + pe, gr - gs - ge, pr - ps - pe)
     s = ps + pe + pq
-    with np.errstate(divide="ignore", invalid="ignore"):  # -inf * a at y = 0, and the branch np.where drops
+    # -inf * a at y = 0, a ln y past -HUGE at orders near HUGE (logaddexp takes
+    # either -inf as it should), and the branch np.where drops
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ln_n = np.logaddexp(_LN2 + alpha * lr, alpha * lq)
         ln = np.where(np.abs(d) < 0.5 * s, np.log1p(d / s), ln_n - np.log(s))
     return _result(ln / ((1.0 - alpha) * _LN2) + 0.0, ends)  # +0.0 avoids -0.0

@@ -13,8 +13,9 @@ tally cells, with probabilities fixed per session: 1/4 for Alice's basis
 and bit, Bob's hit or miss rate given the basis match, and Eve's outcome
 probabilities from the closed-form Born rule on the case's probe state
 (_cell_probabilities, which computes the 24 cells in Python floats from
-theta and gamma, with no measurement object).  The tally of n rounds is
-exactly Multinomial(n, p_24), and run_session draws it once.
+the measurement's angles theta and phi, with no measurement object).  The
+tally of n rounds is exactly Multinomial(n, p_24), and run_session draws
+it once.
 
 The bit generator is Philox4x64 (numpy ``Philox``) keyed by the session
 seed, and a session is one ``Generator.multinomial`` draw over the 24
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import TINY, integer, real, trusted
-from .discrimination import QUARTER_PI, _eta
+from .discrimination import _eta, _phi
 from .entropy import JointDistribution
 from .probe import MAX_ERROR_RATE, _theta
 
@@ -126,8 +127,8 @@ def _cell_probabilities(error_rate: float, xi: float) -> list[float]:
     the probe's input amplitudes on |+> and |->.  The sign is + for bit 0.
 
     Eve's measurement has the real vectors (sin gamma, +/- cos gamma) and
-    (sqrt(2 eta), 0), with gamma = theta + xi (pi/4 - theta) and
-    eta = cos(2 gamma), so the Born rule is closed form:
+    (sqrt(2 eta), 0), with phi = xi (pi/4 - theta), gamma = theta + phi
+    and eta = cos(2 gamma), so the Born rule is closed form:
     p_+/- = (a sin gamma +/- b cos gamma)^2 / (1 + eta) and
     p_? = 2 eta a^2 / (1 + eta), computed as (a sqrt(2 eta))^2 / (1 + eta).
     No entry is negative; the flipped-bit state |-> (a = 0) has p_?
@@ -139,13 +140,16 @@ def _cell_probabilities(error_rate: float, xi: float) -> list[float]:
 
     Python floats throughout, except theta (np.arctan2, in probe._theta)
     and eta (np.cos, in discrimination._eta), whose last bits numpy's and
-    libm's functions do not share.  theta, gamma and eta have the bits of
-    DiscriminationConfig.from_error_rate(error_rate, xi) and its .gamma
-    and .eta, which the analytic pipeline reads.
+    libm's functions do not share.  theta, phi and eta come from
+    probe._theta, discrimination._phi and discrimination._eta(theta, phi),
+    the one geometry that DiscriminationConfig.from_error_rate(error_rate,
+    xi), its .eta and the analytic pipeline read, so theta, phi, gamma and
+    eta have the bits of that config's .theta, .phi, .gamma and .eta.
     """
     theta = float(_theta(error_rate))
-    gamma = theta + xi * (QUARTER_PI - theta)
-    eta = float(_eta(gamma))
+    phi = _phi(theta, xi)
+    eta = float(_eta(theta, phi))
+    gamma = theta + phi
     sin_g, cos_g, root = math.sin(gamma), math.cos(gamma), math.sqrt(2.0 * eta)
     denom = 1.0 + eta
     norm = math.sqrt(1.0 + 2.0 * error_rate)

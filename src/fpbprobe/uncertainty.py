@@ -6,6 +6,9 @@ extensions yield measurement uncertainty bounds; optimizing the free
 phases gives closed forms in eta = cos(2 gamma).  Submatrix spectral
 norms of the optimized overlap matrix feed majorization bounds, and the
 whole stack caps Eve's standard mutual information from above.
+
+bounds_table computes every bound in one pass; coles_piani_bound and
+mutual_info_upper_bound are reads of its coles_piani and i_upper columns.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ def naimark_basis(gamma: float, phase: float = 0.0) -> NaimarkExtension:
     """
     gamma = scalar("gamma", gamma, 0.0, QUARTER_PI + PHI_SLACK)
     phase = scalar("phase", phase, -HUGE, HUGE) % TWO_PI
-    v, eta = _measurement_vectors(gamma)
+    v, eta = _measurement_vectors(gamma, 0.0)
     root = math.sqrt(1.0 + eta)
     b = np.zeros((3, 3), dtype=complex)
     b[:, :2] = v / root
@@ -137,12 +140,6 @@ def _mu(e: np.ndarray) -> np.ndarray:
         )
 
 
-def _coles_piani(e: np.ndarray, log2_mu: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        correction = (e / (2.0 * (1.0 + e))) * np.log2((1.0 - e) / (4.0 * e))
-    return log2_mu + np.where((e > 0.0) & (e < 0.2), correction, 0.0)
-
-
 def _zeta(e: np.ndarray, mu: np.ndarray) -> np.ndarray:
     zeta2 = np.where(
         e <= 0.2,
@@ -150,13 +147,6 @@ def _zeta(e: np.ndarray, mu: np.ndarray) -> np.ndarray:
         np.where(e <= 0.5, np.sqrt((2.0 - 2.0 * e) / (2.0 - e)), 1.0 / np.sqrt(2.0 - e)),
     )
     return np.stack([1.0 / mu, zeta2, np.ones_like(e)], axis=-1)
-
-
-def _i_upper(q: OutcomeProbs, coles_piani, maj_shannon) -> np.ndarray:
-    """H(E') = 1 - Q_? + h(Q_?) minus the stronger of the two Shannon floors."""
-    qq = np.asarray(q.q_inconclusive, dtype=float)
-    h_e = 1.0 - qq + _shannon(np.stack([qq, 1.0 - qq], axis=-1))
-    return h_e - np.maximum(coles_piani, maj_shannon)
 
 
 def mu_factor(eta) -> float | np.ndarray:
@@ -176,10 +166,9 @@ def coles_piani_bound(eta) -> float | np.ndarray:
 
     log2 mu_factor(eta) plus a correction active only below eta = 0.2;
     the correction vanishes in the eta -> 0 limit and is taken as 0 at
-    the knot itself.
+    the knot itself.  The coles_piani column of bounds_table.
     """
-    e = _eta_array(eta)
-    return _float_or_array(_coles_piani(e, np.log2(_mu(e))))
+    return _float_or_array(bounds_table(eta)[..., 1])
 
 
 def zeta_closed_form(eta) -> np.ndarray:
@@ -327,13 +316,10 @@ def mutual_info_upper_bound(q: OutcomeProbs, eta) -> float | np.ndarray:
 
     H(E') minus the strongest Shannon-entropy lower bound for the POVM,
     where H(E') = 1 - Q_? + h(Q_?).  Valid whenever q and eta come from
-    one discrimination configuration; array fields and an eta array of
-    the same shape give an array.
+    one discrimination configuration; array fields and an eta array that
+    broadcast together give an array.  The i_upper column of bounds_table.
     """
-    e = _eta_array(eta)
-    mu = _mu(e)
-    md = _majorization(_zeta(e, mu))
-    return _float_or_array(_i_upper(q, _coles_piani(e, np.log2(mu)), majorization_bound_direct_sum(md, 1.0)))
+    return _float_or_array(bounds_table(eta, q)[..., -1])
 
 
 BOUNDS_COLUMNS = ("mu_bound", "coles_piani", "maj_shannon", "maj_alpha2_a", "maj_alpha2_b",
@@ -347,16 +333,20 @@ def bounds_table(eta, q: OutcomeProbs | None = None) -> np.ndarray:
     of omega, the tensor-product and direct-sum majorization bounds at
     order 2, and the Shannon and order-2 Renyi entropies of the maximally
     mixed state's outcomes (rho*).  With the outcome triples q of the
-    configurations that give eta (fields of eta's shape), two more follow:
-    closed_form_i_std(q) and mutual_info_upper_bound(q, eta), which is
-    H(E') - max(coles_piani, maj_shannon) row by row.  eta is checked once
-    and mu, zeta, omega and rho* are built once; each column has the bits
-    of its own public function.  Returns an eta.shape + (7,) or (9,) array.
+    configurations that give eta (fields that broadcast against eta), two
+    more follow: closed_form_i_std(q) and the upper bound
+    H(E') - max(coles_piani, maj_shannon), H(E') = 1 - Q_? + h(Q_?).
+    eta is checked once and mu, zeta, omega and rho* are built once.
+    coles_piani_bound and mutual_info_upper_bound read their columns from
+    here; each other column has the bits of its own public function.
+    Returns an array of the broadcast shape + (7,) or (9,).
     """
     e = _eta_array(eta)
     mu = _mu(e)
     log2_mu = np.log2(mu)
-    coles_piani = _coles_piani(e, log2_mu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        correction = (e / (2.0 * (1.0 + e))) * np.log2((1.0 - e) / (4.0 * e))
+    coles_piani = log2_mu + np.where((e > 0.0) & (e < 0.2), correction, 0.0)
     md = _majorization(_zeta(e, mu))
     maj_shannon = majorization_bound_direct_sum(md, 1.0)
     half = 0.5 / (1.0 + e)  # rho*: the outcomes of I/2 under the phi = 0 measurement at eta
@@ -372,5 +362,7 @@ def bounds_table(eta, q: OutcomeProbs | None = None) -> np.ndarray:
         renyi_entropy(rho, 2.0),
     ]
     if q is not None:
-        columns += [closed_form_i_std(q), _i_upper(q, coles_piani, maj_shannon)]
-    return np.stack(columns, axis=-1)
+        qq = np.asarray(q.q_inconclusive, dtype=float)
+        h_e = 1.0 - qq + _shannon(np.stack([qq, 1.0 - qq], axis=-1))
+        columns += [closed_form_i_std(q), h_e - np.maximum(coles_piani, maj_shannon)]
+    return np.stack(np.broadcast_arrays(*columns), axis=-1)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fpbprobe.discrimination import DiscriminationConfig, _measurement_vectors
+from fpbprobe.discrimination import DiscriminationConfig
 
 
 def haar_unitary(n, rng):
@@ -92,9 +92,13 @@ def probe_states_reference(error_rate, theta):
 def case_probabilities_reference(error_rate, xi):
     """Eve's (plus, minus, inconclusive) probabilities per case as an (8, 3)
     array, one square (v_k . tau)^2 / (1 + eta) per measurement vector
-    v_k, and Bob's hit rates on (mismatched, matched) bases."""
+    v_k = (sin gamma, +/- cos gamma) and (sqrt(2 eta), 0), and Bob's hit
+    rates on (mismatched, matched) bases.  theta, gamma and eta are those
+    of the analytic pipeline's configuration; the vectors are written here."""
     disc = DiscriminationConfig.from_error_rate(error_rate, xi)
-    v, eta = _measurement_vectors(disc.gamma)
+    eta = disc.eta
+    s, c = math.sin(disc.gamma), math.cos(disc.gamma)
+    v = np.array([[s, c], [s, -c], [math.sqrt(2.0 * eta), 0.0]])
     a, b = probe_states_reference(error_rate, disc.theta)[:, :, None]
     eve = (a * v[:, 0] + b * v[:, 1]) ** 2 / (1.0 + eta)
     p_correct = np.array([(1.0 + 2.0 * error_rate) / 2.0, 1.0 - error_rate])

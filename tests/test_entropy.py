@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -221,6 +222,10 @@ class TestRenyiEntropy:
     def test_huge_order_approaches_min_entropy(self, rng):
         p = np.array([0.6, 0.25, 0.15])
         assert renyi_entropy(p, 1e6) == pytest.approx(renyi_entropy(p, math.inf), abs=1e-4)
+        # Up to the largest finite order: a log2 m overflows there once m < 1/2.
+        for p in ([1.0 / 3.0] * 3, [0.4, 0.35, 0.25]):
+            for a in (1e308, sys.float_info.max):
+                assert renyi_entropy(p, a) == pytest.approx(renyi_entropy(p, math.inf), rel=1e-15), (p, a)
 
     def test_property_nonincreasing_in_order(self):
         """Random vectors of 2 to 6 entries, some down to the subnormal range,
@@ -655,7 +660,7 @@ class TestClosedFormOrders:
     def test_huge_orders_stay_finite(self):
         q = self.grid()
         for closed_form in self.CLOSED_FORMS.values():
-            v = closed_form(np.array([1e3, 1e6, 1e300]), q)
+            v = closed_form(np.array([1e3, 1e6, 1e300, 1e308, sys.float_info.max]), q)
             assert np.isfinite(v).all() and (v >= 0.0).all() and (v <= 1.0).all()
 
     def test_i2_at_order_ten_has_no_noise_at_small_values(self):

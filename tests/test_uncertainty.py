@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from fpbprobe.discrimination import DiscriminationConfig, build_povm, outcome_probs, outcome_probs_grid
+from fpbprobe.discrimination import DiscriminationConfig, OutcomeProbs, build_povm, outcome_probs, outcome_probs_grid
 from fpbprobe.entropy import binary_entropy, renyi_entropy, shannon_entropy
 from fpbprobe.uncertainty import (
     BOUNDS_COLUMNS,
@@ -536,21 +536,47 @@ class TestMutualInfoUpperBound:
         floor = max(coles_piani_bound(eta), 0.5 * shannon_entropy(md.omega))
         assert mutual_info_upper_bound(q, eta) == pytest.approx(h_e - floor, abs=1e-12)
 
+    def test_broadcasts_like_per_point_calls(self):
+        """q fields and an eta array of different shapes that broadcast
+        together: each value has the bits of its own one-point call."""
+        etas = np.array([0.05, 0.3, 0.7])
+        one = outcome_probs(DiscriminationConfig.from_error_rate(0.1, 0.5))
+        values = mutual_info_upper_bound(one, etas)
+        assert values.shape == (3,)
+        for j, eta in enumerate(etas):
+            assert values[j] == mutual_info_upper_bound(one, float(eta)), eta
+        q, _ = outcome_probs_grid(np.array([[0.02], [0.2]]), 0.5)  # (2, 1) fields
+        etas = np.array([[0.1, 0.6]])
+        values = mutual_info_upper_bound(q, etas)
+        assert values.shape == (2, 2)
+        for i in range(2):
+            point = OutcomeProbs(q.q_success[i, 0], q.q_error[i, 0], q.q_inconclusive[i, 0])
+            for j in range(2):
+                assert values[i, j] == mutual_info_upper_bound(point, float(etas[0, j])), (i, j)
+
 
 class TestBoundsTable:
-    """The one-pass table against each public closed form, bit for bit."""
+    """The one-pass table against each public closed form, bit for bit.
+
+    coles_piani_bound and mutual_info_upper_bound are column reads, so those
+    two columns are checked against their formulas instead."""
 
     # Both ends and both knots of mu(eta), with points to either side of each knot.
     ETAS = np.unique(np.concatenate([np.linspace(0.0, 1.0, 101), [0.2 - 1e-9, 0.2 + 1e-9, 0.5 - 1e-9, 0.5 + 1e-9]]))
 
     @staticmethod
     def columns(eta):
+        """The seven eta columns from the public closed forms; coles_piani_bound
+        reads its column from bounds_table, so its formula is written here."""
         md = majorization_data(zeta_closed_form(eta))
         half = 0.5 / (1.0 + eta)
         rho_star = np.stack([half, half, eta / (1.0 + eta)], axis=-1)
+        e = np.asarray(eta, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            correction = (e / (2.0 * (1.0 + e))) * np.log2((1.0 - e) / (4.0 * e))
         return [
             2 * np.log2(mu_factor(eta)),
-            coles_piani_bound(eta),
+            np.log2(mu_factor(eta)) + np.where((e > 0.0) & (e < 0.2), correction, 0.0),
             0.5 * shannon_entropy(md.omega),
             majorization_bound_tensor(md, 2.0),
             majorization_bound_direct_sum(md, 2.0),
@@ -571,8 +597,11 @@ class TestBoundsTable:
     @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
     def test_pe_sweep(self, xi):
         q, eta = outcome_probs_grid(np.linspace(0.0, 1.0 / 3.0, 41), xi)
-        columns = self.columns(eta) + [closed_form_i_std(q), mutual_info_upper_bound(q, eta)]
+        columns = self.columns(eta)
+        h_e = 1.0 - q.q_inconclusive + binary_entropy(q.q_inconclusive)
+        columns += [closed_form_i_std(q), h_e - np.maximum(columns[1], columns[2])]
         self.assert_same_bits(bounds_table(eta, q), columns)
+        assert np.array_equal(mutual_info_upper_bound(q, eta), columns[-1])
 
     def test_i_upper_is_h_e_minus_the_stronger_floor(self):
         q, eta = outcome_probs_grid(np.linspace(0.0, 1.0 / 3.0, 41), 0.5)
