@@ -11,7 +11,9 @@ Output is byte-identical across runs for identical flags and seed, with
 LF line endings.  CSV cells are exactly ``'%.17g' % v``.  JSON output is
 exactly ``json.dumps(report, indent=2, sort_keys=True)`` plus LF, so JSON
 numbers are Python's shortest round-trip ``repr``; both read back to the
-same float.
+same float.  That text is `_json_text`'s: ``povm`` writes its report
+through it, and ``simulate`` fills its leaves into the text `_json_text`
+wrote once per report shape, with a marker at each leaf.
 Exit codes: 0 success, 2 argument error (a grid too large to allocate
 included), 3 I/O error; `main` maps each failure once.
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager, suppress
 from functools import lru_cache
@@ -52,10 +55,16 @@ from .entropy import (
     closed_form_i2,
     closed_form_i4,
     closed_form_i_std,
-    joint_from_outcome_probs,
 )
 from .probe import MAX_ERROR_RATE
-from .simulator import SessionConfig, empirical_joint, empirical_mutual_information, run_session
+from .simulator import (
+    EVE_OUTCOMES,
+    TALLY_AXES,
+    SessionConfig,
+    _cells_mutual_information,
+    _empirical_cells,
+    run_session,
+)
 from .uncertainty import BOUNDS_COLUMNS, bounds_table
 
 MEASURES = ("std", "v1", "v2", "v4", "v1_inf", "cond_prob")
@@ -291,22 +300,36 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+def _scalar_json(v) -> str:
+    """json.dumps(v) for one leaf the simulate and povm reports hold.
+
+    str; None, True, False; int and float through int.__repr__ and
+    float.__repr__, with NaN and +/-Infinity.  Anything else is a
+    TypeError, subclasses (numpy scalars among them) included.
+    """
+    t = type(v)
+    if t is int:
+        return int.__repr__(v)
+    if t is float:
+        return float.__repr__(v) if math.isfinite(v) else "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+    if t is str:
+        return _json_string(v)
+    if v is None or t is bool:
+        return "null" if v is None else "true" if v else "false"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def _put_json(v, indent: str, out: list) -> None:
     """Append the text of json.dumps(v, indent=2, sort_keys=True) to `out`, in pieces.
 
     `indent` is the line break and indentation of the line `v` ends on.
     It takes exactly the types the simulate and povm reports hold, as json
-    writes them: str; None, True, False; int and float through
-    int.__repr__ and float.__repr__, with NaN and +/-Infinity; list; dict
-    with str keys.  Anything else is a TypeError, tuples and subclasses
-    (numpy scalars among them) included, though json.dumps takes those.
+    writes them: the leaves of _scalar_json; list; dict with str keys.
+    Anything else is a TypeError, tuples and subclasses (numpy scalars
+    among them) included, though json.dumps takes those.
     """
     t = type(v)
-    if t is float:
-        out.append(float.__repr__(v) if math.isfinite(v) else "NaN" if v != v else "Infinity" if v > 0 else "-Infinity")
-    elif t is int:
-        out.append(int.__repr__(v))
-    elif t is list:
+    if t is list:
         if not v:
             out.append("[]")
             return
@@ -328,12 +351,8 @@ def _put_json(v, indent: str, out: list) -> None:
             _put_json(x, inner, out)
             sep = "," + inner
         out.append(indent + "}")
-    elif t is str:
-        out.append(_json_string(v))
-    elif v is None or t is bool:
-        out.append("null" if v is None else "true" if v else "false")
     else:
-        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+        out.append(_scalar_json(v))
 
 
 def _json_text(v) -> str:
@@ -343,10 +362,57 @@ def _json_text(v) -> str:
     return "".join(out)
 
 
-def _write_json(path, report: dict) -> None:
-    text = _json_text(report) + "\n"  # whole, so a value json cannot write fails before the output opens
+def _write_text(path, text: str) -> None:
+    """Write `text` and a LF; the caller builds it whole, so bad output fails before the output opens."""
     with _open_out(path) as fh:
-        fh.write(text)
+        fh.write(text + "\n")
+
+
+def _simulate_report(v: list) -> dict:
+    """The simulate report of its leaves `v`.
+
+    `v` holds 38 leaves: rounds, error_rate, xi, seed, matched rounds,
+    their fraction, the sift pull, the restricted rounds, the largest cell
+    pull, whether it is within 4 sigma, the analytic mutual information,
+    0.5 (Q_S, Q_E, Q_?) and the 24 tally counts in tally order.  Then,
+    unless no round is sifted and error-free, the 6 empirical cells and
+    their mutual information follow; without them both print null.
+    """
+    rounds, p_e, xi, seed, matched, fraction, sift_pull, restricted, max_pull, within, mi, qs, qe, qq = v[:14]
+    counts, empirical = v[14:38], v[38:]
+    return {
+        "config": {"rounds": rounds, "error_rate": p_e, "xi": xi, "seed": seed},
+        "tally": {
+            "rounds": rounds,
+            "index_order": list(TALLY_AXES),
+            "eve_outcomes": list(EVE_OUTCOMES),
+            # nested by basis_match (12 counts each), bob_correct (6), alice_bit (3)
+            "counts": [[[counts[b:b + 3] for b in range(c, c + 6, 3)] for c in range(m, m + 12, 6)] for m in (0, 12)],
+        },
+        "sift": {"matched_rounds": matched, "fraction": fraction, "expected_fraction": 0.5, "pull_sigma": sift_pull},
+        "restricted_rounds": restricted,
+        "empirical_joint": [empirical[0:3], empirical[3:6]] if empirical else None,
+        "analytic_joint": [[qs, qe, qq], [qe, qs, qq]],
+        "max_cell_pull_sigma": max_pull,
+        "cells_within_4_sigma": within,
+        "mutual_information": {"empirical": empirical[6] if empirical else None, "analytic": mi},
+    }
+
+
+@lru_cache(maxsize=None)
+def _simulate_layout(leaves: int) -> str:
+    """The text of a simulate report of `leaves` leaves, as a format string with field i for leaf i.
+
+    _json_text writes it once per report shape, from the report whose
+    leaf i is a marker string, which each field then replaces.
+    """
+    text = _json_text(_simulate_report([f"\0{i}" for i in range(leaves)]))
+    return re.sub(r'"\\u0000(\d+)"', r"{\1}", text.replace("{", "{{").replace("}", "}}"))
+
+
+def _simulate_text(v: list) -> str:
+    """_json_text(_simulate_report(v)), filled into the cached layout of its shape."""
+    return _simulate_layout(len(v)).format(*map(_scalar_json, v))
 
 
 def cmd_simulate(args) -> int:
@@ -355,43 +421,30 @@ def cmd_simulate(args) -> int:
     xi = _given(args.xi, 1.0)
     seed = _given(args.seed, 42)
     cfg = SessionConfig(rounds=rounds, error_rate=p_e, xi=xi, seed=seed)
-    tally = run_session(cfg)
+    counts = run_session(cfg).counts.ravel().tolist()
     q = outcome_probs(DiscriminationConfig.from_error_rate(cfg.error_rate, cfg.xi))
-    analytic = joint_from_outcome_probs(q).table
-    counts = tally.restricted_counts
-    restricted = int(counts.sum())
-    # null when no round is sifted and error-free, as can happen in short runs
-    joint = empirical_joint(tally) if restricted else None
+    analytic = [0.5 * q.q_success, 0.5 * q.q_error, 0.5 * q.q_inconclusive]
+    analytic += [analytic[1], analytic[0], analytic[2]]
+    restricted_counts = counts[18:]  # basis matched, Bob correct
+    restricted = sum(restricted_counts)
+    # Each cell's pull |n - E| / sigma, as numpy computes it over the table:
+    # inf where sigma is 0 and the count is not expected, 0 where it is.
+    max_pull = 0.0
+    for n, a in zip(restricted_counts, analytic):
+        expected = float(restricted) * a
+        sigma = math.sqrt(expected * (1.0 - a))
+        deviation = abs(float(n) - expected)
+        pull = deviation / sigma if sigma > 0 else math.inf if deviation > 0 else 0.0
+        max_pull = max(max_pull, pull)
+    matched = sum(counts[12:])
+    sift_pull = abs(matched - 0.5 * rounds) / (0.5 * math.sqrt(rounds))
 
-    expected = restricted * analytic
-    sigma = np.sqrt(expected * (1.0 - analytic))
-    deviation = np.abs(counts - expected)
-    pulls = np.divide(deviation, sigma, out=np.where(deviation > 0, np.inf, 0.0), where=sigma > 0)
-    max_pull = float(pulls.max())
-    matched = tally.matched_rounds
-    sift_sigma = 0.5 * math.sqrt(rounds)
-    sift_pull = abs(matched - 0.5 * rounds) / sift_sigma
-
-    report = {
-        "config": {"rounds": rounds, "error_rate": p_e, "xi": xi, "seed": seed},
-        "tally": tally.as_dict(),
-        "sift": {
-            "matched_rounds": matched,
-            "fraction": matched / rounds,
-            "expected_fraction": 0.5,
-            "pull_sigma": sift_pull,
-        },
-        "restricted_rounds": restricted,
-        "empirical_joint": None if joint is None else joint.table.tolist(),
-        "analytic_joint": analytic.tolist(),
-        "max_cell_pull_sigma": max_pull,
-        "cells_within_4_sigma": max_pull <= 4.0,
-        "mutual_information": {
-            "empirical": None if joint is None else empirical_mutual_information(tally),
-            "analytic": closed_form_i_std(q),
-        },
-    }
-    _write_json(args.out, report)
+    v = [rounds, p_e, xi, seed, matched, matched / rounds, sift_pull, restricted, max_pull, max_pull <= 4.0,
+         closed_form_i_std(q), *analytic[:3], *counts]
+    if restricted:  # none in short runs where no round is sifted and error-free
+        cells = _empirical_cells(restricted_counts)
+        v += [*cells, _cells_mutual_information(cells)]
+    _write_text(args.out, _simulate_text(v))
     return EXIT_OK
 
 
@@ -423,7 +476,7 @@ def cmd_povm(args) -> int:
         "completeness_residual": float(np.abs(povm[0] + povm[1] + povm[2] - np.eye(2)).max()),
         "psd_floor": float(np.linalg.eigvalsh(povm).min()),
     }
-    _write_json(args.out, report)
+    _write_text(args.out, _json_text(report))
     return EXIT_OK
 
 

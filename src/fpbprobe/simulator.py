@@ -105,14 +105,6 @@ class SessionTally:
         """(alice_bit, eve_outcome) counts over error-free sifted rounds."""
         return self.counts[1, 1]
 
-    def as_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "index_order": list(TALLY_AXES),
-            "eve_outcomes": list(EVE_OUTCOMES),
-            "counts": self.counts.tolist(),
-        }
-
 
 def _cell_probabilities(error_rate: float, xi: float) -> list[float]:
     """The 24 tally-cell probabilities of a checked (P_E, xi), in tally order.
@@ -205,13 +197,18 @@ def run_session(cfg: SessionConfig) -> SessionTally:
     return trusted(SessionTally, counts.reshape(2, 2, 2, 3), cfg.rounds)
 
 
-def _restricted(t: SessionTally) -> tuple[list[int], int]:
-    """The six (alice_bit, eve_outcome) counts over error-free sifted rounds, and their total."""
-    counts = t.counts[1, 1].ravel().tolist()
+def _empirical_cells(counts: list[int]) -> list[float]:
+    """The six (b', e') cells of the restricted counts, in Python floats.
+
+    `counts` are the (alice_bit, eve_outcome) counts over error-free
+    sifted rounds, flat in row-major order; each cell is float(n) /
+    float(total), as numpy divides an integer array by its total.
+    """
     total = sum(counts)
     if total == 0:
         raise ValueError("no error-free sifted rounds in the tally")
-    return counts, total
+    total = float(total)
+    return [float(n) / total for n in counts]
 
 
 def empirical_joint(t: SessionTally) -> JointDistribution:
@@ -220,21 +217,22 @@ def empirical_joint(t: SessionTally) -> JointDistribution:
     Eve's outcomes map to bit guesses by their success/error labels:
     plus guesses 0, minus guesses 1, inconclusive stays inconclusive.
     """
-    return trusted(JointDistribution, t.restricted_counts / _restricted(t)[1])
+    return trusted(JointDistribution, np.reshape(_empirical_cells(t.counts[1, 1].ravel().tolist()), (2, 3)))
 
 
 def empirical_mutual_information(t: SessionTally) -> float:
-    """Plug-in mutual information of the empirical (b', e') table.
+    """Plug-in mutual information of the empirical (b', e') table."""
+    return _cells_mutual_information(_empirical_cells(t.counts[1, 1].ravel().tolist()))
 
-    The bits of mutual_information(empirical_joint(t)), in Python floats:
-    each cell is float(count) / float(total) as numpy divides, the row and
-    column sums and the three entropy sums add their terms in the order of
-    numpy's sum and np.add.reduceat, and only log2 runs on numpy, whose
-    last bits libm's math.log2 does not share.
+
+def _cells_mutual_information(cells: list[float]) -> float:
+    """Mutual information of the six _empirical_cells, in Python floats.
+
+    The bits of mutual_information(empirical_joint(t)): the row and
+    column sums and the three entropy sums add their terms in the order
+    of numpy's sum and np.add.reduceat, and only log2 runs on numpy,
+    whose last bits libm's math.log2 does not share.
     """
-    counts, total = _restricted(t)
-    total = float(total)
-    cells = [float(n) / total for n in counts]
     t00, t01, t02, t10, t11, t12 = cells
     parts = [(t00 + t01) + t02, (t10 + t11) + t12, t00 + t10, t01 + t11, t02 + t12, *cells]
     x = [p * log for p, log in zip(parts, np.log2([max(p, TINY) for p in parts]).tolist())]

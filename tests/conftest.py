@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from fpbprobe.discrimination import DiscriminationConfig
+from fpbprobe.discrimination import DiscriminationConfig, outcome_probs
+from fpbprobe.entropy import closed_form_i_std, joint_from_outcome_probs, mutual_information
+from fpbprobe.simulator import EVE_OUTCOMES, TALLY_AXES, SessionConfig, empirical_joint, run_session
 
 
 def haar_unitary(n, rng):
@@ -110,3 +113,44 @@ def cell_probabilities_reference(error_rate, xi):
     eve, p_correct = case_probabilities_reference(error_rate, xi)
     bob = np.stack([1.0 - p_correct, p_correct], axis=1)  # (basis_match, bob_correct)
     return (0.25 * bob[:, :, None, None] * eve.reshape(2, 2, 2, 3).transpose(1, 2, 0, 3)).ravel()
+
+
+def simulate_report_reference(rounds, p_e, xi, seed):
+    """`simulate` stdout for these flags, by the array recipe the command used
+    before it computed its report in Python floats: the analytic table from
+    joint_from_outcome_probs, the empirical one from empirical_joint and its
+    mutual information from mutual_information, the cell pulls over arrays,
+    and json.dumps plus LF."""
+    tally = run_session(SessionConfig(rounds, p_e, xi, seed))
+    q = outcome_probs(DiscriminationConfig.from_error_rate(p_e, xi))
+    analytic = joint_from_outcome_probs(q).table
+    counts = tally.restricted_counts
+    restricted = int(counts.sum())
+    joint = empirical_joint(tally) if restricted else None
+    expected = restricted * analytic
+    sigma = np.sqrt(expected * (1.0 - analytic))
+    deviation = np.abs(counts - expected)
+    pulls = np.divide(deviation, sigma, out=np.where(deviation > 0, np.inf, 0.0), where=sigma > 0)
+    max_pull = float(pulls.max())
+    matched = tally.matched_rounds
+    report = {
+        "config": {"rounds": rounds, "error_rate": p_e, "xi": xi, "seed": seed},
+        "tally": {"rounds": tally.rounds, "index_order": list(TALLY_AXES), "eve_outcomes": list(EVE_OUTCOMES),
+                  "counts": tally.counts.tolist()},
+        "sift": {
+            "matched_rounds": matched,
+            "fraction": matched / rounds,
+            "expected_fraction": 0.5,
+            "pull_sigma": abs(matched - 0.5 * rounds) / (0.5 * math.sqrt(rounds)),
+        },
+        "restricted_rounds": restricted,
+        "empirical_joint": None if joint is None else joint.table.tolist(),
+        "analytic_joint": analytic.tolist(),
+        "max_cell_pull_sigma": max_pull,
+        "cells_within_4_sigma": max_pull <= 4.0,
+        "mutual_information": {
+            "empirical": None if joint is None else mutual_information(joint),
+            "analytic": closed_form_i_std(q),
+        },
+    }
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpbprobe import _checks, cli, entropy
+from conftest import simulate_report_reference
+from fpbprobe import _checks, cli, entropy, simulator
 from fpbprobe.discrimination import DiscriminationConfig, outcome_probs, outcome_probs_grid, xi_to_phi
 from fpbprobe.entropy import closed_form_i1, closed_form_i2, closed_form_i4, closed_form_i_std
 
@@ -132,8 +133,9 @@ class TestCurves:
                                     for a in ("--measure", m)], capsys)
         assert code == 0 and len(parse_csv(out)[1]) == 5 * 3 * 15
         assert built == []
-        code, _ = run_cli(["simulate", "--rounds", "100"], capsys)  # the counter does count
-        assert code == 0 and built
+        # the counter does count: the empirical table is one
+        simulator.empirical_joint(simulator.run_session(simulator.SessionConfig(100, 0.1, 1.0, 42)))
+        assert built
 
     def test_default_prints_no_value_above_one(self, capsys):
         # The table path printed std = 1.0000000000000002 at P_E = 1/3.
@@ -404,6 +406,26 @@ class TestSimulate:
         reports = [self.one_round_report(seed, capsys) for seed in self.ONE_ROUND_SEEDS]
         assert {r["empirical_joint"] is None for r in reports} == {True, False}
 
+    # One-round sessions of both report shapes, the ends of the P_E and xi
+    # boxes, and round counts past 2**53, where the counts' int-to-float
+    # conversions round.
+    REFERENCE_CASES = ([(1, 0.1, 1.0, seed) for seed in ONE_ROUND_SEEDS]
+                       + [(20000, p_e, xi, 7) for p_e in (0.0, 1 / 3) for xi in (0.0, 1.0)]
+                       + [(2**53 + 4321, 0.2, 0.5, 11), (2**63 - 1, 0.1, 0.25, 13)])
+
+    @pytest.mark.parametrize("rounds, p_e, xi, seed", REFERENCE_CASES)
+    def test_bytes_match_the_array_reference(self, rounds, p_e, xi, seed, capsys):
+        argv = ["simulate", "--rounds", str(rounds), "--p-e", repr(p_e), "--xi", repr(xi), "--seed", str(seed)]
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        assert out == simulate_report_reference(rounds, p_e, xi, seed)
+
+    def test_reference_cases_cover_both_shapes_and_rounding_counts(self):
+        shapes = {json.loads(simulate_report_reference(*case))["empirical_joint"] is None
+                  for case in self.REFERENCE_CASES}
+        report = json.loads(simulate_report_reference(*self.REFERENCE_CASES[-1]))
+        assert shapes == {True, False} and min(sum(report["tally"]["counts"][1][1], [])) > 2**53
+
 
 JSON_LEAVES = (None, True, False, 0, -1, 2**64, -(2**64) - 1, 10**30, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
                1.5, math.inf, -math.inf, math.nan, "", "\x00\x1f\"\\/", "\u00e9\u6f22\U0001f600\ud800", [], {})
@@ -465,6 +487,24 @@ class TestJsonWriter:
         @hypothesis.given(values)
         def check(v):
             assert cli._json_text(v) == self.dumps(v)
+
+        check()
+
+    def test_simulate_layout_fill_matches_json_text(self):
+        """The cached layout of either report shape, filled with any leaves, is _json_text of that report."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        leaves = (st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64 - 5, max_value=2**70)
+                  | st.integers(min_value=-(2**70), max_value=-(2**64) + 5) | st.floats()
+                  | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]) | st.text()
+                  | st.sampled_from(["{0}", "}{", "\x001", '"\\u00002"']))
+        # 38 leaves without the empirical table, 45 with it
+        reports = st.sampled_from([38, 45]).flatmap(lambda n: st.lists(leaves, min_size=n, max_size=n))
+
+        @hypothesis.settings(derandomize=True, database=None, max_examples=300, deadline=None)
+        @hypothesis.given(reports)
+        def check(v):
+            assert cli._simulate_text(v) == cli._json_text(cli._simulate_report(v))
 
         check()
 
@@ -899,6 +939,14 @@ class TestParserReuse:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert (lines[0], lines[-1]) == ("0", "(1, 1)")
+
+    def test_simulate_layouts_are_built_on_first_use(self):
+        # seeds 1 to 4 of one-round sessions hold both report shapes
+        proc = run_child("-c", "import os, fpbprobe.cli as cli; print(cli._simulate_layout.cache_info().misses); "
+                               "[cli.main(['simulate', '--rounds', '1', '--seed', s, '--out', os.devnull]) "
+                               "for s in '1234']; print(tuple(cli._simulate_layout.cache_info()[:2]))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["0", "(2, 2)"]
 
 
 class TestEntryPoint:

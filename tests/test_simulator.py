@@ -608,6 +608,9 @@ class TestEmpiricalMutualInformation:
                     with pytest.raises(ValueError, match="no error-free sifted rounds"):
                         measure(t)
                 continue
-            got, want = empirical_mutual_information(t), mutual_information(empirical_joint(t))
+            joint = empirical_joint(t)
+            got, want = empirical_mutual_information(t), mutual_information(joint)
             assert type(got) is float and got.hex() == want.hex(), t.counts[1, 1].tolist()
+            # the Python-float cells are numpy's quotients of the counts by their total
+            assert joint.table.tobytes() == (t.restricted_counts / sum(t.counts[1, 1].ravel().tolist())).tobytes()
         assert 0 < empty < len(tallies) // 2
