@@ -205,7 +205,7 @@ def _apply_config(parser: argparse.ArgumentParser, args, config: dict[str, str])
     choices included; a repeatable flag splits it at commas.  Keys of other
     subcommands are ignored, so one file can serve them all.
     """
-    subcommands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    subcommands = _subcommands(parser)
     flags = {name: {a.dest: a for a in sub._actions if a.default is not argparse.SUPPRESS}  # not --help
              for name, sub in subcommands.items()}
     for key in config:
@@ -486,7 +486,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     Treat it as read-only.  Parsing leaves it unchanged (every flag
     defaults to None and each call gets a fresh namespace), so `main`
-    reuses it instead of paying ~1 ms to rebuild it per call.
+    reuses it instead of paying ~1 ms to rebuild it per call.  A call
+    whose first token names a subcommand is parsed by that subcommand's
+    parser alone (`_parse`); this top-level parser parses every other
+    call, and prints every usage, help and error text but the
+    subcommands' own.
     """
     parser = argparse.ArgumentParser(
         prog="fpbprobe",
@@ -534,14 +538,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """The subcommand parsers of `parser`, a `build_parser()`, by name."""
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """parser.parse_args(argv), in one parse when argv[0] names a subcommand.
+
+    The top-level parser would hand the rest of argv to that subcommand's
+    parser, with a namespace that holds only `command`; the subcommand's
+    parser is called that way here directly.  When that leaves a token
+    over, and when argv is empty or starts with anything else, `parser`
+    parses argv, so its usage, help and error texts and exit codes stay
+    argparse's own.  argv None is sys.argv[1:].
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = _subcommands(parser).get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     """Run one subcommand; every failure maps to an exit code here.
 
+    argv is parsed by its subcommand's parser alone, or, when it names
+    none or leaves a token over, by `build_parser()` (see `_parse`).
     A bad value, and a grid too large to allocate, is an argument error
     (2); an OSError is an I/O error (3).  Either prints one line to stderr.
     """
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(parser, argv)
     try:
         if args.config:
             _apply_config(parser, args, _load_config_file(args.config))

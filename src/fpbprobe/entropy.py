@@ -29,10 +29,10 @@ an axis as one inner loop per stack member: on the (501, 3) vectors of
 6.6 us and 4.9 us for one ufunc call per slice (numpy 2.4.6, 2-core
 Xeon, best of 7 timeit runs).  The measures therefore fold those axes
 slice by slice (`_fold`), in the order numpy reduces them, so the bits
-do not change.  `_mutual_information` keeps numpy's reductions; it
-serves tables given by callers.  The simulator's per-session value,
-simulator.empirical_mutual_information, computes the same bits in Python
-floats, summing in numpy's order, with numpy's log2.
+do not change on the rows they pass.  `_mutual_information` keeps
+numpy's reductions; it serves tables given by callers.  The simulator's
+per-session value, simulator.empirical_mutual_information, computes the
+same bits in Python floats, summing in numpy's order, with numpy's log2.
 """
 
 from __future__ import annotations
@@ -96,7 +96,12 @@ def _fold(ufunc, x: np.ndarray) -> np.ndarray:
 
     Left to right, as numpy reduces axes shorter than its pairwise-sum
     block of 8; an add starts from +0.0 as numpy's does, so a sum of -0.0
-    terms gives 0.0.  The same bits as .sum(axis=-1) or .max(axis=-1).
+    terms gives 0.0.  The same bits as .sum(axis=-1) on finite rows, and
+    as .max(axis=-1) on rows with a positive maximum, at every numpy
+    dispatch level: the rows the measures pass.  Elsewhere numpy's kernels
+    differ between levels (a tie of 0.0 and -0.0 in a max, a nan's sign),
+    and this stays the left-to-right fold, np.maximum keeping the second
+    of two tied zeros.
     """
     r = x[..., 0] + 0.0 if ufunc is np.add else x[..., 0].copy()
     for i in range(1, x.shape[-1]):

@@ -16,6 +16,10 @@ definitions, so that it shares no code with the package:
   gamma = acos(eta) / 2 as lines in u = cos(delta) and finds the u that
   minimizes their peak, cos(delta*); `mu_mp` and `zeta_mp` read the
   phase-optimized mu(eta) and zeta(eta) off it;
+* `helstrom_std_mp`, `helstrom_order2_mp` and `unambiguous_std_mp` are
+  the probe's known optima at the two ends of the family, as formulas in
+  P_E alone: they check the whole chain probe -> measurement -> table ->
+  measure from outside it;
 * `bounds_row_mp` evaluates every value column of `bounds` at one float
   eta, and at one float triple for the two P_E-sweep columns, from each
   bound's definition.  It takes mu(eta) and zeta_2(eta) from their
@@ -142,6 +146,38 @@ def measure_grid(name: str, q, orders=None) -> np.ndarray:
             for k, a in enumerate(orders):
                 out[idx + (k,)] = float(measure(name, rows, a))
     return out if name in ("v1", "v2", "v4") else out[..., 0]
+
+
+def sin_2theta_mp(p_e):
+    """s = sin(2 theta) = sqrt(4 P_E (1 - 2 P_E)) / (1 - P_E), with cos(2 theta) = (1 - 3 P_E) / (1 - P_E)."""
+    p = mp.mpf(float(p_e))
+    return mp.sqrt(4 * p * (1 - 2 * p)) / (1 - p)
+
+
+def helstrom_std_mp(p_e) -> float:
+    """The standard mutual information at xi = 1 (Helstrom): 1 - h((1 - s) / 2)."""
+    with mp.workdps(DPS):
+        s = sin_2theta_mp(p_e)
+        return float(1 - renyi([(1 - s) / 2, (1 + s) / 2], 1))
+
+
+def helstrom_order2_mp(p_e) -> float:
+    """Every variant's order-2 measure at xi = 1: log2(1 + 4 P_E (1 - 2 P_E) / (1 - P_E)^2).
+
+    The most Renyi (collision) information an individual attack gets at
+    error rate P_E (Slutsky, Rao, Sun and Fainman, PRA 57, 2383, 1998),
+    which the FPB probe attains (Brandt, PRA 71, 042312, 2005).
+    """
+    with mp.workdps(DPS):
+        p = mp.mpf(float(p_e))
+        return float(mp.log(1 + 4 * p * (1 - 2 * p) / (1 - p) ** 2, 2))
+
+
+def unambiguous_std_mp(p_e) -> float:
+    """The standard mutual information at xi = 0 (unambiguous discrimination): 2 P_E / (1 - P_E)."""
+    with mp.workdps(DPS):
+        p = mp.mpf(float(p_e))
+        return float(2 * p / (1 - p))
 
 
 def envelope_mp(eta):

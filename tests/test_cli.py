@@ -37,8 +37,7 @@ def exit_and_stdout(argv, capsys):
 
 
 def subcommands():
-    parser = cli.build_parser()
-    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return cli._subcommands(cli.build_parser())
 
 
 def flag_actions():
@@ -947,6 +946,72 @@ class TestParserReuse:
                                "for s in '1234']; print(tuple(cli._simulate_layout.cache_info()[:2]))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["0", "(2, 2)"]
+
+
+def parse_and_run(argv):
+    """main as the top-level parser alone would run it: parse_args, the config file, the subcommand."""
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        cli._apply_config(parser, args, cli._load_config_file(args.config))
+    return args.func(args)
+
+
+class TestOneParse:
+    """main parses argv as parser.parse_args(argv) does, for every kind of argv.
+
+    {tmp} is a fresh directory holding run.conf.
+    """
+
+    VALID = {
+        "curves": ["curves", "--steps", "2", "--xi", "0.5", "--order", "3"],
+        "bounds": ["bounds", "--variable", "p-e", "--steps", "3"],
+        "simulate": ["simulate", "--rounds", "1000", "--p-e", "0.2", "--seed", "7"],
+        "povm": ["povm", "--theta", "0.3", "--xi", "0.5"],
+        # steps is in the file and on the command line, which wins
+        "config_and_flag": ["curves", "--config", "{tmp}/run.conf", "--steps", "3"],
+        "abbreviated_flag": ["simulate", "--roun", "5"],
+        "equals_value": ["simulate", "--rounds=5", "--seed", "3"],
+        "repeated_flag": ["simulate", "--rounds", "5", "--rounds", "6"],
+    }
+    INVALID = {
+        "subcommand_help": ["simulate", "-h"],
+        "help": ["-h"],
+        "abbreviated_help": ["--he"],
+        "no_argv": [],
+        "unknown_subcommand": ["bogus"],
+        "abbreviated_subcommand": ["sim"],
+        "extra_token": ["simulate", "extra"],
+        "unknown_flag": ["simulate", "--bogus", "3"],
+        "bad_value": ["simulate", "--rounds", "x"],
+        "missing_value": ["simulate", "--rounds"],
+        "double_dash": ["simulate", "--", "--rounds", "5"],
+        "trailing_double_dash": ["simulate", "--rounds", "5", "--"],
+        "leading_double_dash": ["--", "simulate"],
+    }
+
+    @staticmethod
+    def outcome(run, argv, capsys):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("case", {**VALID, **INVALID})
+    def test_same_exit_code_and_output(self, case, tmp_path, capsys):
+        (tmp_path / "run.conf").write_text("steps=2\nxi=0.25\nmeasure=std\n")
+        argv = [a.format(tmp=tmp_path) for a in {**self.VALID, **self.INVALID}[case]]
+        got = self.outcome(cli.main, argv, capsys)
+        assert got == self.outcome(parse_and_run, argv, capsys)
+        assert got[0] == 0 or case in self.INVALID
+
+    @pytest.mark.parametrize("case", VALID)
+    def test_same_namespace(self, case, tmp_path):
+        parser = cli.build_parser()
+        argv = [a.format(tmp=tmp_path) for a in self.VALID[case]]
+        assert list(vars(cli._parse(parser, argv)).items()) == list(vars(parser.parse_args(argv)).items())
 
 
 class TestEntryPoint:

@@ -51,6 +51,9 @@ PEAK_LINES = (
     {(2, 2), (0, 1), (1, 0)},
 )
 CLOSED_FORMS = {"v1": (closed_form_i1, 1), "v2": (closed_form_i2, 2), "v4": (closed_form_i4, 4)}
+# The default `curves` P_E grid, then tiny values and 1/3 approached to 1e-12.
+ANCHOR_PE = np.concatenate([np.linspace(cli.DEFAULT_PE_MIN, cli.DEFAULT_PE_MAX, cli.DEFAULT_PE_STEPS),
+                            [1e-12, 1e-6, 1.0 / 3.0 - 1e-12]])
 
 
 def triples(p_e, xi):
@@ -100,6 +103,33 @@ class TestAccuracyGate:
         table = np.stack([alpha_mi_reference(joint.table, a, variant) for a in NEAR_ONE], axis=-1)
         err = np.abs(closed_form(np.array(NEAR_ONE), q_axis) - truth)
         assert (err <= np.maximum(np.abs(table - truth), ULP16 * np.maximum(1.0, np.abs(truth)))).all()
+
+
+class TestPeAnchors:
+    """The closed forms at both ends of the family against the probe's known optima, formulas in P_E alone.
+
+    The triple is the program's own (`outcome_probs_grid` from P_E and xi),
+    so each gate checks the chain probe -> measurement -> table -> measure
+    from outside it.  The worst errors on ANCHOR_PE, in units of
+    2^-52 max(1, |truth|): 1.5 for std at xi = 1, at most 2.0 at order 2,
+    and 11.6 for std at xi = 0, at P_E = 1e-12.
+    """
+
+    def test_helstrom_std(self):
+        q, _ = outcome_probs_grid(ANCHOR_PE, 1.0)
+        truth = [oracle.helstrom_std_mp(p) for p in ANCHOR_PE]
+        oracle.assert_exact(closed_form_i_std(q), truth, ULP16, ULP16, "std at xi = 1")
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_helstrom_order2(self, name):
+        q, _ = outcome_probs_grid(ANCHOR_PE, 1.0)
+        truth = [oracle.helstrom_order2_mp(p) for p in ANCHOR_PE]
+        oracle.assert_exact(CLOSED_FORMS[name][0](2.0, q), truth, ULP16, ULP16, f"{name} at order 2, xi = 1")
+
+    def test_unambiguous_std(self):
+        q, _ = outcome_probs_grid(ANCHOR_PE, 0.0)
+        truth = [oracle.unambiguous_std_mp(p) for p in ANCHOR_PE]
+        oracle.assert_exact(closed_form_i_std(q), truth, ULP16, ULP16, "std at xi = 0")
 
 
 def oracle_over_tables(q, orders, f) -> np.ndarray:

@@ -91,27 +91,40 @@ def bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
 
 
-def special_filled(rng, shape):
-    """Random doubles of every binade, with -0.0, 0.0, subnormals, +-inf and nan
-    mixed in, and every seventh row along the last axis all -0.0."""
+def finite_filled(rng, shape):
+    """Random finite doubles of every binade and both signs, with -0.0, 0.0
+    and subnormals mixed in, and every seventh row along the last axis all -0.0."""
     x = rng.standard_normal(shape) * 2.0 ** rng.integers(-1074, 1000, shape)
-    specials = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2e-310, np.inf, -np.inf, np.nan, 1.7e308])
+    specials = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2e-310, -2.2e-310, 1.7e308, -1.7e308])
     pick = rng.random(shape) < 0.3
     x[pick] = rng.choice(specials, size=int(pick.sum()))
     x.reshape(-1, shape[-1])[::7] = -0.0
     return x
 
 
+def positive_max_filled(rng, shape):
+    """finite_filled rows, each with one entry made positive, so that every
+    row's maximum is positive, as in the probability vectors the measures pass."""
+    x = finite_filled(rng, shape)
+    at = rng.integers(shape[-1], size=shape[:-1])[..., None]
+    np.put_along_axis(x, at, np.maximum(np.abs(np.take_along_axis(x, at, -1)), 5e-324), -1)
+    return x
+
+
 class TestFold:
-    """_fold gives numpy's .sum/.max over the last axis bit for bit."""
+    """_fold gives numpy's .sum over the last axis bit for bit on finite rows,
+    and numpy's .max on rows with a positive maximum: the rows the measures
+    pass, at every numpy dispatch level.  Elsewhere it folds left to right."""
 
     @pytest.mark.parametrize("ufunc, method", [(np.add, "sum"), (np.maximum, "max")])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_numpy_reduction(self, ufunc, method, n):
         rng = np.random.default_rng(9100 + n)
-        with np.errstate(all="ignore"):
-            for lead in ((2,), (3,), (7, 5, 2), (7, 5, 3)):
-                x = special_filled(rng, lead + (n,))
+        filled = finite_filled if ufunc is np.add else positive_max_filled
+        with np.errstate(over="ignore"):
+            for lead in ((2,), (3,), (7, 5, 2), (7, 5, 3), (400,)):
+                x = filled(rng, lead + (n,))
+                assert np.isfinite(x).all()
                 assert bits(_fold(ufunc, x)).tolist() == bits(getattr(x, method)(axis=-1)).tolist()
                 for vector in x.reshape(-1, n)[:8]:
                     assert bits(_fold(ufunc, vector)) == bits(getattr(vector, method)())
@@ -121,6 +134,38 @@ class TestFold:
                 assert n == 1 or not y.flags.c_contiguous
                 assert bits(_fold(ufunc, y)).tolist() == bits(getattr(y, method)(axis=-1)).tolist()
                 assert bits(_fold(ufunc, y)).tolist() == bits(getattr(z, method)(axis=-2)).tolist()
+
+    # (ufunc, row, _fold's value): where numpy's reductions differ between
+    # dispatch levels, _fold's result is ufunc(...ufunc(ufunc(+0.0 + x0, x1), x2)...).
+    LEFT_TO_RIGHT = [
+        (np.add, [-0.0], 0.0),  # a sum starts from +0.0
+        (np.add, [-0.0, -0.0, -0.0], 0.0),
+        (np.add, [1.0, 1e100, -1e100], 0.0),  # (1 + 1e100) - 1e100
+        (np.add, [-1e100, 1e100, 1.0], 1.0),
+        (np.add, [-np.inf, 5e-324, 1.7e308], -np.inf),
+        (np.add, [np.inf, 1.0, -np.inf], np.nan),
+        (np.add, [np.nan, -0.0], np.nan),
+        (np.maximum, [0.0, -0.0], -0.0),  # np.maximum keeps the second of two tied zeros
+        (np.maximum, [-0.0, 0.0], 0.0),
+        (np.maximum, [0.0, -0.0, -2.45e-119], -0.0),
+        (np.maximum, [-0.0, -0.0, 0.0, -0.0], -0.0),
+        (np.maximum, [-np.inf, -1.0, -np.inf], -1.0),
+        (np.maximum, [np.nan, 1.0, np.inf], np.nan),
+        (np.maximum, [1.0, np.inf, np.nan], np.nan),
+    ]
+
+    @pytest.mark.parametrize("ufunc, row, value", LEFT_TO_RIGHT)
+    def test_left_to_right_on_signed_zeros_infinities_and_nan(self, ufunc, row, value):
+        """The same value alone, stacked, and stacked in Fortran order; a
+        nan's sign bit is the CPU's, so only nan is asserted."""
+        x = np.array(row)
+        stack = np.stack([x] * 3)
+        with np.errstate(invalid="ignore"):
+            got = [_fold(ufunc, x), *_fold(ufunc, stack), *_fold(ufunc, np.asfortranarray(stack))]
+        if math.isnan(value):
+            assert np.isnan(got).all()
+        else:
+            assert bits(got).tolist() == [int(bits(value))] * 7
 
 
 def random_table_stack(rng, lead):
