@@ -133,25 +133,24 @@ def _key_cells(column) -> np.ndarray:
 
 
 def _write_csv(fh, header: str, keys, values: np.ndarray, tail: str = "\n") -> None:
-    """Write `header`, then one CSV line per point of the grid spanned by `keys`.
+    """Write `header`, then one CSV line per point of the grid of `values`.
 
-    `keys` are the leading columns: one sequence of floats or strings per
-    axis, the last varying fastest.  `values` has shape
-    ``(len(k) for k in keys) + (m,)``: the m float cells that follow the
-    keys on each line.  `tail` ends each line.  Floats print as
-    ``'%.17g'``.  A block of lines is whole rows of the first key axis,
-    at most `BLOCK_VALUES` float cells but at least one row, built in one
-    byte buffer whose NULs are dropped before the write.
+    `values` has shape ``grid + (m,)``: the m float cells of each line.
+    `keys` are the leading columns: for each leading axis of the grid, one
+    sequence of floats or strings of its length, the last varying fastest.
+    `bounds` gives none: its `x` is value column 0.  `tail` ends each line.
+    Floats print as ``'%.17g'``.  A block of lines is whole rows of the
+    first axis, at most `BLOCK_VALUES` float cells but at least one row,
+    built in one byte buffer: the kernel writes each value straight into
+    its place there, and the NULs are dropped before the write.
     """
     key_cells = [_key_cells(key) for key in keys]
     fh.write(header + "\n")
-    shape = tuple(len(c) for c in key_cells)
-    m = values.shape[-1]
-    values = values.reshape(shape[0], -1)
+    shape, m = values.shape[:-1], values.shape[-1]
     tail_bytes = np.frombuffer(tail.encode(), np.uint8)
     col = sum(c.shape[1] for c in key_cells)  # where the values start
     line = col + m * (WIDTH + 1) - 1 + len(tail_bytes)
-    step = max(1, BLOCK_VALUES // values.shape[1])  # first-axis rows per block
+    step = max(1, BLOCK_VALUES // (math.prod(shape[1:]) * m))  # first-axis rows per block
     for start in range(0, shape[0], step):
         rows = min(step, shape[0] - start)
         buf = bytearray(rows * math.prod(shape[1:]) * line)
@@ -161,12 +160,11 @@ def _write_csv(fh, header: str, keys, values: np.ndarray, tail: str = "\n") -> N
             c = c[start:start + rows] if axis == 0 else c
             lines[..., at:at + c.shape[1]] = np.expand_dims(c, tuple(range(1, len(shape) - axis)))
             at += c.shape[1]
-        flat = lines.reshape(-1, line)
         # Each value and its ','; the tail then overwrites the last ','.
-        cells = flat[:, col:col + m * (WIDTH + 1)].reshape(-1, m, WIDTH + 1)
-        cells[..., :WIDTH] = format_g17(values[start:start + rows]).reshape(-1, m, WIDTH)
+        cells = lines[..., col:col + m * (WIDTH + 1)].reshape(rows, *shape[1:], m, WIDTH + 1)
+        format_g17(values[start:start + rows], out=cells[..., :WIDTH])
         cells[..., WIDTH] = ord(",")
-        flat[:, line - len(tail_bytes):] = tail_bytes
+        lines[..., line - len(tail_bytes):] = tail_bytes
         fh.write(buf.translate(None, b"\0").decode("ascii"))
 
 
@@ -285,6 +283,13 @@ def cmd_curves(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    """The bounds_table CSV over an eta grid, or over a P_E grid at one xi.
+
+    Every value is computed before the output opens.  The `x` column is
+    value column 0 of the one block `_write_csv` gets, not a key column:
+    its cells print the same, and each block takes one kernel call.  The
+    eta sweep has no i_std and i_upper, so its lines end in ',,'.
+    """
     sweep_pe = args.variable == "p-e"
     # As in cmd_curves: every column first, then the output is opened.
     grid = _grid(_given(args.min, DEFAULT_PE_MIN if sweep_pe else 0.0),
@@ -295,8 +300,9 @@ def cmd_bounds(args) -> int:
         table = bounds_table(eta, q)
     else:
         table = bounds_table(grid)
+    values = np.concatenate([grid[:, None], table], axis=1)
     with _open_out(args.out) as fh:
-        _write_csv(fh, "x," + ",".join(BOUNDS_COLUMNS), [grid], table, tail="\n" if sweep_pe else ",,\n")
+        _write_csv(fh, "x," + ",".join(BOUNDS_COLUMNS), [], values, tail="\n" if sweep_pe else ",,\n")
     return EXIT_OK
 
 

@@ -180,6 +180,21 @@ def unambiguous_std_mp(p_e) -> float:
         return float(2 * p / (1 - p))
 
 
+def criterion2_optimum_mp(dps=40) -> tuple[float, float]:
+    """The P_E that maximizes helstrom_std_mp - unambiguous_std_mp, and that gap.
+
+    The two formulas as one function of P_E; the maximizer is the root of
+    its derivative, found by mp.findroot at `dps` digits.
+    """
+    def gap(p):
+        s = mp.sqrt(4 * p * (1 - 2 * p)) / (1 - p)
+        return 1 - renyi([(1 - s) / 2, (1 + s) / 2], 1) - 2 * p / (1 - p)
+
+    with mp.workdps(dps):
+        p = mp.findroot(lambda p: mp.diff(gap, p), mp.mpf("0.227"))
+        return float(p), float(gap(p))
+
+
 def envelope_mp(eta):
     """The nine squared overlaps of two extension bases as lines in u, and the u minimizing their peak.
 

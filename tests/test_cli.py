@@ -250,7 +250,7 @@ def reference_csv(header, keys, values, tail):
     texts = [[k if isinstance(k, str) else "%.17g" % k for k in key] for key in keys]
     lines = [header + "\n"]
     for index in np.ndindex(*values.shape[:-1]):
-        cells = [texts[axis][i] for axis, i in enumerate(index)] + ["%.17g" % v for v in values[index].tolist()]
+        cells = [text[i] for text, i in zip(texts, index)] + ["%.17g" % v for v in values[index].tolist()]
         lines.append(",".join(cells) + tail)
     return "".join(lines)
 
@@ -294,6 +294,19 @@ class TestWriteCsv:
         inner = [np.array(self.FORMS), self.LABELS]
         keys = [np.array([0.5, 2.0, 1e-9])] + inner if axis else inner
         self.check(keys, self.values(tuple(map(len, keys)) + (2,), 7 + axis), "\n")
+
+    @pytest.mark.parametrize("tail", ["\n", ",,\n"])
+    def test_no_key_axes(self, tail):
+        # `bounds` passes x as value column 0: its cells read as a float
+        # key column's would, in the same kernel call as the other values.
+        m = 8
+        x = np.concatenate([self.FORMS, np.linspace(0.0, 1.0, 2 * (cli.BLOCK_VALUES // m) + 3 - len(self.FORMS))])
+        values = np.concatenate([x[:, None], self.values((x.size, m - 1), 5)], axis=1)  # three blocks, the last partial
+        self.check([], values, tail)
+        keyed, unkeyed = io.StringIO(), io.StringIO()
+        cli._write_csv(keyed, "a,b", [x], values[:, 1:], tail)
+        cli._write_csv(unkeyed, "a,b", [], values, tail)
+        assert unkeyed.getvalue() == keyed.getvalue()
 
     def test_inner_grid_larger_than_a_block(self):
         inner = (cli.BLOCK_VALUES // len(self.LABELS) + 1, len(self.LABELS))  # one row per block

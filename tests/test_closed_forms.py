@@ -131,6 +131,40 @@ class TestPeAnchors:
         truth = [oracle.unambiguous_std_mp(p) for p in ANCHOR_PE]
         oracle.assert_exact(closed_form_i_std(q), truth, ULP16, ULP16, "std at xi = 0")
 
+    def test_criterion_2_maximizer(self):
+        """Criterion 2's P_E, the maximizer of I(xi = 1) - I(xi = 0) (std), against the 40-digit root.
+
+        The gap is flat at its maximum (second derivative -13.4): 2.4e-9
+        from the root it falls by 3.9e-17, under two ulps of the gap, as
+        much as the rounding of the program's values.  So a golden-section
+        search on them stops that far off (2.4e-9 here), and the maximizer
+        is pinned to 2e-8, not closer; the gap there to 16 * 2**-52.
+        Criterion 2 itself keeps the paper's +/-0.002.
+        """
+        root, peak = oracle.criterion2_optimum_mp()
+        assert (root, peak) == (0.2274451782659235, 0.14985016661575572)
+
+        def gap(p_e):
+            return float(closed_form_i_std(outcome_probs_grid(p_e, 1.0)[0])
+                         - closed_form_i_std(outcome_probs_grid(p_e, 0.0)[0]))
+
+        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+        lo, hi = 0.2, 0.26
+        c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+        f_c, f_d = gap(c), gap(d)
+        while hi - lo > 1e-13:
+            if f_c >= f_d:
+                hi, d, f_d = d, c, f_c
+                c = hi - inv_phi * (hi - lo)
+                f_c = gap(c)
+            else:
+                lo, c, f_c = c, d, f_d
+                d = lo + inv_phi * (hi - lo)
+                f_d = gap(d)
+        p_star = 0.5 * (lo + hi)
+        assert abs(p_star - root) <= 2e-8, p_star
+        assert abs(gap(p_star) - peak) <= ULP16 * peak
+
 
 def oracle_over_tables(q, orders, f) -> np.ndarray:
     """f(rows, a) at DPS digits on the table of each triple in q, one order per entry of a new last axis."""

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fpbprobe import _g17
 from fpbprobe._g17 import E_MAX, E_MIN, WIDTH, format_g17
 
 
@@ -104,6 +105,7 @@ def test_near_ties():
 
 def test_shapes():
     assert format_g17([]).shape == (0, WIDTH)
+    assert texts([0.0, -0.0]) == ["0", "-0"]
     assert texts(np.array([[0.5, -2.0], [1e-7, math.pi]])) == ["0.5", "-2", "9.9999999999999995e-08",
                                                              "3.1415926535897931"]
 
@@ -118,3 +120,49 @@ def test_property_against_python():
         assert_matches_python(values)
 
     check()
+
+
+# Values of every form the kernel prints: both signs of zero, each decimal
+# exponent of the array path, and the fallback's inf, nan, subnormals and
+# magnitudes past either end.
+INSIDE = [0.0, -0.0, 1e-4, -1e-4, 0.001, 0.5, -1.0, 1.0, 3.0, np.nextafter(10.0, 0.0), -7.125, 5e-3]
+OUTSIDE = [np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308, np.nextafter(1e-4, 0.0), 1e-9, 10.0,
+           -123456.75, 1e17, 1e300]
+
+
+def test_only_values_outside_the_array_path_reach_the_fallback(monkeypatch):
+    seen = []
+    fallback = _g17._fallback
+    monkeypatch.setattr(_g17, "_fallback", lambda values: seen.append(list(values)) or fallback(values))
+    rng = np.random.default_rng(29)
+    inside = INSIDE + list(rng.uniform(1.0, 10.0, 2000) * 10.0 ** rng.integers(E_MIN, E_MAX + 1, 2000)
+                           * rng.choice([-1.0, 1.0], 2000))
+    assert_matches_python(inside)
+    assert seen == []  # zeros too: they print from the row of 1
+    assert_matches_python(inside + OUTSIDE + inside)
+    assert [repr(v) for v in seen[0]] == [repr(float(v)) for v in OUTSIDE]
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (3, 4, 5)])
+def test_writes_into_a_strided_view(shape):
+    # The rows land in a view of a wider buffer, as `cli._write_csv`
+    # passes them; fallback rows sit among the others.  Every byte
+    # outside the view keeps its value.
+    rng = np.random.default_rng(31)
+    values = rng.choice(INSIDE + OUTSIDE, shape) * rng.uniform(0.5, 1.5, shape)
+    gap = 3  # bytes between rows, as the ',' is
+
+    def view(a):
+        return a[..., 2:2 + shape[-1] * (WIDTH + gap)].reshape(shape + (WIDTH + gap,))[..., :WIDTH]
+
+    buf = rng.integers(1, 256, shape[:-1] + (shape[-1] * (WIDTH + gap) + 4,), dtype=np.uint8)
+    before = buf.copy()
+    inside = np.zeros(buf.shape, dtype=bool)
+    view(inside)[...] = True
+    out = view(buf)
+    assert not out.flags.c_contiguous
+    assert format_g17(values, out=out) is out
+    assert np.array_equal(out.reshape(-1, WIDTH), format_g17(values))
+    assert np.array_equal(buf[~inside], before[~inside])
+    assert [row.tobytes().replace(b"\0", b"").decode() for row in out.reshape(-1, WIDTH)] == \
+        ["%.17g" % v for v in values.ravel().tolist()]

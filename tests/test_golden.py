@@ -18,9 +18,13 @@ change once X86_V4 is disabled too (disabling X86_V3 as well changes
 nothing further).  So each case holds two pairs: `bytes`/`sha256`,
 captured with X86_V4 (and AVX512_ICL, AVX512_SPR) enabled, and
 `bytes_no_x86_v4`/`sha256_no_x86_v4`, captured under
-NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"; the test picks
-the pair by __cpu_features__["X86_V4"], and its failure message names
-numpy._core._multiarray_umath.__cpu_dispatch__.  Before the second pairs
+NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR".  Each case also
+records, under `verified_under`, the dispatch each pair was verified
+under: the first with X86_V4 enabled; the second with X86_V4 disabled,
+once with X86_V3 enabled and once with it disabled on a CPU with AVX2.
+The test compares against the pair whose record matches the runner's
+__cpu_features__, and fails, naming the runner's targets, where none
+does (aarch64, or an x86 CPU without AVX2).  Before the second pairs
 were captured, each of the 1 503 value cells that differ between the two
 levels was checked against the 50-digit oracle of tests/oracle.py on the
 program's own float eta and triple at the level without X86_V4: each lies
@@ -143,12 +147,26 @@ def test_povm_matches_golden(case, capsys):
 
 
 DIGEST_CASES = json.loads((DATA / "cli_digests.json").read_text())
-# numpy picks the kernels of arctan2 and log2 by CPU feature, and their
-# last bits differ between kernels; X86_V4 is the one target that moves a byte.
-DIGEST_KEYS = ("bytes", "sha256") if __cpu_features__.get("X86_V4") else ("bytes_no_x86_v4", "sha256_no_x86_v4")
-DISPATCH = (f"the digests hold under numpy 2.4.6, checked here against {DIGEST_KEYS}; running numpy {np.__version__}, "
+DISPATCH = (f"the digests hold under numpy 2.4.6; running numpy {np.__version__}, "
             f"numpy._core._multiarray_umath.__cpu_dispatch__ = {__cpu_dispatch__}, "
             f"of which enabled here: {[t for t in __cpu_dispatch__ if __cpu_features__.get(t)]}")
+
+
+def digest_keys(case) -> tuple[str, str]:
+    """The (bytes, sha256) keys of the pair of `case` verified under this runner's dispatch.
+
+    numpy picks the kernels of arctan2 and log2 by CPU feature, and their
+    last bits differ between kernels.  `verified_under` maps each pair's
+    sha256 key to the settings it was verified under, each a map of
+    __cpu_features__ names to their values then; a runner matches one
+    when it has every value.  A runner that matches none fails, naming its
+    targets, since no pair has been checked there.
+    """
+    for key, settings in case["verified_under"].items():
+        if any(all(bool(__cpu_features__.get(f)) == on for f, on in s.items()) for s in settings):
+            return key.replace("sha256", "bytes"), key
+    pytest.fail(f"no digest pair was verified under this dispatch: {DISPATCH}; "
+                f"verified: {case['verified_under']}")
 
 
 @pytest.mark.parametrize("case", DIGEST_CASES, ids=[f"{c['argv'][0]}{i:02d}" for i, c in enumerate(DIGEST_CASES)])
@@ -160,7 +178,28 @@ def test_output_bytes_match_digest(case, capsys):
     text = capsys.readouterr().out
     assert "-0" not in (cell for line in text.splitlines() for cell in line.split(","))
     out = text.encode()
-    assert (len(out), hashlib.sha256(out).hexdigest()) == tuple(case[k] for k in DIGEST_KEYS), DISPATCH
+    keys = digest_keys(case)
+    assert (len(out), hashlib.sha256(out).hexdigest()) == tuple(case[k] for k in keys), f"checked {keys}; {DISPATCH}"
+
+
+NO_X86_V4 = ("bytes_no_x86_v4", "sha256_no_x86_v4")
+
+
+@pytest.mark.parametrize("features, keys", [
+    ({"X86_V4": True, "X86_V3": True, "AVX2": True}, ("bytes", "sha256")),
+    ({"X86_V3": True, "AVX2": True}, NO_X86_V4),  # X86_V4 disabled
+    ({"AVX2": True}, NO_X86_V4),  # X86_V4 and X86_V3 disabled
+    ({"X86_V2": True}, None),  # a CPU without AVX2
+    ({"ASIMD": True, "NEON": True}, None),  # aarch64
+], ids=["x86_v4", "x86_v3", "x86_v2_with_avx2", "no_avx2", "aarch64"])
+def test_digest_pair_follows_the_dispatch(monkeypatch, features, keys):
+    monkeypatch.setitem(globals(), "__cpu_features__", features)
+    for case in DIGEST_CASES:
+        if keys is None:
+            with pytest.raises(pytest.fail.Exception, match="no digest pair was verified"):
+                digest_keys(case)
+        else:
+            assert digest_keys(case) == keys
 
 
 # The benchmark's curves_grid size: 334 P_E steps, five xi, orders 2, 3
