@@ -116,20 +116,27 @@ def _open_out(path):
         raise OSError(exc.errno, exc.strerror, path) from None
 
 
-def _key_cells(column) -> np.ndarray:
-    """One row of ASCII bytes per cell, NUL-padded, then ','.
+def _key_cells(keys) -> list[np.ndarray]:
+    """The cells of each key column: one C-contiguous row of ASCII bytes per cell, NUL-padded, then ','.
 
-    Floats print as '%.17g' through the kernel, without the byte columns
-    that are NUL in every row; strings print as given.
+    Every float column prints as '%.17g' from one kernel call for all of
+    them, each without the byte columns that are NUL in all its rows;
+    strings print as given.
     """
-    column = np.asarray(column)
-    if column.dtype.kind == "f":
-        packed = format_g17(column)
-        packed = packed[:, packed.any(axis=0)]
-    else:
-        column = column.astype(bytes)
-        packed = column.view(np.uint8).reshape(column.size, column.itemsize)
-    return np.concatenate([packed, np.full((len(packed), 1), ord(","), np.uint8)], axis=1)
+    keys = [np.asarray(key) for key in keys]
+    floats = [key for key in keys if key.dtype.kind == "f"]
+    texts = format_g17(np.concatenate(floats)) if floats else None
+    cells, at = [], 0
+    for key in keys:
+        if key.dtype.kind == "f":
+            packed = texts[at:at + key.size]
+            packed = packed.compress(packed.any(axis=0), axis=1)  # C order, as a boolean index would not be
+            at += key.size
+        else:
+            key = key.astype(bytes)
+            packed = key.view(np.uint8).reshape(key.size, key.itemsize)
+        cells.append(np.concatenate([packed, np.full((len(packed), 1), ord(","), np.uint8)], axis=1))
+    return cells
 
 
 def _write_csv(fh, header: str, keys, values: np.ndarray, tail: str = "\n") -> None:
@@ -139,32 +146,43 @@ def _write_csv(fh, header: str, keys, values: np.ndarray, tail: str = "\n") -> N
     `keys` are the leading columns: for each leading axis of the grid, one
     sequence of floats or strings of its length, the last varying fastest.
     `bounds` gives none: its `x` is value column 0.  `tail` ends each line.
-    Floats print as ``'%.17g'``.  A block of lines is whole rows of the
-    first axis, at most `BLOCK_VALUES` float cells but at least one row,
-    built in one byte buffer: the kernel writes each value straight into
-    its place there, and the NULs are dropped before the write.
+    Floats print as ``'%.17g'``.  What is the same in every row of the
+    first axis (the cells of the other keys, the ',' after each value and
+    the tail) is laid out once per call, in a row template.  A block of
+    lines is whole rows of the first axis, at most `BLOCK_VALUES` float
+    cells but at least one row.  All blocks are built in one byte buffer
+    of template rows (a shorter last block gets its own): per block, each
+    line's first key cell is copied in as one item, the kernel writes each
+    value straight into its place, and the NULs are dropped before the
+    write.
     """
-    key_cells = [_key_cells(key) for key in keys]
+    cells = _key_cells(keys)
     fh.write(header + "\n")
     shape, m = values.shape[:-1], values.shape[-1]
     tail_bytes = np.frombuffer(tail.encode(), np.uint8)
-    col = sum(c.shape[1] for c in key_cells)  # where the values start
+    col = sum(c.shape[1] for c in cells)  # where the values start
     line = col + m * (WIDTH + 1) - 1 + len(tail_bytes)
+    at = lead = cells[0].shape[1] if cells else 0  # the first key's cell width
+    template = np.zeros(shape[1:] + (line,), np.uint8)  # the first key's cells stay NUL
+    for axis, c in enumerate(cells[1:], 1):
+        template[..., at:at + c.shape[1]] = np.expand_dims(c, tuple(range(1, len(shape) - axis)))
+        at += c.shape[1]
+    template[..., col + WIDTH:line:WIDTH + 1] = ord(",")  # each value's ','; the tail then overwrites the last
+    template[..., line - len(tail_bytes):] = tail_bytes
+    first = cells[0].view(f"V{lead}").reshape((-1,) + (1,) * len(shape)) if cells else None  # one item per cell
     step = max(1, BLOCK_VALUES // (math.prod(shape[1:]) * m))  # first-axis rows per block
+    buf = None
     for start in range(0, shape[0], step):
         rows = min(step, shape[0] - start)
-        buf = bytearray(rows * math.prod(shape[1:]) * line)
-        lines = np.frombuffer(buf, np.uint8).reshape(rows, *shape[1:], line)
-        at = 0
-        for axis, c in enumerate(key_cells):
-            c = c[start:start + rows] if axis == 0 else c
-            lines[..., at:at + c.shape[1]] = np.expand_dims(c, tuple(range(1, len(shape) - axis)))
-            at += c.shape[1]
-        # Each value and its ','; the tail then overwrites the last ','.
-        cells = lines[..., col:col + m * (WIDTH + 1)].reshape(rows, *shape[1:], m, WIDTH + 1)
-        format_g17(values[start:start + rows], out=cells[..., :WIDTH])
-        cells[..., WIDTH] = ord(",")
-        lines[..., line - len(tail_bytes):] = tail_bytes
+        if buf is None or rows < step:
+            buf = bytearray(rows * template.size)
+            lines = np.frombuffer(buf, np.uint8).reshape((rows,) + template.shape)
+            lines[...] = template
+            cells_at = lines[..., col:col + m * (WIDTH + 1)].reshape(lines.shape[:-1] + (m, WIDTH + 1))[..., :WIDTH]
+            key_at = lines[..., :lead].view(f"V{lead}") if cells else None
+        if cells:
+            key_at[...] = first[start:start + rows]
+        format_g17(values[start:start + rows], out=cells_at)
         fh.write(buf.translate(None, b"\0").decode("ascii"))
 
 

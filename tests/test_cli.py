@@ -1,5 +1,6 @@
 import argparse
 import io
+import itertools
 import json
 import math
 import os
@@ -277,16 +278,47 @@ class TestWriteCsv:
     def check(keys, values, tail):
         out = io.StringIO()
         cli._write_csv(out, "a,b", keys, values, tail)
-        assert out.getvalue() == reference_csv("a,b", keys, values, tail)
+        # Compared as lists of lines: pytest reports the first line that
+        # differs, where its diff of two ~1 MB strings takes minutes.
+        assert out.getvalue().split("\n") == reference_csv("a,b", keys, values, tail).split("\n")
+
+    @staticmethod
+    def first_key(kind, step):
+        """A first key axis of three blocks of `step` rows, the last partial."""
+        n = 2 * step + 3
+        if kind == "floats":
+            return np.linspace(0.001, 1 / 3, n)
+        if kind == "strings":
+            return [f"k{i}" + "x" * (i % 7) for i in range(n)]
+        # The first block's texts are at most '0.875', so its cells are
+        # padded to a width that only the later blocks' texts have.
+        key = (np.arange(n) % 8) / 8.0
+        key[step + 1], key[-1] = -1 / 3, 1e-7
+        return key
 
     @pytest.mark.parametrize("m", [1, 9])
     @pytest.mark.parametrize("tail", ["\n", ",,\n"])
     def test_one_two_and_three_key_axes(self, m, tail):
         xis = np.array([0.0, 1e-5, 0.3, 1.0])
-        for seed, inner in enumerate([[], [self.LABELS], [xis, self.LABELS]]):
-            step = cli.BLOCK_VALUES // (math.prod(map(len, inner)) * m)
-            keys = [np.linspace(0.001, 1 / 3, 2 * step + 3)] + inner  # three blocks, the last partial
+        firsts, inners = ("floats", "strings", "widest later"), ([], [self.LABELS], [xis, self.LABELS])
+        for seed, (first, inner) in enumerate(itertools.product(firsts, inners)):
+            keys = [self.first_key(first, cli.BLOCK_VALUES // (math.prod(map(len, inner)) * m))] + inner
             self.check(keys, self.values(tuple(map(len, keys)) + (m,), seed), tail)
+
+    @pytest.mark.parametrize("shape", ["curves", "bounds"])
+    def test_one_kernel_call_for_the_float_keys_and_one_per_block(self, monkeypatch, shape):
+        calls = []
+        kernel = cli.format_g17
+        monkeypatch.setattr(cli, "format_g17", lambda *args, **kw: calls.append(1) or kernel(*args, **kw))
+        if shape == "curves":  # P_E and xi float keys, then the labels
+            keys = [np.linspace(0.001, 1 / 3, 334), np.linspace(0.0, 1.0, 5), self.LABELS]
+            values = self.values((334, 5, len(self.LABELS), 1), 11)
+        else:  # no key axes: x is value column 0
+            keys, values = [], self.values((501, 10), 12)
+        blocks = -(-values.shape[0] // max(1, cli.BLOCK_VALUES // values[0].size))
+        assert blocks >= 2
+        self.check(keys, values, "\n")
+        assert len(calls) == (1 if keys else 0) + blocks
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_float_keys_in_every_form(self, axis):
