@@ -11,9 +11,10 @@ Output is byte-identical across runs for identical flags and seed, with
 LF line endings.  CSV cells are exactly ``'%.17g' % v``.  JSON output is
 exactly ``json.dumps(report, indent=2, sort_keys=True)`` plus LF, so JSON
 numbers are Python's shortest round-trip ``repr``; both read back to the
-same float.  That text is `_json_text`'s: ``povm`` writes its report
-through it, and ``simulate`` fills its leaves into the text `_json_text`
-wrote once per report shape, with a marker at each leaf.
+same float.  json writes every byte of it: ``povm`` writes its report
+with ``json.dumps``, and ``simulate`` fills the texts of its leaves,
+from one encode of the leaf list, into the text ``json.dumps`` wrote
+once per report shape, with a marker at each leaf.
 Exit codes: 0 success, 2 argument error (a grid too large to allocate
 included), 3 I/O error; `main` maps each failure once.
 
@@ -30,13 +31,13 @@ a key that no subcommand defines is an argument error.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import re
 import sys
 from contextlib import contextmanager, suppress
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -324,68 +325,6 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _scalar_json(v) -> str:
-    """json.dumps(v) for one leaf the simulate and povm reports hold.
-
-    str; None, True, False; int and float through int.__repr__ and
-    float.__repr__, with NaN and +/-Infinity.  Anything else is a
-    TypeError, subclasses (numpy scalars among them) included.
-    """
-    t = type(v)
-    if t is int:
-        return int.__repr__(v)
-    if t is float:
-        return float.__repr__(v) if math.isfinite(v) else "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
-    if t is str:
-        return _json_string(v)
-    if v is None or t is bool:
-        return "null" if v is None else "true" if v else "false"
-    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-
-
-def _put_json(v, indent: str, out: list) -> None:
-    """Append the text of json.dumps(v, indent=2, sort_keys=True) to `out`, in pieces.
-
-    `indent` is the line break and indentation of the line `v` ends on.
-    It takes exactly the types the simulate and povm reports hold, as json
-    writes them: the leaves of _scalar_json; list; dict with str keys.
-    Anything else is a TypeError, tuples and subclasses (numpy scalars
-    among them) included, though json.dumps takes those.
-    """
-    t = type(v)
-    if t is list:
-        if not v:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        sep = "[" + inner
-        for x in v:
-            out.append(sep)
-            _put_json(x, inner, out)
-            sep = "," + inner
-        out.append(indent + "]")
-    elif t is dict:
-        if not v:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        sep = "{" + inner
-        for k, x in sorted(v.items()):
-            out.append(sep + _json_string(k) + ": ")  # a key that is no str raises TypeError here
-            _put_json(x, inner, out)
-            sep = "," + inner
-        out.append(indent + "}")
-    else:
-        out.append(_scalar_json(v))
-
-
-def _json_text(v) -> str:
-    """json.dumps(v, indent=2, sort_keys=True), for the values _put_json takes."""
-    out: list[str] = []
-    _put_json(v, "\n", out)
-    return "".join(out)
-
-
 def _write_text(path, text: str) -> None:
     """Write `text` and a LF; the caller builds it whole, so bad output fails before the output opens."""
     with _open_out(path) as fh:
@@ -423,20 +362,29 @@ def _simulate_report(v: list) -> dict:
     }
 
 
+# One JSON array of a report's leaves, with a NUL between them.
+_leaf_texts = json.JSONEncoder(separators=("\0", ":")).encode
+
+
 @lru_cache(maxsize=None)
 def _simulate_layout(leaves: int) -> str:
     """The text of a simulate report of `leaves` leaves, as a format string with field i for leaf i.
 
-    _json_text writes it once per report shape, from the report whose
+    json.dumps writes it once per report shape, from the report whose
     leaf i is a marker string, which each field then replaces.
     """
-    text = _json_text(_simulate_report([f"\0{i}" for i in range(leaves)]))
+    text = json.dumps(_simulate_report([f"\0{i}" for i in range(leaves)]), indent=2, sort_keys=True)
     return re.sub(r'"\\u0000(\d+)"', r"{\1}", text.replace("{", "{{").replace("}", "}}"))
 
 
 def _simulate_text(v: list) -> str:
-    """_json_text(_simulate_report(v)), filled into the cached layout of its shape."""
-    return _simulate_layout(len(v)).format(*map(_scalar_json, v))
+    """json.dumps(_simulate_report(v), indent=2, sort_keys=True), filled into the cached layout of its shape.
+
+    The leaves' texts come from one encode of `v`, split at the NULs
+    between them.  The split is exact: every leaf is a scalar, and json
+    escapes a NUL inside a string.
+    """
+    return _simulate_layout(len(v)).format(*_leaf_texts(v)[1:-1].split("\0"))
 
 
 def cmd_simulate(args) -> int:
@@ -500,7 +448,7 @@ def cmd_povm(args) -> int:
         "completeness_residual": float(np.abs(povm[0] + povm[1] + povm[2] - np.eye(2)).max()),
         "psd_floor": float(np.linalg.eigvalsh(povm).min()),
     }
-    _write_text(args.out, _json_text(report))
+    _write_text(args.out, json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 
 

@@ -18,10 +18,13 @@ scalar or an array broadcasting against it, and build no table, so they
 avoid a difference of O(1) entropies, which would leave a small variant-2
 value as noise.  At order 1 each gives closed_form_i_std, the limit of
 every variant (Fehr and Berens, IEEE TIT 60, 2014).  The table measures
-that stay serve the bounds (renyi_entropy, shannon_entropy) and the
-simulator's empirical table (mutual_information).  Every Renyi entropy
-goes through one power-sum kernel (`_power_sum`), exact as the order nears
-1, and order 1 means exactly 1 there too.
+that stay serve the bounds (renyi_entropy, shannon_entropy) and tables
+that callers give (mutual_information).  The simulator's empirical table
+does not go through it: `simulate` and empirical_mutual_information call
+simulator._cells_mutual_information, and mutual_information is the
+tests' reference for that (simulate_report_reference).  Every Renyi
+entropy goes through one power-sum kernel (`_power_sum`), exact as the
+order nears 1, and order 1 means exactly 1 there too.
 
 The table axes are short (2, 3 or 6), and numpy runs a reduction over such
 an axis as one inner loop per stack member: on the (501, 3) vectors of

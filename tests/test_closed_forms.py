@@ -286,6 +286,39 @@ class TestBoundsAudit:
             oracle.assert_exact(got[:, k], truth[:, k], ULP16, ULP16, head[1 + k])
 
 
+class TestCurvesAudit:
+    """Every value cell that `curves` prints, at the default xi, measures and order, against `oracle.measure_grid`.
+
+    The gate is 16 ulp of max(1, |truth|).  As in TestBoundsAudit, the
+    oracle takes the program's own float triple, recomputed from the
+    printed P_E and xi, so it checks the measures alone.  The default
+    334 P_E steps would take ~1.3 s of 50-digit arithmetic; 34 steps keep
+    both ends of the default P_E range.
+    """
+
+    STEPS = 34
+
+    def test_every_cell(self, capsys):
+        assert cli.main(["curves", "--steps", str(self.STEPS)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "p_e,xi,measure,order,value"
+        columns = {}
+        for line in lines[1:]:
+            p_e, xi, measure, order, value = line.split(",")
+            columns.setdefault((measure, order), []).append((float(p_e), float(xi), float(value)))
+        assert list(columns) == [("std", "1"), ("v1", "2"), ("v2", "2"), ("v4", "2"), ("v1_inf", "inf")]
+        for (measure, order), cells in columns.items():
+            p_e, xi, got = (np.array(c) for c in zip(*cells))
+            assert len(got) == self.STEPS * len(cli.DEFAULT_XI) and set(xi) == set(cli.DEFAULT_XI)
+            assert (p_e.min(), p_e.max()) == (cli.DEFAULT_PE_MIN, cli.DEFAULT_PE_MAX)
+            q, _ = outcome_probs_grid(p_e, xi)
+            if measure in CLOSED_FORMS:
+                truth = oracle.measure_grid(measure, q, [float(order)])[:, 0]
+            else:
+                truth = oracle.measure_grid(measure, q)
+            oracle.assert_exact(got, truth, ULP16, ULP16, f"{measure},{order}")
+
+
 class TestMuOracle:
     """mu_factor, optimize_s_max and zeta_closed_form against the 50-digit nine-line envelope.
 
