@@ -14,7 +14,6 @@ from fpbprobe import (
     DiscriminationConfig,
     SessionConfig,
     closed_form_i_std,
-    empirical_joint,
     empirical_mutual_information,
     joint_from_outcome_probs,
     outcome_probs,
@@ -31,7 +30,7 @@ errors = tally.sifted_error_rounds
 print(f"sifted errors: {errors} ({errors / matched:.4f}, expect {cfg.error_rate})")
 
 q = outcome_probs(DiscriminationConfig.from_error_rate(cfg.error_rate, cfg.xi))
-analytic = joint_from_outcome_probs(q).table
+analytic = joint_from_outcome_probs(q)
 counts = tally.restricted_counts
 total = counts.sum()
 print(f"error-free sifted rounds feeding the (b', e') table: {total}")

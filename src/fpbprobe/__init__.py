@@ -16,8 +16,6 @@ from .discrimination import (
     xi_to_phi,
 )
 from .entropy import (
-    Distribution,
-    JointDistribution,
     Order,
     binary_entropy,
     closed_form_i1,
@@ -25,7 +23,6 @@ from .entropy import (
     closed_form_i4,
     closed_form_i_std,
     joint_from_outcome_probs,
-    mutual_information,
     renyi_entropy,
     shannon_entropy,
     shor_preskill_rate,
@@ -34,7 +31,6 @@ from .probe import theta_grid
 from .simulator import (
     SessionConfig,
     SessionTally,
-    empirical_joint,
     empirical_mutual_information,
     run_session,
 )
@@ -47,7 +43,6 @@ from .uncertainty import (
     majorization_bound_direct_sum,
     majorization_bound_tensor,
     majorization_data,
-    majorization_entropy_bound,
     mu_factor,
     mutual_info_upper_bound,
     naimark_basis,

@@ -9,7 +9,7 @@ rejection is one ValueError that names the parameter and its bounds.
 Functions that take one number check it with scalar, which also rejects
 arrays; classes that hold one number wrap the result of real in float(),
 which raises TypeError for an array.  Every array a caller gives (grids,
-probability vectors and tables, zeta sequences) goes through real, so
+probability vectors, zeta sequences) goes through real, so
 complex, bool and object arrays fail the same way everywhere.
 """
 

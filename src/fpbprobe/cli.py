@@ -188,9 +188,9 @@ def _write_csv(fh, header: str, keys, values: np.ndarray, tail: str = "\n") -> N
 
 
 def _load_config_file(path: str) -> dict[str, str]:
-    """The key=value lines of a UTF-8 file; a key may appear once, and `config` not at all."""
+    """The key=value lines of a UTF-8 file, with or without a BOM; a key may appear once, and `config` not at all."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise OSError(f"cannot read config file: {exc}") from None

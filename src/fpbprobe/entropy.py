@@ -7,8 +7,8 @@ is the standard mutual information or an alpha-mutual information
 R_alpha(B') - R_alpha(B'|E'), one for each of three conditional Renyi
 entropies (variants 1, 2 and 4).
 
-Every table measure reduces over the last axes: a stack of tables or
-vectors along leading axes gives an array, a single one a Python float.
+Every measure takes arrays: a stack along leading axes gives an array, a
+single vector or triple a Python float.
 
 On the (b', e') table every measure is a closed form in (Q_S, Q_E, Q_?):
 closed_form_i_std, closed_form_i1, closed_form_i2 and closed_form_i4,
@@ -17,25 +17,21 @@ measures.  They take an OutcomeProbs of arrays and an order that is a
 scalar or an array broadcasting against it, and build no table, so they
 avoid a difference of O(1) entropies, which would leave a small variant-2
 value as noise.  At order 1 each gives closed_form_i_std, the limit of
-every variant (Fehr and Berens, IEEE TIT 60, 2014).  The table measures
-that stay serve the bounds (renyi_entropy, shannon_entropy) and tables
-that callers give (mutual_information).  The simulator's empirical table
-does not go through it: `simulate` and empirical_mutual_information call
-simulator._cells_mutual_information, and mutual_information is the
-tests' reference for that (simulate_report_reference).  Every Renyi
-entropy goes through one power-sum kernel (`_power_sum`), exact as the
-order nears 1, and order 1 means exactly 1 there too.
+every variant (Fehr and Berens, IEEE TIT 60, 2014).  The vector entropies
+(renyi_entropy, shannon_entropy) check a caller's probability vectors
+once (`_checked`); the bounds call their kernels (`_renyi`, `_shannon`)
+on vectors the package built.  The simulator's empirical mutual
+information is simulator._cells_mutual_information, in Python floats.
+Every Renyi entropy goes through one power-sum kernel (`_power_sum`),
+exact as the order nears 1, and order 1 means exactly 1 there too.
 
-The table axes are short (2, 3 or 6), and numpy runs a reduction over such
-an axis as one inner loop per stack member: on the (501, 3) vectors of
-`bounds`, .sum(axis=-1) takes 13.2 us and .max(axis=-1) 30.9 us, against
-6.6 us and 4.9 us for one ufunc call per slice (numpy 2.4.6, 2-core
-Xeon, best of 7 timeit runs).  The measures therefore fold those axes
-slice by slice (`_fold`), in the order numpy reduces them, so the bits
-do not change on the rows they pass.  `_mutual_information` keeps
-numpy's reductions; it serves tables given by callers.  The simulator's
-per-session value, simulator.empirical_mutual_information, computes the
-same bits in Python floats, summing in numpy's order, with numpy's log2.
+The vector axes are short (2, 3 or 6), and numpy runs a reduction over
+such an axis as one inner loop per stack member: on the (501, 3) vectors
+of `bounds`, .sum(axis=-1) takes 13.2 us and .max(axis=-1) 30.9 us,
+against 6.6 us and 4.9 us for one ufunc call per slice (numpy 2.4.6,
+2-core Xeon, best of 7 timeit runs).  The measures therefore fold those
+axes slice by slice (`_fold`), in the order numpy reduces them, so the
+bits do not change on the rows they pass.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import HUGE, TINY, real, scalar, trusted
+from ._checks import HUGE, TINY, real, scalar
 from .discrimination import OutcomeProbs
 
 DIST_TOL = 1e-10
@@ -112,65 +108,31 @@ def _fold(ufunc, x: np.ndarray) -> np.ndarray:
     return r
 
 
-def _checked(x, ndim: int, what: str) -> np.ndarray:
-    """x as floats: probability vectors (ndim 1) or tables (ndim 2) on its last axes, normalized.
+def _checked(x, what: str) -> np.ndarray:
+    """x as floats: probability vectors on its last axis, normalized.
 
     Leading axes index a stack.  Entries follow the package's policy for
     real arrays (_checks.real: int or float dtype, finite, at least -1e-12),
-    and every member must sum to 1 within DIST_TOL.  Entries are clipped at 0
-    and each member is divided by its sum, so that every measure sees a
+    and every vector must sum to 1 within DIST_TOL.  Entries are clipped at 0
+    and each vector is divided by its sum, so that every measure sees a
     vector that sums to 1 up to rounding, whatever the slack in the
     caller's sum: each Renyi entropy is then one function of the accepted
     vector, and does not jump where its kernel changes formula.
     """
     p = np.asarray(real(what, x, -1e-12, HUGE))
-    if p.ndim < ndim or p.size == 0:
-        raise ValueError(f"{what} must be a nonempty array with at least {ndim} dimension(s)")
+    if p.ndim < 1 or p.size == 0:
+        raise ValueError(f"{what} must be a nonempty array with at least one dimension")
     p = np.maximum(p, 0.0)
-    sums = _fold(np.add, p if ndim == 1 else p.reshape(p.shape[:-2] + (-1,)))
+    sums = _fold(np.add, p)
     off = abs(sums - 1.0) > DIST_TOL
     if off.any():
         raise ValueError(f"{what} sum to {np.ravel(sums)[np.ravel(off)][0]}, not 1")
-    return p / sums.reshape(sums.shape + (1,) * ndim)
-
-
-@dataclass(frozen=True)
-class Distribution:
-    """Probability vector along the last axis; leading axes form a stack."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", _checked(self.probs, 1, "probabilities"))
-
-
-@dataclass(frozen=True)
-class JointDistribution:
-    """Joint table over (b', e'): rows index b', columns index e'.
-
-    The canonical table is 2x3 with e' in (0, 1, ?), but any 2-D shape is
-    accepted.  Leading axes, if any, form a stack of tables that is checked
-    once.  The marginals are
-    `table.sum(axis=-1)` (b') and `table.sum(axis=-2)` (e').
-    """
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "table", _checked(self.table, 2, "joint probabilities"))
+    return p / sums[..., None]
 
 
 def _float_or_array(x):
     """A Python float for a 0-d result, the array otherwise."""
     return float(x) if getattr(x, "ndim", 0) == 0 else x
-
-
-def _probs(d) -> np.ndarray:
-    return d.probs if isinstance(d, Distribution) else Distribution(d).probs
-
-
-def _table(j) -> np.ndarray:
-    return j.table if isinstance(j, JointDistribution) else JointDistribution(j).table
 
 
 def _xlog2x(p: np.ndarray) -> np.ndarray:
@@ -221,14 +183,14 @@ def _renyi(p: np.ndarray, order: Order) -> np.ndarray:
     return _power_sum(p, order.value)
 
 
-def shannon_entropy(d) -> float | np.ndarray:
+def shannon_entropy(p) -> float | np.ndarray:
     """-sum p log2 p with 0 log 0 = 0, over the last axis."""
-    return _float_or_array(_shannon(_probs(d)))
+    return _float_or_array(_shannon(_checked(p, "probabilities")))
 
 
-def renyi_entropy(d, a) -> float | np.ndarray:
+def renyi_entropy(p, a) -> float | np.ndarray:
     """Renyi entropy of the given order; Shannon at 1, min-entropy at inf."""
-    return _float_or_array(_renyi(_probs(d), Order.coerce(a)))
+    return _float_or_array(_renyi(_checked(p, "probabilities"), Order.coerce(a)))
 
 
 def binary_entropy(p) -> float | np.ndarray:
@@ -237,27 +199,15 @@ def binary_entropy(p) -> float | np.ndarray:
     return _float_or_array(_shannon(np.stack([x, 1.0 - x], axis=-1)))
 
 
-def _mutual_information(t: np.ndarray) -> np.ndarray:
-    """H(X) + H(Y) - H(X,Y) over the last two axes, with one log2 pass."""
-    m, n = t.shape[-2:]
-    parts = np.concatenate([t.sum(axis=-1), t.sum(axis=-2), t.reshape(t.shape[:-2] + (m * n,))], axis=-1)
-    h = -np.add.reduceat(_xlog2x(parts), [0, m, m + n], axis=-1) + 0.0
-    return h[..., 0] + h[..., 1] - h[..., 2]
-
-
-def mutual_information(j) -> float | np.ndarray:
-    """H(X) + H(Y) - H(X,Y)."""
-    return _float_or_array(_mutual_information(_table(j)))
-
-
-def joint_from_outcome_probs(q: OutcomeProbs) -> JointDistribution:
+def joint_from_outcome_probs(q: OutcomeProbs) -> np.ndarray:
     """2x3 joint over (b', e') for a uniform bit and outcome triple q.
 
-    Array fields in q give a stack of tables, one per grid point.
+    Rows index b', columns e' in (0, 1, ?).  Array fields in q give a
+    (..., 2, 3) stack of tables, one per grid point.
     """
     qs, qe, qq = np.broadcast_arrays(q.q_success, q.q_error, q.q_inconclusive)
     rows = (np.stack([qs, qe, qq], axis=-1), np.stack([qe, qs, qq], axis=-1))
-    return trusted(JointDistribution, 0.5 * np.stack(rows, axis=-2))
+    return 0.5 * np.stack(rows, axis=-2)
 
 
 def _operands(a, q: OutcomeProbs, variant: int) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple]:

@@ -42,7 +42,6 @@ import numpy as np
 
 from ._checks import TINY, integer, real, trusted
 from .discrimination import _eta, _phi
-from .entropy import JointDistribution
 from .probe import MAX_ERROR_RATE, _theta
 
 # Used only by perfbench/workloads.py philox_fill_ns, which its selftest runs traced.
@@ -211,15 +210,6 @@ def _empirical_cells(counts: list[int]) -> list[float]:
     return [float(n) / total for n in counts]
 
 
-def empirical_joint(t: SessionTally) -> JointDistribution:
-    """Normalized (b', e') table over error-free sifted rounds.
-
-    Eve's outcomes map to bit guesses by their success/error labels:
-    plus guesses 0, minus guesses 1, inconclusive stays inconclusive.
-    """
-    return trusted(JointDistribution, np.reshape(_empirical_cells(t.counts[1, 1].ravel().tolist()), (2, 3)))
-
-
 def empirical_mutual_information(t: SessionTally) -> float:
     """Plug-in mutual information of the empirical (b', e') table."""
     return _cells_mutual_information(_empirical_cells(t.counts[1, 1].ravel().tolist()))
@@ -228,10 +218,11 @@ def empirical_mutual_information(t: SessionTally) -> float:
 def _cells_mutual_information(cells: list[float]) -> float:
     """Mutual information of the six _empirical_cells, in Python floats.
 
-    The bits of mutual_information(empirical_joint(t)): the row and
-    column sums and the three entropy sums add their terms in the order
-    of numpy's sum and np.add.reduceat, and only log2 runs on numpy,
-    whose last bits libm's math.log2 does not share.
+    The bits of H(B') + H(E') - H(B', E') evaluated by numpy on the (2, 3)
+    table of these cells, as the tests' reference mutual_information does
+    it: the row and column sums and the three entropy sums add their
+    terms in the order of numpy's sum and np.add.reduceat, and only log2
+    runs on numpy, whose last bits libm's math.log2 does not share.
     """
     t00, t01, t02, t10, t11, t12 = cells
     parts = [(t00 + t01) + t02, (t10 + t11) + t12, t00 + t10, t01 + t11, t02 + t12, *cells]

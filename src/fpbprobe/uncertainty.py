@@ -23,17 +23,7 @@ import numpy as np
 from . import linalg
 from ._checks import HUGE, real, scalar, trusted
 from .discrimination import PHI_SLACK, QUARTER_PI, OutcomeProbs, _measurement_vectors
-from .entropy import (
-    Distribution,
-    Order,
-    _LN2,
-    _float_or_array,
-    _fold,
-    _shannon,
-    closed_form_i_std,
-    renyi_entropy,
-    shannon_entropy,
-)
+from .entropy import _LN2, Order, _checked, _float_or_array, _fold, _renyi, _shannon, closed_form_i_std
 
 TWO_PI = 2.0 * math.pi
 UNITARY_TOL = 1e-8
@@ -61,12 +51,19 @@ class MajorizationData:
     direct-sum bounds; omega_prime is built the same way from
     xi_k = (1 + zeta_k)^2 / 4 and feeds the tensor-product bounds.  zeta
     is an (..., d) array, (d,) for one sequence, and the vectors stack
-    along the same leading axes.
+    along the same leading axes.  One built by hand has omega and
+    omega_prime checked and normalized as probability vectors, as
+    renyi_entropy checks its input; majorization_data builds it from a
+    checked zeta without that second check.
     """
 
     zeta: np.ndarray
-    omega: Distribution
-    omega_prime: Distribution
+    omega: np.ndarray
+    omega_prime: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "omega", _checked(self.omega, "omega"))
+        object.__setattr__(self, "omega_prime", _checked(self.omega_prime, "omega_prime"))
 
 
 def naimark_basis(gamma: float, phase: float = 0.0) -> NaimarkExtension:
@@ -266,16 +263,12 @@ def _majorization(z: np.ndarray) -> MajorizationData:
         np.maximum(z[..., k - 1], z[..., k], out=z[..., k])
     np.minimum(z, 1.0, out=z)
     z[..., -1] = 1.0
-    return MajorizationData(
-        zeta=z,
-        omega=trusted(Distribution, _steps(z)),
-        omega_prime=trusted(Distribution, _steps(((1.0 + z) ** 2) / 4.0)),
-    )
+    return trusted(MajorizationData, z, _steps(z), _steps(((1.0 + z) ** 2) / 4.0))
 
 
 def majorization_bound_tensor(md: MajorizationData, a) -> float | np.ndarray:
     """Tensor-product bound: half the Renyi entropy of omega_prime."""
-    return 0.5 * renyi_entropy(md.omega_prime, a)
+    return _float_or_array(0.5 * _renyi(md.omega_prime, Order.coerce(a)))
 
 
 def majorization_bound_direct_sum(md: MajorizationData, a) -> float | np.ndarray:
@@ -291,24 +284,11 @@ def majorization_bound_direct_sum(md: MajorizationData, a) -> float | np.ndarray
     """
     o = Order.coerce(a)
     if o.is_infinite:
-        return _float_or_array(np.zeros(md.omega.probs.shape[:-1]))
+        return _float_or_array(np.zeros(md.omega.shape[:-1]))
     if o.value <= 1.0:
-        return 0.5 * renyi_entropy(md.omega, o)
+        return _float_or_array(0.5 * _renyi(md.omega, o))
     scale = (1.0 - o.value) * _LN2
-    return _float_or_array(np.log1p(0.5 * np.expm1(scale * renyi_entropy(md.omega, o))) / scale + 0.0)
-
-
-def majorization_entropy_bound(md: MajorizationData, a) -> float | np.ndarray:
-    """Best applicable majorization bound at the given order.
-
-    Orders <= 1 take the direct-sum bound, half the entropy of omega.
-    Orders > 1 compare the tensor-product and direct-sum forms and return
-    the larger; at the infinite order the direct-sum form degenerates to
-    0, leaving half the min-entropy of omega_prime.
-    """
-    o = Order.coerce(a)
-    direct = majorization_bound_direct_sum(md, o)
-    return direct if o.value <= 1.0 else _float_or_array(np.maximum(majorization_bound_tensor(md, o), direct))
+    return _float_or_array(np.log1p(0.5 * np.expm1(scale * _renyi(md.omega, o))) / scale + 0.0)
 
 
 def mutual_info_upper_bound(q: OutcomeProbs, eta) -> float | np.ndarray:
@@ -351,15 +331,16 @@ def bounds_table(eta, q: OutcomeProbs | None = None) -> np.ndarray:
     maj_shannon = majorization_bound_direct_sum(md, 1.0)
     half = 0.5 / (1.0 + e)  # rho*: the outcomes of I/2 under the phi = 0 measurement at eta
     rho = np.stack([half, half, e / (1.0 + e)], axis=-1)
-    rho = trusted(Distribution, rho / _fold(np.add, rho)[..., None])  # as a Distribution normalizes it
+    rho = rho / _fold(np.add, rho)[..., None]  # as renyi_entropy normalizes its input
+    order2 = Order(2.0)
     columns = [
         2.0 * log2_mu,
         coles_piani,
         maj_shannon,
-        majorization_bound_tensor(md, 2.0),
-        majorization_bound_direct_sum(md, 2.0),
-        shannon_entropy(rho),
-        renyi_entropy(rho, 2.0),
+        majorization_bound_tensor(md, order2),
+        majorization_bound_direct_sum(md, order2),
+        _shannon(rho),
+        _renyi(rho, order2),
     ]
     if q is not None:
         qq = np.asarray(q.q_inconclusive, dtype=float)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from fpbprobe.discrimination import DiscriminationConfig, outcome_probs
-from fpbprobe.entropy import closed_form_i_std, joint_from_outcome_probs, mutual_information
-from fpbprobe.simulator import EVE_OUTCOMES, TALLY_AXES, SessionConfig, empirical_joint, run_session
+from fpbprobe.entropy import closed_form_i_std, joint_from_outcome_probs
+from fpbprobe.simulator import EVE_OUTCOMES, TALLY_AXES, SessionConfig, run_session
+from fpbprobe.uncertainty import majorization_bound_direct_sum, majorization_bound_tensor
 
 
 def haar_unitary(n, rng):
@@ -45,6 +46,31 @@ def renyi_bits(p, a):
         if np.isinf(a):
             return -np.log2(p.max(axis=-1))
         return np.log2((p ** a).sum(axis=-1)) / (1 - a)
+
+
+def mutual_information(table):
+    """H(X) + H(Y) - H(X, Y) in bits over the last two axes, rows X and columns Y.
+
+    The table is taken as it is, neither checked nor normalized.  The
+    marginals and the joint take one log2 pass and one np.add.reduceat,
+    the order in which simulator._cells_mutual_information sums, so on an
+    empirical table it gives that function's bits.  A single table gives
+    a Python float.
+    """
+    t = np.asarray(table, dtype=float)
+    m, n = t.shape[-2:]
+    parts = np.concatenate([t.sum(axis=-1), t.sum(axis=-2), t.reshape(t.shape[:-2] + (m * n,))], axis=-1)
+    h = -np.add.reduceat(parts * np.log2(np.maximum(parts, math.ulp(0.0))), [0, m, m + n], axis=-1) + 0.0
+    i = h[..., 0] + h[..., 1] - h[..., 2]
+    return float(i) if i.ndim == 0 else i
+
+
+def majorization_bound_reference(md, a):
+    """The stronger majorization bound at order a: the direct-sum bound at
+    orders up to 1, the larger of the tensor-product and direct-sum bounds
+    above (at the infinite order the direct-sum bound is 0)."""
+    direct = majorization_bound_direct_sum(md, a)
+    return direct if a <= 1.0 else np.maximum(majorization_bound_tensor(md, a), direct)
 
 
 def alpha_mi_reference(table, a, variant):
@@ -118,15 +144,15 @@ def cell_probabilities_reference(error_rate, xi):
 def simulate_report_reference(rounds, p_e, xi, seed):
     """`simulate` stdout for these flags, by the array recipe the command used
     before it computed its report in Python floats: the analytic table from
-    joint_from_outcome_probs, the empirical one from empirical_joint and its
-    mutual information from mutual_information, the cell pulls over arrays,
-    and json.dumps plus LF."""
+    joint_from_outcome_probs, the empirical one as the restricted counts over
+    their total and its mutual information from mutual_information, the cell
+    pulls over arrays, and json.dumps plus LF."""
     tally = run_session(SessionConfig(rounds, p_e, xi, seed))
     q = outcome_probs(DiscriminationConfig.from_error_rate(p_e, xi))
-    analytic = joint_from_outcome_probs(q).table
+    analytic = joint_from_outcome_probs(q)
     counts = tally.restricted_counts
     restricted = int(counts.sum())
-    joint = empirical_joint(tally) if restricted else None
+    joint = counts / restricted if restricted else None
     expected = restricted * analytic
     sigma = np.sqrt(expected * (1.0 - analytic))
     deviation = np.abs(counts - expected)
@@ -144,7 +170,7 @@ def simulate_report_reference(rounds, p_e, xi, seed):
             "pull_sigma": abs(matched - 0.5 * rounds) / (0.5 * math.sqrt(rounds)),
         },
         "restricted_rounds": restricted,
-        "empirical_joint": None if joint is None else joint.table.tolist(),
+        "empirical_joint": None if joint is None else joint.tolist(),
         "analytic_joint": analytic.tolist(),
         "max_cell_pull_sigma": max_pull,
         "cells_within_4_sigma": max_pull <= 4.0,

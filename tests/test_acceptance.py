@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import alpha_mi_reference
+from conftest import alpha_mi_reference, majorization_bound_reference, mutual_information
 from fpbprobe import cli
 from fpbprobe.discrimination import (
     DiscriminationConfig,
@@ -25,14 +25,12 @@ from fpbprobe.entropy import (
     closed_form_i2,
     closed_form_i_std,
     joint_from_outcome_probs,
-    mutual_information,
     renyi_entropy,
 )
 from fpbprobe.simulator import SessionConfig, run_session
 from fpbprobe.uncertainty import (
     coles_piani_bound,
     majorization_data,
-    majorization_entropy_bound,
     mu_factor,
     naimark_basis,
     optimize_s_max,
@@ -77,7 +75,7 @@ def test_criterion_01_conclusive_identity():
     for p_e in np.linspace(0.001, 1.0 / 3.0, 50):
         q = outcome_probs(DiscriminationConfig.from_error_rate(float(p_e), 0.0))
         i_std = closed_form_i_std(q)
-        table = joint_from_outcome_probs(q).table
+        table = joint_from_outcome_probs(q)
         for a in (2.0, 10.0, math.inf):
             worst = max(worst, abs(closed_form_i1(a, q) - i_std))
             worst = max(worst, abs(alpha_mi_reference(table, a, 1) - i_std))
@@ -189,7 +187,7 @@ def test_criterion_06_uncertainty_soundness():
         worst = min(worst, float(entropies[1.0].min() - coles_piani_bound(eta)))
         md = majorization_data(zeta_closed_form(eta))
         for a in orders:
-            worst = min(worst, float(entropies[a].min() - majorization_entropy_bound(md, a)))
+            worst = min(worst, float(entropies[a].min() - majorization_bound_reference(md, a)))
     elapsed = time.perf_counter() - start
     report(6, worst >= -1e-9, elapsed, 30.0, f"minimum slack = {worst:.2e}")
 
@@ -211,11 +209,11 @@ def test_criterion_07_majorization_relations():
         q = np.clip(np.diagonal(rotated, axis1=1, axis2=2).real, 0.0, None)
 
         tensor = np.sort((p[:, :, None] * q[:, None, :]).reshape(-1, 9), axis=1)[:, ::-1]
-        target = np.sort(np.pad(md.omega_prime.probs, (0, 6)))[::-1]
+        target = np.sort(np.pad(md.omega_prime, (0, 6)))[::-1]
         if not np.all(np.cumsum(target)[None, :] >= np.cumsum(tensor, axis=1) - 1e-9):
             failures += 1
         direct = np.sort(np.concatenate((p, q), axis=1), axis=1)[:, ::-1]
-        target2 = np.sort(np.pad(np.concatenate(([1.0], md.omega.probs)), (0, 2)))[::-1]
+        target2 = np.sort(np.pad(np.concatenate(([1.0], md.omega)), (0, 2)))[::-1]
         if not np.all(np.cumsum(target2)[None, :] >= np.cumsum(direct, axis=1) - 1e-9):
             failures += 1
     elapsed = time.perf_counter() - start
@@ -231,7 +229,7 @@ def test_criterion_08_closed_form_pipeline_agreement():
             joint = joint_from_outcome_probs(q)
             worst = max(worst, abs(closed_form_i_std(q) - mutual_information(joint)))
             for a in (2.0, 10.0, math.inf):
-                worst = max(worst, abs(closed_form_i1(a, q) - alpha_mi_reference(joint.table, a, 1)))
+                worst = max(worst, abs(closed_form_i1(a, q) - alpha_mi_reference(joint, a, 1)))
     elapsed = time.perf_counter() - start
     report(8, worst <= 1e-10, elapsed, 5.0, f"max closed-form deviation = {worst:.2e}")
 
@@ -266,7 +264,7 @@ def test_criterion_10_monte_carlo_oracle():
         for xi in (0.0, 0.5, 1.0):
             cfg = SessionConfig(rounds=10**6, error_rate=p_e, xi=xi, seed=42)
             tally = run_session(cfg)
-            analytic = joint_from_outcome_probs(outcome_probs(DiscriminationConfig.from_error_rate(cfg.error_rate, cfg.xi))).table
+            analytic = joint_from_outcome_probs(outcome_probs(DiscriminationConfig.from_error_rate(cfg.error_rate, cfg.xi)))
             counts = tally.restricted_counts
             total = counts.sum()
             for idx in np.ndindex(2, 3):

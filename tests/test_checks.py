@@ -21,8 +21,7 @@ import pytest
 import fpbprobe
 from fpbprobe import (
     DiscriminationConfig,
-    Distribution,
-    JointDistribution,
+    MajorizationData,
     Order,
     OutcomeProbs,
     SessionConfig,
@@ -34,12 +33,13 @@ from fpbprobe import (
     error_lower_bound,
     majorization_data,
     mu_factor,
-    mutual_information,
     mutual_info_upper_bound,
     naimark_basis,
     optimize_s_max,
     outcome_probs_grid,
+    renyi_entropy,
     run_session,
+    shannon_entropy,
     shor_preskill_rate,
     theta_grid,
     xi_to_phi,
@@ -167,12 +167,14 @@ def test_arrays_follow_the_same_policy():
     for call in (binary_entropy, mu_factor):
         with pytest.raises(ValueError):
             call(np.array([True]))
-    # Probability vectors, tables (a table measure given a plain array too) and
-    # zeta sequences: each valid as floats, each rejected as complex, bool or object.
-    table = [[1.0, 0.0], [0.0, 0.0]]
-    for name, call, good in (("probabilities", Distribution, [1.0, 0.0]),
-                             ("joint probabilities", JointDistribution, table),
-                             ("joint probabilities", mutual_information, table),
+    # Probability vectors (a stack of them too, and the vectors of a hand-built
+    # MajorizationData) and zeta sequences: each valid as floats, each rejected
+    # as complex, bool or object.
+    stack = [[1.0, 0.0], [0.0, 1.0]]
+    for name, call, good in (("probabilities", shannon_entropy, [1.0, 0.0]),
+                             ("probabilities", lambda p: renyi_entropy(p, 2.0), stack),
+                             ("omega", lambda p: MajorizationData(np.ones(2), p, [0.75, 0.25]), [1.0, 0.0]),
+                             ("omega_prime", lambda p: MajorizationData(np.ones(2), [0.5, 0.5], p), stack),
                              ("zeta", majorization_data, [1.0, 1.0])):
         call(good)
         for bad in (np.array(good, dtype=complex), np.array(good, dtype=bool), np.array(good, dtype=object)):
@@ -218,7 +220,7 @@ def test_computed_values_are_not_checked_again(capsys, monkeypatch):
         raise AssertionError(f"{type(self).__name__} checked a computed value")
 
     checked = DiscriminationConfig.__post_init__
-    for cls in (OutcomeProbs, Distribution, JointDistribution, SessionTally, DiscriminationConfig):
+    for cls in (OutcomeProbs, MajorizationData, SessionTally, DiscriminationConfig):
         monkeypatch.setattr(cls, "__post_init__", refuse)
     unchecked = [run(argv) for argv in argvs], session()
     monkeypatch.setattr(DiscriminationConfig, "__post_init__", checked)

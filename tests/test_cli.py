@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from conftest import simulate_report_reference
-from fpbprobe import _checks, cli, entropy, simulator
+import fpbprobe
+from fpbprobe import cli, entropy, uncertainty
 from fpbprobe.discrimination import DiscriminationConfig, outcome_probs, outcome_probs_grid, xi_to_phi
 from fpbprobe.entropy import closed_form_i1, closed_form_i2, closed_form_i4, closed_form_i_std
 
@@ -35,6 +36,23 @@ def exit_and_stdout(argv, capsys):
     except SystemExit as exc:
         code = exc.code
     return code, capsys.readouterr().out
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls to module.name, through every package module that binds it.
+
+    Returns the list that each call appends to.
+    """
+    original, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if (mod.__name__ == "fpbprobe" or mod.__name__.startswith("fpbprobe.")) and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 def subcommands():
@@ -112,29 +130,15 @@ class TestCurves:
 
     def test_builds_no_joint_table(self, capsys, monkeypatch):
         """Every column comes from the closed forms, none from a 2x3 table."""
-        built = []
-        post_init = entropy.JointDistribution.__post_init__
-        monkeypatch.setattr(entropy.JointDistribution, "__post_init__",
-                            lambda self: built.append(1) or post_init(self))
-
-        trusted = _checks.trusted
-
-        def build(cls, *values):  # computed tables skip __post_init__, so count these too
-            if cls is entropy.JointDistribution:
-                built.append(1)
-            return trusted(cls, *values)
-
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("fpbprobe.") and getattr(module, "trusted", None) is trusted:
-                monkeypatch.setattr(module, "trusted", build)
+        built = count_calls(monkeypatch, entropy, "joint_from_outcome_probs")
         args = ["curves", "--steps", "5", "--xi", "0", "--xi", "0.5", "--xi", "1",
                 "--order", "0.5", "--order", "1", "--order", "2", "--order", "10"]
         code, out = run_cli(args + [a for m in ("std", "v1", "v2", "v4", "v1_inf", "cond_prob")
                                     for a in ("--measure", m)], capsys)
         assert code == 0 and len(parse_csv(out)[1]) == 5 * 3 * 15
         assert built == []
-        # the counter does count: the empirical table is one
-        simulator.empirical_joint(simulator.run_session(simulator.SessionConfig(100, 0.1, 1.0, 42)))
+        # the counter does count: the package's one table builder, by its public name
+        fpbprobe.joint_from_outcome_probs(outcome_probs(DiscriminationConfig.from_error_rate(0.1, 0.5)))
         assert built
 
     def test_default_prints_no_value_above_one(self, capsys):
@@ -371,6 +375,17 @@ class TestBounds:
                 else:
                     assert format(float(tok), ".17g") == tok, (col, row)
 
+    def test_no_second_check_on_either_sweep(self, capsys, monkeypatch):
+        """bounds checks its grid once: no vector it builds goes through entropy._checked again."""
+        checked = count_calls(monkeypatch, entropy, "_checked")
+        for variable in ("eta", "p-e"):
+            code, out = run_cli(["bounds", "--variable", variable], capsys)
+            assert code == 0 and len(parse_csv(out)[1]) > 300
+        assert checked == []
+        # the counter does count: a hand-built MajorizationData checks both of its vectors
+        uncertainty.MajorizationData(np.ones(2), [0.5, 0.5], [0.75, 0.25])
+        assert len(checked) == 2
+
     def test_default_eta_grid_contains_knots(self, capsys):
         _, out = run_cli(["bounds"], capsys)
         _, rows = parse_csv(out)
@@ -593,6 +608,18 @@ class TestConfigFile:
             captured = capsys.readouterr()
             assert (code, captured.out) == (2, "")
             assert captured.err.startswith(f"error: {cfg}:2: ") and "other.conf" in captured.err, captured.err
+
+    def test_utf8_bom_reads_like_no_bom(self, tmp_path, capsys):
+        """Editors often save UTF-8 with a byte-order mark; it is not part of the first key."""
+        text = "steps=2\nxi=0.5\nmeasure=std\n"
+        outs = []
+        for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode()),
+                           ("bom_crlf", b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_bytes(data)
+            outs.append(exit_and_stdout(["curves", "--config", str(cfg)], capsys))
+        assert outs[0][0] == 0 and len(parse_csv(outs[0][1])[1]) == 2
+        assert outs[1:] == [outs[0]] * 2
 
     def test_file_that_is_not_utf8_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.conf"

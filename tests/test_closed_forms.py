@@ -100,7 +100,7 @@ class TestAccuracyGate:
         closed_form, variant = CLOSED_FORMS[name]
         truth = oracle.measure_grid(name, q, NEAR_ONE)
         joint = joint_from_outcome_probs(q)
-        table = np.stack([alpha_mi_reference(joint.table, a, variant) for a in NEAR_ONE], axis=-1)
+        table = np.stack([alpha_mi_reference(joint, a, variant) for a in NEAR_ONE], axis=-1)
         err = np.abs(closed_form(np.array(NEAR_ONE), q_axis) - truth)
         assert (err <= np.maximum(np.abs(table - truth), ULP16 * np.maximum(1.0, np.abs(truth)))).all()
 
@@ -232,7 +232,7 @@ class TestTablePathNearOne:
 
     def test_renyi_entropy_of_the_table(self, box, joint):
         truth = oracle_over_tables(box[0], TABLE_NEAR_ONE, lambda rows, a: oracle.renyi(rows[0] + rows[1], a))
-        flat = joint.table.reshape(joint.table.shape[:-2] + (6,))
+        flat = joint.reshape(joint.shape[:-2] + (6,))
         self.gate(lambda a: renyi_entropy(flat, a), truth, "renyi")
 
     def test_majorization_bound_direct_sum(self, box):
@@ -242,7 +242,7 @@ class TestTablePathNearOne:
         mp = oracle.mp
         _, eta = outcome_probs_grid(*oracle.grid())
         md = majorization_data(zeta_closed_form(eta))
-        omega = md.omega.probs
+        omega = md.omega
         orders = TABLE_NEAR_ONE + DIRECT_SUM_FAR
         truth = np.empty(omega.shape[:-1] + (len(orders),))
         with mp.workdps(oracle.DPS):

@@ -52,14 +52,14 @@ def test_readme_example_runs(example):
 
 def test_removed_names_table_parses():
     assert {"ProbeConfig", "simulator.conditional_probe_state", "conditional_std",
-            "JointDistribution.transposed"} <= set(REMOVED)
+            "JointDistribution", "majorization_entropy_bound"} <= set(REMOVED)
 
 
 def test_replacements_name_no_removed_name():
     """No name in a row's "use instead" cell, or the last part of a dotted one, is itself removed."""
     used = {part for _, cell in REMOVED_ROWS for span in re.findall(r"`([^`]*)`", cell)
             for name in re.findall(r"[A-Za-z_][\w.]*", span) for part in (name, name.rsplit(".", 1)[-1])}
-    assert "mutual_information" in used
+    assert "closed_form_i_std" in used
     assert sorted(used & set(REMOVED)) == []
 
 

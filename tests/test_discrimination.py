@@ -191,14 +191,14 @@ class TestOutcomeProbs:
             "i_std": closed_form_i_std,
             **{f"i{v}_{a}": lambda q, f=f, a=a: f(a, q)
                for v, f in ((1, closed_form_i1), (2, closed_form_i2), (4, closed_form_i4)) for a in (0.5, 2.0)},
-            "joint": lambda q: joint_from_outcome_probs(q).table,
+            "joint": joint_from_outcome_probs,
             "i_upper": lambda q: mutual_info_upper_bound(q, 0.0),
             "bounds_table": lambda q: bounds_table(0.0, q),
         }
         slack, clipped = OutcomeProbs(-5e-13, -5e-13, 1.0 + 1e-12), OutcomeProbs(0.0, 0.0, 1.0)
         for name, measure in measures.items():
             assert bits(measure(slack)) == bits(measure(clipped)), name
-        assert closed_form_i_std(slack) == 0.0 and joint_from_outcome_probs(slack).table.sum() == 1.0
+        assert closed_form_i_std(slack) == 0.0 and joint_from_outcome_probs(slack).sum() == 1.0
 
 
 class TestErrorLowerBound:

@@ -4,11 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import alpha_mi_reference
+from conftest import alpha_mi_reference, mutual_information
 from fpbprobe.discrimination import DiscriminationConfig, OutcomeProbs, outcome_probs, outcome_probs_grid
 from fpbprobe.entropy import (
-    Distribution,
-    JointDistribution,
     Order,
     _fold,
     binary_entropy,
@@ -17,7 +15,6 @@ from fpbprobe.entropy import (
     closed_form_i4,
     closed_form_i_std,
     joint_from_outcome_probs,
-    mutual_information,
     renyi_entropy,
     shannon_entropy,
     shor_preskill_rate,
@@ -38,7 +35,7 @@ def random_q(rng):
 
 def random_joint(rng, shape=(2, 3)):
     t = rng.random(shape)
-    return JointDistribution(t / t.sum())
+    return t / t.sum()
 
 
 def renyi_bruteforce(p, a):
@@ -177,7 +174,7 @@ def random_table_stack(rng, lead):
 
 
 class TestStackedEqualsSingle:
-    """A measure over a stack of tables equals, bit for bit, the measure on each table alone."""
+    """An entropy over a stack of vectors equals, bit for bit, the entropy of each vector alone."""
 
     ORDERS = (0.5, 1.0, 2.0, 3.0, 10.0, math.inf)
 
@@ -185,7 +182,6 @@ class TestStackedEqualsSingle:
         yield "shannon_rows", lambda t: shannon_entropy(t[..., 0, :] / t[..., 0, :].sum(axis=-1, keepdims=True))
         for a in self.ORDERS:
             yield f"renyi_flat_{a}", lambda t, a=a: renyi_entropy(t.reshape(t.shape[:-2] + (6,)), a)
-        yield "mutual_information", mutual_information
 
     def test_every_measure(self):
         rng = np.random.default_rng(9200)
@@ -200,7 +196,7 @@ class TestStackedEqualsSingle:
 
     def test_fpb_tables(self):
         q, _ = outcome_probs_grid(PE_GRID[:, None], np.asarray(XI_GRID))
-        stack = joint_from_outcome_probs(q).table
+        stack = joint_from_outcome_probs(q)
         for name, measure in self.measures():
             stacked = measure(stack)
             for idx in np.ndindex(stack.shape[:-2]):
@@ -208,24 +204,38 @@ class TestStackedEqualsSingle:
 
 
 class TestDistributions:
+    """Probability vectors given to shannon_entropy and renyi_entropy are checked where they enter."""
+
+    ENTROPIES = (shannon_entropy, lambda p: renyi_entropy(p, 2.0))
+
     def test_rejects_empty_and_non_finite(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            Distribution([])
-        with pytest.raises(ValueError, match=r"\bprobabilities\b"):
-            Distribution([math.nan, 1.0])
+        for entropy in self.ENTROPIES:
+            for empty in ([], 0.5, np.zeros((3, 0))):
+                with pytest.raises(ValueError, match="nonempty"):
+                    entropy(empty)
+            with pytest.raises(ValueError, match=r"\bprobabilities\b"):
+                entropy([math.nan, 1.0])
 
     def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            Distribution(np.array([0.5, 0.4]))
+        for entropy in self.ENTROPIES:
+            with pytest.raises(ValueError):
+                entropy(np.array([0.5, 0.4]))
+            with pytest.raises(ValueError, match="sum to 0.9"):  # one bad member of a stack
+                entropy(np.array([[0.5, 0.5], [0.5, 0.4]]))
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Distribution(np.array([1.2, -0.2]))
+        for entropy in self.ENTROPIES:
+            with pytest.raises(ValueError):
+                entropy(np.array([1.2, -0.2]))
 
     def test_joint_marginals(self):
-        j = JointDistribution(np.array([[0.2, 0.1, 0.2], [0.1, 0.3, 0.1]]))
-        np.testing.assert_allclose(j.table.sum(axis=-1), [0.5, 0.5])
-        np.testing.assert_allclose(j.table.sum(axis=-2), [0.3, 0.4, 0.3])
+        """joint_from_outcome_probs returns the (..., 2, 3) array: b' is a uniform bit and
+        e' has marginal ((Q_S + Q_E) / 2, (Q_S + Q_E) / 2, Q_?)."""
+        q = OutcomeProbs(np.array([0.6, 0.2]), np.array([0.1, 0.2]), np.array([0.3, 0.6]))
+        t = joint_from_outcome_probs(q)
+        assert type(t) is np.ndarray and t.shape == (2, 2, 3)
+        np.testing.assert_allclose(t.sum(axis=-1), [[0.5, 0.5], [0.5, 0.5]])
+        np.testing.assert_allclose(t.sum(axis=-2), [[0.35, 0.35, 0.3], [0.2, 0.2, 0.6]])
 
 
 class TestShannonEntropy:
@@ -332,28 +342,26 @@ class TestConditionalStd:
     """The standard conditional entropy H(X|Y), spelled H(X) - I(X; Y)."""
 
     def test_independent_gives_marginal_entropy(self):
-        j = JointDistribution(np.outer([0.5, 0.5], [0.2, 0.3, 0.5]))
-        assert conditional_std(j.table) == pytest.approx(1.0, abs=1e-12)
+        assert conditional_std(np.outer([0.5, 0.5], [0.2, 0.3, 0.5])) == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic_given_y(self):
-        j = JointDistribution(np.array([[0.5, 0.0], [0.0, 0.5]]))
-        assert conditional_std(j.table) == pytest.approx(0.0, abs=1e-15)
+        assert conditional_std(np.array([[0.5, 0.0], [0.0, 0.5]])) == pytest.approx(0.0, abs=1e-15)
 
     def test_chain_rule(self, rng):
         for _ in range(30):
-            j = random_joint(rng)
-            joint_h = shannon_entropy(j.table.ravel())
+            t = random_joint(rng)
+            joint_h = shannon_entropy(t.ravel())
             assert joint_h == pytest.approx(
-                conditional_std(j.table) + shannon_entropy(j.table.sum(axis=-2)), abs=1e-12
+                conditional_std(t) + shannon_entropy(t.sum(axis=-2)), abs=1e-12
             )
             assert joint_h == pytest.approx(
-                conditional_std(np.swapaxes(j.table, -1, -2)) + shannon_entropy(j.table.sum(axis=-1)), abs=1e-12
+                conditional_std(np.swapaxes(t, -1, -2)) + shannon_entropy(t.sum(axis=-1)), abs=1e-12
             )
 
     def test_conditioning_reduces_entropy(self, rng):
         for _ in range(30):
-            j = random_joint(rng)
-            assert conditional_std(j.table) <= shannon_entropy(j.table.sum(axis=-1)) + 1e-12
+            t = random_joint(rng)
+            assert conditional_std(t) <= shannon_entropy(t.sum(axis=-1)) + 1e-12
 
 
 class TestConditionalRenyi:
@@ -375,7 +383,7 @@ class TestConditionalRenyi:
         """R_a(B'|E') = R_a(B', E') - R_a(E'), so I_2 = R_a(B') + R_a(E') - R_a(B', E')."""
         for _ in range(20):
             q = random_q(rng)
-            t = joint_from_outcome_probs(q).table
+            t = joint_from_outcome_probs(q)
             for a in (0.5, 2.0, 5.0):
                 expected = renyi_entropy(t.sum(axis=-1), a) + renyi_entropy(t.sum(axis=-2), a) - renyi_entropy(t.ravel(), a)
                 assert closed_form_i2(a, q) == pytest.approx(expected, abs=1e-12)
@@ -383,7 +391,7 @@ class TestConditionalRenyi:
     def test_variant1_infinite_order(self, rng):
         for _ in range(10):
             q = random_q(rng)
-            t = joint_from_outcome_probs(q).table
+            t = joint_from_outcome_probs(q)
             py = t.sum(axis=0)
             expected = sum(
                 py[y] * -math.log2(t[:, y].max() / py[y]) for y in range(t.shape[1]) if py[y] > 0
@@ -410,34 +418,34 @@ class TestConditionalRenyi:
 
     def test_variant1_breaks_chain_rule_witness(self):
         q = OutcomeProbs(0.6, 0.1, 0.3)
-        t = joint_from_outcome_probs(q).table
+        t = joint_from_outcome_probs(q)
         a = 2.0
         chain = renyi_entropy(t.sum(axis=-1), a) + renyi_entropy(t.sum(axis=-2), a) - renyi_entropy(t.ravel(), a)
         assert abs(closed_form_i1(a, q) - chain) > 1e-6
 
 
 class TestMutualInformation:
+    """The tests' reference mutual_information (conftest), against the package's entropies and closed form."""
+
     def test_independent_is_zero(self):
-        j = JointDistribution(np.outer([0.4, 0.6], [0.2, 0.3, 0.5]))
-        assert mutual_information(j) == pytest.approx(0.0, abs=1e-12)
+        assert mutual_information(np.outer([0.4, 0.6], [0.2, 0.3, 0.5])) == pytest.approx(0.0, abs=1e-12)
 
     def test_perfectly_correlated_uniform_bits(self):
-        j = JointDistribution(np.array([[0.5, 0.0], [0.0, 0.5]]))
-        assert mutual_information(j) == pytest.approx(1.0, abs=1e-15)
+        assert mutual_information(np.array([[0.5, 0.0], [0.0, 0.5]])) == pytest.approx(1.0, abs=1e-15)
 
     def test_symmetric_under_transpose(self, rng):
         for _ in range(20):
-            j = random_joint(rng)
-            assert mutual_information(j) == pytest.approx(
-                mutual_information(np.swapaxes(j.table, -1, -2)), abs=1e-12
+            t = random_joint(rng)
+            assert mutual_information(t) == pytest.approx(
+                mutual_information(np.swapaxes(t, -1, -2)), abs=1e-12
             )
 
     def test_equals_entropy_reductions(self, rng):
         for _ in range(20):
-            j = random_joint(rng)
-            i = mutual_information(j)
-            joint_h = shannon_entropy(j.table.ravel())
-            h_x, h_y = shannon_entropy(j.table.sum(axis=-1)), shannon_entropy(j.table.sum(axis=-2))
+            t = random_joint(rng)
+            i = mutual_information(t)
+            joint_h = shannon_entropy(t.ravel())
+            h_x, h_y = shannon_entropy(t.sum(axis=-1)), shannon_entropy(t.sum(axis=-2))
             assert i == pytest.approx(h_x - (joint_h - h_y), abs=1e-12)
             assert i == pytest.approx(h_y - (joint_h - h_x), abs=1e-12)
 
@@ -468,12 +476,12 @@ class TestShannonProperties:
         def check(cells):
             t = np.reshape(cells, (2, 3))
             hypothesis.assume(t.sum() > 0.0)
-            j = JointDistribution(t / t.sum())
-            i = mutual_information(j)
+            t = t / t.sum()
+            i = mutual_information(t)
             for name, merge in self.MERGES.items():
-                assert mutual_information(merge(j.table)) <= i + 1e-12, name
+                assert mutual_information(merge(t)) <= i + 1e-12, name
             # The joint entropy sums the cells in another order: an ulp apart.
-            assert abs(mutual_information(np.swapaxes(j.table, -1, -2)) - i) <= 1e-12
+            assert abs(mutual_information(np.swapaxes(t, -1, -2)) - i) <= 1e-12
 
         check()
 
@@ -522,37 +530,33 @@ class TestAlphaMutualInformation:
 class TestJointFromOutcomeProbs:
     def test_cell_layout(self):
         q = OutcomeProbs(0.6, 0.1, 0.3)
-        j = joint_from_outcome_probs(q)
         np.testing.assert_allclose(
-            j.table, [[0.3, 0.05, 0.15], [0.05, 0.3, 0.15]], atol=1e-15
+            joint_from_outcome_probs(q), [[0.3, 0.05, 0.15], [0.05, 0.3, 0.15]], atol=1e-15
         )
 
     def test_eve_marginal(self):
         q = OutcomeProbs(0.6, 0.1, 0.3)
-        j = joint_from_outcome_probs(q)
-        np.testing.assert_allclose(j.table.sum(axis=-2), [0.35, 0.35, 0.3], atol=1e-15)
+        np.testing.assert_allclose(joint_from_outcome_probs(q).sum(axis=-2), [0.35, 0.35, 0.3], atol=1e-15)
 
     def test_eve_entropy_identity(self):
         for p_e in PE_GRID:
             for xi in XI_GRID:
                 q = outcome_probs(DiscriminationConfig.from_error_rate(p_e, xi))
-                j = joint_from_outcome_probs(q)
                 expected = 1 - q.q_inconclusive + binary_entropy(q.q_inconclusive)
-                assert shannon_entropy(j.table.sum(axis=-2)) == pytest.approx(expected, abs=1e-12)
+                assert shannon_entropy(joint_from_outcome_probs(q).sum(axis=-2)) == pytest.approx(expected, abs=1e-12)
 
     def test_helstrom_orthogonal_inputs_perfect_correlation(self):
         j = fpb_joint(1.0 / 3.0, 1.0)
         assert mutual_information(j) == pytest.approx(1.0, abs=1e-7)
 
     def test_idp_inconclusive_column_is_unbiased(self):
-        j = fpb_joint(0.2, 0.0)
-        t = j.table
+        t = fpb_joint(0.2, 0.0)
         col = t[:, 2] / t[:, 2].sum()
         np.testing.assert_allclose(col, [0.5, 0.5], atol=1e-12)
 
     def test_conditionals_match_closed_expressions(self):
         q = outcome_probs(DiscriminationConfig.from_error_rate(0.15, 0.5))
-        t = joint_from_outcome_probs(q).table
+        t = joint_from_outcome_probs(q)
         pe = t.sum(axis=0)
         rem = 1 - q.q_inconclusive
         assert t[0, 0] / pe[0] == pytest.approx(q.q_success / rem, abs=1e-12)
@@ -570,7 +574,7 @@ class TestClosedForms:
         q = outcome_probs(DiscriminationConfig.from_error_rate(0.1, 1.0))
         j = joint_from_outcome_probs(q)
         assert closed_form_i1(2.0, q) == pytest.approx(
-            alpha_mi_reference(j.table, 2.0, 1), abs=1e-10
+            alpha_mi_reference(j, 2.0, 1), abs=1e-10
         )
 
     def test_i1_infinite_order_form(self):
@@ -580,7 +584,7 @@ class TestClosedForms:
         assert closed_form_i1(math.inf, q) == pytest.approx(expected, abs=1e-14)
         j = joint_from_outcome_probs(q)
         assert closed_form_i1(math.inf, q) == pytest.approx(
-            alpha_mi_reference(j.table, math.inf, 1), abs=1e-10
+            alpha_mi_reference(j, math.inf, 1), abs=1e-10
         )
 
     def test_i1_large_order_approaches_infinite_form(self):
@@ -629,10 +633,10 @@ class TestClosedForms:
                 for a in (2.0, 10.0):
                     for variant, closed_form in ((1, closed_form_i1), (2, closed_form_i2), (4, closed_form_i4)):
                         assert closed_form(a, q) == pytest.approx(
-                            alpha_mi_reference(j.table, a, variant), abs=1e-10
+                            alpha_mi_reference(j, a, variant), abs=1e-10
                         )
                 assert closed_form_i1(math.inf, q) == pytest.approx(
-                    alpha_mi_reference(j.table, math.inf, 1), abs=1e-10
+                    alpha_mi_reference(j, math.inf, 1), abs=1e-10
                 )
 
 

@@ -9,10 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import case_probabilities_reference, cell_probabilities_reference, probe_states_reference
+from conftest import (
+    case_probabilities_reference,
+    cell_probabilities_reference,
+    mutual_information,
+    probe_states_reference,
+)
 from fpbprobe import simulator
 from fpbprobe.discrimination import DiscriminationConfig, build_povm, outcome_probs
-from fpbprobe.entropy import joint_from_outcome_probs, mutual_information
+from fpbprobe.entropy import joint_from_outcome_probs
 from fpbprobe.probe import theta_grid
 from fpbprobe.simulator import (
     MAX_ROUNDS,
@@ -20,7 +25,6 @@ from fpbprobe.simulator import (
     SessionTally,
     _cell_probabilities,
     _keyed_generator,
-    empirical_joint,
     empirical_mutual_information,
     run_session,
 )
@@ -473,7 +477,7 @@ class TestEmpiricalJoint:
         n = 100000
         cfg = SessionConfig(rounds=n, error_rate=0.15, xi=0.5, seed=23)
         t = run_session(cfg)
-        analytic = joint_from_outcome_probs(outcome_probs(DiscriminationConfig.from_error_rate(cfg.error_rate, cfg.xi))).table
+        analytic = joint_from_outcome_probs(outcome_probs(DiscriminationConfig.from_error_rate(cfg.error_rate, cfg.xi)))
         counts = t.restricted_counts
         total = counts.sum()
         for idx in np.ndindex(2, 3):
@@ -511,8 +515,8 @@ class TestEmpiricalJoint:
     def test_empty_restriction_rejected(self):
         counts = np.zeros((2, 2, 2, 3), dtype=np.int64)
         counts[0, 0, 0, 0] = 7
-        with pytest.raises(ValueError):
-            empirical_joint(SessionTally(counts, 7))
+        with pytest.raises(ValueError, match="no error-free sifted rounds"):
+            empirical_mutual_information(SessionTally(counts, 7))
 
 
 class TestSequentialConsistency:
@@ -583,9 +587,9 @@ class TestEmpiricalMutualInformation:
         assert abs(mean - analytic) <= 3 * max(stderr, 1e-5)
 
     def test_matches_the_joint_table_measure_bit_for_bit(self):
-        # The Python-float path against entropy.mutual_information on
-        # empirical_joint(t): seeded tallies with zero cells, empty columns,
-        # counts past 2**53 and drawn one-round sessions.
+        # The Python-float path against the reference mutual_information on
+        # the counts over their total: seeded tallies with zero cells, empty
+        # columns, counts past 2**53 and drawn one-round sessions.
         rng = np.random.default_rng(2702)
         tallies = []
         for k in range(600):
@@ -604,13 +608,13 @@ class TestEmpiricalMutualInformation:
         for t in tallies:
             if not t.restricted_counts.any():
                 empty += 1
-                for measure in (empirical_joint, empirical_mutual_information):
-                    with pytest.raises(ValueError, match="no error-free sifted rounds"):
-                        measure(t)
+                with pytest.raises(ValueError, match="no error-free sifted rounds"):
+                    empirical_mutual_information(t)
                 continue
-            joint = empirical_joint(t)
+            joint = t.restricted_counts / sum(t.counts[1, 1].ravel().tolist())
             got, want = empirical_mutual_information(t), mutual_information(joint)
             assert type(got) is float and got.hex() == want.hex(), t.counts[1, 1].tolist()
             # the Python-float cells are numpy's quotients of the counts by their total
-            assert joint.table.tobytes() == (t.restricted_counts / sum(t.counts[1, 1].ravel().tolist())).tobytes()
+            cells = simulator._empirical_cells(t.counts[1, 1].ravel().tolist())
+            assert np.array(cells).tobytes() == joint.tobytes()
         assert 0 < empty < len(tallies) // 2

@@ -8,12 +8,12 @@ from fpbprobe.discrimination import DiscriminationConfig, OutcomeProbs, build_po
 from fpbprobe.entropy import binary_entropy, renyi_entropy, shannon_entropy
 from fpbprobe.uncertainty import (
     BOUNDS_COLUMNS,
+    MajorizationData,
     bounds_table,
     coles_piani_bound,
     majorization_bound_direct_sum,
     majorization_bound_tensor,
     majorization_data,
-    majorization_entropy_bound,
     mu_factor,
     mutual_info_upper_bound,
     naimark_basis,
@@ -24,7 +24,7 @@ from fpbprobe.uncertainty import (
 )
 from fpbprobe.entropy import closed_form_i_std, Order
 
-from conftest import haar_unitary, random_density, random_pure_density
+from conftest import haar_unitary, majorization_bound_reference, random_density, random_pure_density
 
 ETA_GRID = np.linspace(0.0, 1.0, 11)
 
@@ -340,14 +340,14 @@ class TestZetaCoefficients:
 class TestMajorizationData:
     def test_degenerate(self):
         md = majorization_data([1.0, 1.0, 1.0])
-        np.testing.assert_allclose(md.omega.probs, [1.0, 0.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(md.omega_prime.probs, [1.0, 0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(md.omega, [1.0, 0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(md.omega_prime, [1.0, 0.0, 0.0], atol=1e-15)
 
     def test_reference_arithmetic(self):
         md = majorization_data([0.5, 0.75, 1.0])
-        np.testing.assert_allclose(md.omega.probs, [0.5, 0.25, 0.25], atol=1e-15)
+        np.testing.assert_allclose(md.omega, [0.5, 0.25, 0.25], atol=1e-15)
         np.testing.assert_allclose(
-            md.omega_prime.probs, [9 / 16, 49 / 64 - 9 / 16, 1 - 49 / 64], atol=1e-15
+            md.omega_prime, [9 / 16, 49 / 64 - 9 / 16, 1 - 49 / 64], atol=1e-15
         )
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -363,8 +363,8 @@ class TestMajorizationData:
         ref = np.minimum(np.maximum.accumulate(z, axis=-1), 1.0)
         ref[..., -1] = 1.0
         assert np.array_equal(md.zeta, ref)
-        assert np.array_equal(md.omega.probs, np.diff(ref, axis=-1, prepend=0.0))
-        assert np.array_equal(md.omega_prime.probs, np.diff((1.0 + ref) ** 2 / 4.0, axis=-1, prepend=0.0))
+        assert np.array_equal(md.omega, np.diff(ref, axis=-1, prepend=0.0))
+        assert np.array_equal(md.omega_prime, np.diff((1.0 + ref) ** 2 / 4.0, axis=-1, prepend=0.0))
 
     def test_one_eta_gives_an_array(self):
         # As zeta_coefficients does: no tuple for one sequence.
@@ -406,15 +406,38 @@ class TestMajorizationBounds:
     def test_degenerate_zeta_gives_zero(self):
         md = majorization_data([1.0, 1.0, 1.0])
         for a in (0.5, 1.0, 2.0, 10.0, math.inf):
-            assert majorization_entropy_bound(md, a) == pytest.approx(0.0, abs=1e-12)
+            for bound in (majorization_bound_tensor, majorization_bound_direct_sum):
+                assert bound(md, a) == pytest.approx(0.0, abs=1e-12), (bound, a)
 
-    def test_order_two_takes_larger_branch(self):
-        md = majorization_data(zeta_closed_form(0.4))
-        combined = majorization_entropy_bound(md, 2.0)
-        assert combined == pytest.approx(
-            max(majorization_bound_tensor(md, 2.0), majorization_bound_direct_sum(md, 2.0)),
-            abs=1e-15,
-        )
+    def test_order_two_takes_larger_branch(self, rng):
+        """The larger of the two order-2 bounds is still a bound on random states."""
+        for eta in (0.1, 0.4, 0.8):
+            md = majorization_data(zeta_closed_form(eta))
+            larger = max(majorization_bound_tensor(md, 2.0), majorization_bound_direct_sum(md, 2.0))
+            assert larger == majorization_bound_reference(md, 2.0)
+            for _ in range(100):
+                rho = random_density(2, rng) if rng.random() < 0.5 else random_pure_density(2, rng)
+                assert renyi_entropy(povm_probs_for_state(eta, rho), 2.0) >= larger - 1e-9
+
+    def test_hand_built_data_is_checked(self):
+        """Both bounds reject a MajorizationData built by hand with a negative
+        vector or one that does not sum to 1, as renyi_entropy would."""
+        good = [0.5, 0.25, 0.25]
+        zeta = np.array([0.5, 0.75, 1.0])
+        for bad in ([1.25, -0.25, 0.0], [0.5, 0.25, 0.2], [0.5, 0.5, 0.5]):
+            for bound in (majorization_bound_tensor, majorization_bound_direct_sum):
+                for a in (0.5, 1.0, 2.0):
+                    with pytest.raises(ValueError, match=r"\bomega\b"):
+                        bound(MajorizationData(zeta, bad, good), a)
+                    with pytest.raises(ValueError, match=r"\bomega_prime\b"):
+                        bound(MajorizationData(zeta, good, bad), a)
+        # A vector within 1e-10 of a sum of 1 is accepted and normalized, as renyi_entropy normalizes it.
+        ref = majorization_data(zeta)
+        md = MajorizationData(zeta, ref.omega * (1.0 + 1e-11), ref.omega_prime * (1.0 - 1e-11))
+        assert type(md.omega) is np.ndarray and math.fsum(md.omega_prime) == pytest.approx(1.0, abs=1e-15)
+        for bound in (majorization_bound_tensor, majorization_bound_direct_sum):
+            for a in (0.5, 1.0, 2.0, math.inf):
+                assert bound(md, a) == pytest.approx(bound(ref, a), abs=1e-14), (bound, a)
 
     def test_order_two_tensor_branch_wins_across_family(self):
         # at order 2 the tensor-product form is the (slightly) stronger one
@@ -428,7 +451,8 @@ class TestMajorizationBounds:
         md = majorization_data(zeta_closed_form(0.4))
         assert majorization_bound_direct_sum(md, math.inf) == 0.0
         expected = 0.5 * renyi_entropy(md.omega_prime, math.inf)
-        assert majorization_entropy_bound(md, math.inf) == pytest.approx(expected, abs=1e-15)
+        assert majorization_bound_tensor(md, math.inf) == pytest.approx(expected, abs=1e-15)
+        assert majorization_bound_reference(md, math.inf) == pytest.approx(expected, abs=1e-15)
         # numeric validation of both analytic limits at alpha = 1e6
         assert majorization_bound_direct_sum(md, 1e6) == pytest.approx(0.0, abs=1e-4)
         assert majorization_bound_tensor(md, 1e6) == pytest.approx(expected, abs=1e-4)
@@ -443,7 +467,7 @@ class TestMajorizationBounds:
         eta = np.linspace(0.0, 1.0, 41)
         md = majorization_data(zeta_closed_form(eta))
         for a in (0.5, 1.0, 1.0 + 1e-9, 1.5, 2.0, 3.0, 10.0, math.inf):
-            for bound in (majorization_bound_direct_sum, majorization_entropy_bound):
+            for bound in (majorization_bound_direct_sum, majorization_bound_tensor):
                 grid = np.asarray(bound(md, a), dtype=float)
                 alone = [bound(majorization_data(zeta_closed_form(float(e))), a) for e in eta]
                 assert grid.view(np.uint64).tolist() == np.asarray(alone).view(np.uint64).tolist(), (bound, a)
@@ -451,7 +475,7 @@ class TestMajorizationBounds:
     def test_half_order_bound_sound_on_random_states(self, rng):
         for eta in (0.1, 0.4, 0.8):
             md = majorization_data(zeta_closed_form(eta))
-            bound = majorization_entropy_bound(md, 0.5)
+            bound = majorization_bound_direct_sum(md, 0.5)  # the stronger bound at orders up to 1
             for _ in range(200):
                 rho = random_density(2, rng) if rng.random() < 0.5 else random_pure_density(2, rng)
                 assert renyi_entropy(povm_probs_for_state(eta, rho), 0.5) >= bound - 1e-9
@@ -484,7 +508,7 @@ class TestUncertaintySoundness:
                 rho = random_density(2, rng)
                 probs = povm_probs_for_state(eta, rho)
                 for a in (0.5, 1.0, 2.0, 10.0, math.inf):
-                    assert renyi_entropy(probs, a) >= majorization_entropy_bound(md, a) - 1e-9
+                    assert renyi_entropy(probs, a) >= majorization_bound_reference(md, a) - 1e-9
 
 
 def majorizes(dominating, dominated):
@@ -508,9 +532,9 @@ class TestMajorizationRelations:
                 rho = random_density(3, rng)
                 p = np.clip(np.diag(rho).real, 0.0, None)
                 q = np.clip(np.diag(w.conj().T @ rho @ w).real, 0.0, None)
-                assert majorizes(md.omega_prime.probs, np.outer(p, q).ravel())
+                assert majorizes(md.omega_prime, np.outer(p, q).ravel())
                 assert majorizes(
-                    np.concatenate(([1.0], md.omega.probs)), np.concatenate((p, q))
+                    np.concatenate(([1.0], md.omega)), np.concatenate((p, q))
                 )
 
 
@@ -567,7 +591,8 @@ class TestBoundsTable:
     @staticmethod
     def columns(eta):
         """The seven eta columns from the public closed forms; coles_piani_bound
-        reads its column from bounds_table, so its formula is written here."""
+        reads its column from bounds_table, so its formula is written here.
+        maj_shannon is the direct-sum bound at order 1, as bounds_table takes it."""
         md = majorization_data(zeta_closed_form(eta))
         half = 0.5 / (1.0 + eta)
         rho_star = np.stack([half, half, eta / (1.0 + eta)], axis=-1)
@@ -577,7 +602,7 @@ class TestBoundsTable:
         return [
             2 * np.log2(mu_factor(eta)),
             np.log2(mu_factor(eta)) + np.where((e > 0.0) & (e < 0.2), correction, 0.0),
-            0.5 * shannon_entropy(md.omega),
+            majorization_bound_direct_sum(md, 1.0),
             majorization_bound_tensor(md, 2.0),
             majorization_bound_direct_sum(md, 2.0),
             shannon_entropy(rho_star),
