@@ -67,13 +67,16 @@ def test_replacements_name_no_removed_name():
 def test_removed_name_stays_gone(name):
     """The name resolves neither in fpbprobe nor, if undotted, in any public module.
 
-    A dotted name resolves its prefix first, which must still exist.
+    A dotted name resolves its prefix first, which must still exist unless the
+    prefix is itself a removed name (then the whole name is gone with it).
     """
     import fpbprobe
 
     *prefix, last = name.split(".")
     owner = fpbprobe
-    for part in prefix:
+    for i, part in enumerate(prefix):
+        if not hasattr(owner, part) and ".".join(prefix[:i + 1]) in REMOVED:
+            return
         owner = getattr(owner, part)
     owners = [owner] if prefix else [fpbprobe, *(importlib.import_module(f"fpbprobe.{m}") for m in PUBLIC_MODULES)]
     for owner in owners:
